@@ -267,13 +267,13 @@ def check_markov_limit() -> CheckResult:
 
 def check_orthogonality_gram() -> CheckResult:
     p = ACCEPT_PARAMS
-    g = measure.gram_matrix(p, 5, 512)
-    deficit = 1.0 - g[0, 0]
+    g = measure.gram_matrix(p, 5)
+    deficit = 1.0 - g[0][0]
     if abs(deficit) < 1e-6:
-        off = max(abs(g[n, m]) for n in range(6) for m in range(6) if n != m)
-        diag = max(abs(g[n, n] - measure.norm_squared(n, p)) for n in range(6))
+        off = max(abs(g[n][m]) for n in range(6) for m in range(6) if n != m)
+        diag = max(abs(g[n][n] - measure.norm_squared(n, p)) for n in range(6))
         ok = off < 1e-6 and diag < 1e-6
-        detail = f"G00 = {g[0, 0]:.9f}; max off-diagonal {off:.2e}; max |G_nn - h_n| {diag:.2e}"
+        detail = f"G00 = {g[0][0]:.9f}; max off-diagonal {off:.2e}; max |G_nn - h_n| {diag:.2e}"
     else:
         ok = True
         detail = f"discrete mass suspected: deficit = {deficit:.3e}; Gram assertions skipped"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,7 +92,7 @@ def test_params_file(tmp_path, capsys):
 
 
 def test_orthogonality_runs(capsys):
-    rc = main(["orthogonality", *ACCEPT_FLAGS, "--nmax", "2", "--nodes", "128"])
+    rc = main(["orthogonality", *ACCEPT_FLAGS, "--nmax", "2"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "mass_deficit" in out
@@ -119,16 +123,37 @@ def test_verify_all_on_shipped_defaults(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    from qfraclab import cli, verify
+    from qfraclab import verify
 
     def fake_run(suite):
         return [verify.CheckResult("stub", False, "forced failure")]
 
-    monkeypatch.setattr(cli.verify, "run_suite", fake_run)
+    monkeypatch.setattr(verify, "run_suite", fake_run)
     rc = main(["verify", "--suite", "all"])
     out = capsys.readouterr().out
     assert rc == 1
     assert out.startswith("FAIL stub")
+
+
+def test_suite_choices_match_verify():
+    from qfraclab import cli, verify
+
+    assert cli.SUITE_NAMES == verify.SUITE_NAMES
+
+
+def test_cli_import_loads_neither_numpy_nor_mpmath():
+    # a fresh interpreter, so that modules imported by other tests do not count
+    code = (
+        "import sys\n"
+        "import qfraclab.cli\n"
+        "heavy = [m for m in ('numpy', 'mpmath') if m in sys.modules]\n"
+        "assert not heavy, heavy\n"
+        "sys.exit(qfraclab.cli.main(['verify', '--suite', 'qseries']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_errors_exit_two(capsys):

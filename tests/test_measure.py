@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from qfraclab.errors import DomainError, PoleError
+from qfraclab import measure
+from qfraclab.errors import DomainError, PoleError, TruncationError
 from qfraclab.measure import (
     _inversion_value,
     density_inversion,
@@ -229,19 +230,29 @@ class TestOrthogonality:
         assert norm_squared(5, p) == pytest.approx(prod, rel=1e-13)
 
     def test_gram_matrix_structure(self):
-        g = gram_matrix(P_STD, 5, 512)
-        assert g[0, 0] <= 1 + 1e-6
-        assert abs(g[0, 0] - 1) < 1e-6  # no discrete mass at these parameters
+        g = gram_matrix(P_STD, 5)
+        assert g[0][0] <= 1 + 1e-6
+        assert abs(g[0][0] - 1) < 1e-6  # no discrete mass at these parameters
         for n in range(6):
             for m in range(6):
                 if n == m:
-                    assert abs(g[n, n] - norm_squared(n, P_STD)) < 1e-6
+                    assert abs(g[n][n] - norm_squared(n, P_STD)) < 1e-6
                 else:
-                    assert abs(g[n, m]) < 1e-6
+                    assert abs(g[n][m]) < 1e-6
+
+    def test_gram_near_vanishing_beta1(self):
+        # beta_1 ~ 0.0025: the weight is so sharply peaked that a fixed
+        # 512-node rule misses G by 6.9e-3; the adaptive rule must resolve it
+        p = Params(0.4009129322157772, -0.1832346286622913, -0.18001610974372928, 0.4446810951079374)
+        g = gram_matrix(p, 5)
+        for n in range(6):
+            for m in range(6):
+                expected = norm_squared(n, p) if n == m else 0.0
+                assert abs(g[n][m] - expected) <= 1e-12
 
     def test_single_integral_matches_gram(self):
-        assert orthogonality_integral(1, 0, P_STD, 256) == pytest.approx(0.0, abs=1e-6)
-        assert orthogonality_integral(2, 2, P_STD, 256) == pytest.approx(
+        assert orthogonality_integral(1, 0, P_STD) == pytest.approx(0.0, abs=1e-6)
+        assert orthogonality_integral(2, 2, P_STD) == pytest.approx(
             norm_squared(2, P_STD), abs=1e-6
         )
 
@@ -249,11 +260,13 @@ class TestOrthogonality:
         # a = 0, lam != 0 under the verbatim convention loses exactly
         # 1 - (-lam q/b; q)_inf of total mass
         p = Params(0.4, 0.0, -0.25, 0.2)
-        g = gram_matrix(p, 0, 256)
+        g = gram_matrix(p, 0)
         expected = qpochhammer_inf(-p.lam * p.q / p.b, p.q)
-        assert g[0, 0] == pytest.approx(expected, rel=1e-10)
-        assert 1 - g[0, 0] > 1e-6  # the deficit gate would trip here
+        assert g[0][0] == pytest.approx(expected, rel=1e-10)
+        assert 1 - g[0][0] > 1e-6  # the deficit gate would trip here
 
-    def test_node_floor(self):
-        with pytest.raises(DomainError):
-            gram_matrix(P_STD, 2, 32)
+    def test_node_cap_raises(self, monkeypatch):
+        # P_STD settles at 64 nodes; a cap at the first level leaves no room to double
+        monkeypatch.setattr(measure, "_GRAM_MAX_NODES", measure._GRAM_START_NODES)
+        with pytest.raises(TruncationError):
+            gram_matrix(P_STD, 2)
