@@ -8,7 +8,7 @@ moments) and ships the cross-checks as a runnable acceptance suite
 (``qfraclab verify`` or :mod:`qfraclab.verify`).
 """
 
-from .errors import DomainError, PoleError, QFracError, TruncationError
+from .errors import DomainError, PoleError, QFracError, RangeError, TruncationError
 from .qseries import (
     DEFAULT_CONTROL,
     PhiSpec,

@@ -8,8 +8,13 @@ double precision or ``fractions.Fraction`` for exact rational arithmetic
 backend).
 
 Summation bounds always come from the vanishing conventions of the
-q-binomials, never from guessed cutoffs; internally the sums share a prefix
-table of (q; q)_m to keep the triple sums fast.
+q-binomials, never from guessed cutoffs.  Every sum reads its q-binomials
+from a prefix table of (q; q)_m.  The double and triple sums of
+:func:`hirschhorn_closed` and :func:`a0_closed` also build, once per call,
+the inverses 1/(q; q)_m and the powers of their arguments and of q
+(with q^C(k,2)), and pull every factor that does not depend on the
+innermost index out of the innermost sum, so that loop only multiplies
+table entries.
 """
 
 from __future__ import annotations
@@ -28,10 +33,6 @@ __all__ = [
 ]
 
 
-def _c2(k: int) -> int:
-    return k * (k - 1) // 2
-
-
 def _qfac_table(q, n: int) -> list:
     """Prefix products (q; q)_m for m = 0..n; exact for Fraction q."""
     out = [q**0] * (n + 1)  # q**0 keeps the scalar type (Fraction stays Fraction)
@@ -40,6 +41,23 @@ def _qfac_table(q, n: int) -> list:
         out[m] = out[m - 1] * (1 - pw)
         pw *= q
     return out
+
+
+def _qfac_inverses(tab, top: int) -> list:
+    """Inverses 1/(q; q)_m for m = 0..top of a prefix table.
+
+    The products are zero from the first vanishing factor on, so (q; q)_top
+    vanishes exactly when some q-binomial of a sum reaching index ``top``
+    would divide by zero; that raises DomainError, as :func:`_qbin` does.
+    """
+    if tab[top] == 0:
+        raise DomainError("q-binomial undefined: (q; q) factor vanished")
+    return [1 / t for t in tab[: top + 1]]
+
+
+def _powers(x, n: int) -> list:
+    """x^0, ..., x^n, each by one ``**`` so no rounding accumulates along the table."""
+    return [x**i for i in range(n + 1)]
 
 
 def _qbin(tab, n: int, k: int):
@@ -83,17 +101,31 @@ def hirschhorn_closed(n: int, q, a, b, lam):
     """
     if n < 0:
         raise DomainError("hirschhorn_closed requires n >= 0")
-    tab = _qfac_table(q, n + 1)
+    tab = _qfac_table(q, n)
+    inv = _qfac_inverses(tab, n)
+    mb_pw, lam_pw = _powers(-b, n), _powers(lam, n)
+    qc2 = [q ** (k * (k - 1) // 2) for k in range(n + 2)]
+    a_inv = [i * p for i, p in zip(inv, _powers(a, n))]  # a^i / (q; q)_i
+    d_k = [i * t for i, t in zip(inv, qc2)]  # q^C(k,2) / (q; q)_k
+    n_k = [i * t for i, t in zip(inv, qc2[1:])]  # q^(C(k,2)+k) / (q; q)_k
     N = 0
     D = 0
     for l in range(0, n + 1):
-        for j in range(0, n - l + 1):
-            for k in range(j, n - j - l + 1):
-                mult = tab[k + l] / (tab[j] * tab[l] * tab[k - j])  # [k+l; j, l]_q
-                base = mult * a ** (k - j) * (-b) ** l * lam**j * q ** (_c2(k) + _c2(j) + j)
-                D += base * _qbin(tab, n - j - l, k)
-                if k <= n - 1 - j - l:
-                    N += base * q**k * _qbin(tab, n - 1 - j - l, k)
+        # k runs over j..m with m = n-j-l, which is empty once 2j > n-l
+        for j in range(0, (n - l) // 2 + 1):
+            m = n - j - l
+            # the k-sums hold the k-dependent factors of [k+l; j, l]_q [m choose k]_q
+            # a^(k-j) q^C(k,2) (and [m-1 choose k]_q q^k for N); w holds the rest
+            sD = tab[m + l] * a_inv[m - j] * d_k[m]  # k = m, where [m-1 choose k] = 0
+            sN = 0
+            for k in range(j, m):
+                u = tab[k + l] * a_inv[k - j]
+                sD += u * d_k[k] * inv[m - k]
+                sN += u * n_k[k] * inv[m - 1 - k]
+            w = inv[j] * inv[l] * mb_pw[l] * lam_pw[j] * qc2[j + 1]  # q^C(j+1,2) = q^(C(j,2)+j)
+            D += w * tab[m] * sD
+            if m > j:
+                N += w * tab[m - 1] * sN
     return (1 - b) * N, D
 
 
@@ -106,15 +138,22 @@ def a0_closed(n: int, b, lam, q):
     """
     if n < 0:
         raise DomainError("a0_closed requires n >= 0")
-    tab = _qfac_table(q, n + 2)
+    tab = _qfac_table(q, n + 1)
+    inv = _qfac_inverses(tab, n + 1)
+    b_inv = [i * p for i, p in zip(inv, _powers(-b, n + 1))]  # (-b)^j / (q; q)_j
     N = 0
     D = 0
     for k in range(0, (n + 1) // 2 + 1):
-        qk = q ** (k * k) * lam**k
-        for j in range(0, n + 1 - 2 * k + 1):
-            common = qk * _qbin(tab, k + j, k) * (-b) ** j
-            N += common * q**k * _qbin(tab, n - k - j, k)
-            D += common * _qbin(tab, n - k - j + 1, k)
+        top = n + 1 - 2 * k  # j runs over 0..top for D', 0..top-1 for N'
+        sD = tab[n + 1 - k] * b_inv[top] * tab[k]  # j = top, where [n-k-j choose k] = 0
+        sN = 0
+        for j in range(0, top):
+            u = tab[k + j] * b_inv[j]
+            sD += u * tab[n + 1 - k - j] * inv[top - j]
+            sN += u * tab[n - k - j] * inv[top - 1 - j]
+        w = q ** (k * k) * lam**k * inv[k] * inv[k]
+        N += w * q**k * sN
+        D += w * sD
     return N, D
 
 

@@ -13,6 +13,10 @@ class TruncationError(QFracError, ArithmeticError):
     """An infinite sum or product failed to converge within its term budget."""
 
 
+class RangeError(QFracError, OverflowError):
+    """A double-precision evaluation left the finite range (overflow to inf or NaN)."""
+
+
 class PoleError(QFracError, ZeroDivisionError):
     """Evaluation hit a vanishing denominator.
 

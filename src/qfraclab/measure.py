@@ -211,6 +211,8 @@ def stieltjes_transform(x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> 
     candidate mass points of the discrete part of the measure.
     """
     xc = complex(x)
+    if not cmath.isfinite(xc):
+        raise DomainError(f"x must be finite, got {x}")
     if xc.imag == 0 and -1 < xc.real < 1:
         raise DomainError("x lies inside (-1, 1); use the density routines there")
     p.require_monic()

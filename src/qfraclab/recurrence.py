@@ -28,11 +28,12 @@ which is a Nevai-class recurrence (alpha_k -> 0, beta_k -> 1/4) whenever
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, RangeError
 
 __all__ = [
     "Params",
@@ -212,21 +213,39 @@ def monic_beta(p: Params, k: int) -> float:
 _SEED_NAMES = ("P", "Pstar")
 
 
+def _monic_start(p: Params, x, depth: int, seed: str, name: str):
+    """Validate a monic run; return the x-free invariants c, q, lam/b and the seed pair."""
+    if depth < 1:
+        raise DomainError(f"{name} requires depth >= 1")
+    if seed not in _SEED_NAMES:
+        raise DomainError(f"unknown seed {seed!r}; use 'P' or 'Pstar'")
+    if not cmath.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
+    p.require_monic()
+    c = p.c
+    return c, p.q, p.lam / p.b, ((1.0, x - c) if seed == "P" else (0.0, 1.0 + 0 * x))
+
+
 def run_monic(p: Params, x, depth: int, seed: str = "P") -> list:
     """Unroll ``x y_k = y_{k+1} + alpha_k y_k + beta_k y_{k-1}`` to ``depth``.
 
     ``seed="P"`` gives the monic orthogonal polynomials (P_0 = 1,
     P_1 = x - c); ``seed="Pstar"`` the numerator solution (0, 1).
+    A run that overflows double precision raises RangeError; use
+    :func:`run_monic_scaled` past that depth.
     """
-    if depth < 1:
-        raise DomainError("run_monic requires depth >= 1")
-    if seed not in _SEED_NAMES:
-        raise DomainError(f"unknown seed {seed!r}; use 'P' or 'Pstar'")
-    p.require_monic()
-    y0, y1 = (1, x - p.c) if seed == "P" else (0, 1)
-    out = [y0, y1]
-    for k in range(1, depth):
-        out.append((x - monic_alpha(p, k)) * out[k] - monic_beta(p, k) * out[k - 1])
+    c, q, r, (y_prev, y_cur) = _monic_start(p, x, depth, seed, "run_monic")
+    out = [y_prev, y_cur]
+    qk = q
+    for _ in range(1, depth):
+        # alpha_k = c q^k, beta_k = (1 + (lam/b) q^k) / 4
+        y_prev, y_cur = y_cur, (x - c * qk) * y_cur - (1 + r * qk) / 4 * y_prev
+        out.append(y_cur)
+        qk *= q
+    # inf and NaN propagate through every later step, so the last value
+    # shows whether any step left the double range
+    if not cmath.isfinite(y_cur):
+        raise RangeError(f"{seed}_{depth}({x}) overflows double precision; use run_monic_scaled")
     return out
 
 
@@ -239,18 +258,15 @@ def run_monic_scaled(p: Params, x, depth: int, seed: str = "P"):
     Returns ``(mantissas, exponents)`` with ``y_k = mantissas[k] * 2.0**exponents[k]``,
     so depths well past the double-precision overflow point stay finite.
     """
-    if depth < 1:
-        raise DomainError("run_monic_scaled requires depth >= 1")
-    if seed not in _SEED_NAMES:
-        raise DomainError(f"unknown seed {seed!r}; use 'P' or 'Pstar'")
-    p.require_monic()
-    y_prev, y_cur = (1.0, x - p.c) if seed == "P" else (0.0, 1.0 + 0 * x)
+    c, q, r, (y_prev, y_cur) = _monic_start(p, x, depth, seed, "run_monic_scaled")
     mant = [y_prev, y_cur]
     exps = [0, 0]
     e = 0  # shared exponent of the sliding pair
-    for k in range(1, depth):
-        y_next = (x - monic_alpha(p, k)) * y_cur - monic_beta(p, k) * y_prev
-        if max(abs(y_next), abs(y_cur)) > _RESCALE:
+    qk = q
+    for _ in range(1, depth):
+        y_next = (x - c * qk) * y_cur - (1 + r * qk) / 4 * y_prev
+        qk *= q
+        if abs(y_next) > _RESCALE or abs(y_cur) > _RESCALE:
             y_next /= _RESCALE
             y_cur /= _RESCALE
             e += 512

@@ -196,13 +196,12 @@ def check_entry15_a0() -> CheckResult:
         a = rng.uniform(-0.9, 0.9)
         b = rng.uniform(-0.9, 0.9)
         lam = rng.uniform(-1, 1)
-        fam = recurrence.b0_family(Params(q, a, 0, lam))
-        p_a0 = Params(q, 0, b, lam)
-        seq_a0 = recurrence.run_jfraction(recurrence.hirschhorn_family(p_a0), 1, 26)
+        # one run per family: the depth-26 prefix equals every shallower run
+        seq15 = recurrence.run_jfraction(recurrence.b0_family(Params(q, a, 0, lam)), 1, 26)
+        seq_a0 = recurrence.run_jfraction(recurrence.hirschhorn_family(Params(q, 0, b, lam)), 1, 26)
         for n in range(1, 26):
             Nh, Dh = convergents.entry15(n, a, lam, q)
-            seq = recurrence.run_jfraction(fam, 1, n + 1)
-            worst15 = max(worst15, _rel_err((1 + a) * Nh / Dh, seq.D[n + 1] / seq.N[n + 1]))
+            worst15 = max(worst15, _rel_err((1 + a) * Nh / Dh, seq15.D[n + 1] / seq15.N[n + 1]))
             Np, Dp = convergents.a0_closed(n, b, lam, q)
             cf = seq_a0.N[n + 1] / ((1 - b) * seq_a0.D[n + 1])
             worst_a0 = max(worst_a0, _rel_err(Np / Dp, cf))

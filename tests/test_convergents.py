@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfraclab.cfrac import backward_convergent, eval_backward, hirschhorn_cf
 from qfraclab.convergents import (
@@ -13,7 +15,7 @@ from qfraclab.convergents import (
     ram_Q,
     ram_Qstar,
 )
-from qfraclab.errors import DomainError
+from qfraclab.errors import DomainError, PoleError
 from qfraclab.recurrence import Params, b0_family, entry16_family, hirschhorn_family, run_jfraction
 
 
@@ -223,3 +225,63 @@ class TestGFunction:
         # -bq = q^{-0} i.e. b = -1/q zeroes (-bq; q)_1
         with pytest.raises(DomainError):
             g_function(-1 / 0.4, 0.5, 0.4)
+
+
+class TestVanishingQFactorial:
+    # q = -1 zeroes (q; q)_m from m = 2 on; each closed form raises exactly
+    # when one of the q-binomials it sums reaches that index, and returns
+    # its value below it
+    q, a, b, lam = Fraction(-1), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)
+
+    def test_values_below_the_vanishing_index(self):
+        q, a, b, lam = self.q, self.a, self.b, self.lam
+        assert hirschhorn_closed(0, q, a, b, lam) == (0, 1)
+        assert hirschhorn_closed(1, q, a, b, lam) == (Fraction(5, 4), Fraction(19, 12))
+        assert a0_closed(0, b, lam, q) == (1, Fraction(5, 4))
+        assert entry16(0, lam, q) == (1, 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_hirschhorn_closed_raises(self, n):
+        with pytest.raises(DomainError):
+            hirschhorn_closed(n, self.q, self.a, self.b, self.lam)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_a0_closed_and_entry16_raise(self, n):
+        with pytest.raises(DomainError):
+            a0_closed(n, self.b, self.lam, self.q)
+        with pytest.raises(DomainError):
+            entry16(n, self.lam, self.q)
+
+
+def _small_rationals(lo, hi):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 9))
+
+
+# 0 < |q| < 1, so no (q; q)_m factor vanishes
+exact_q = st.builds(
+    lambda num, den, sign: Fraction(sign * num, num + den),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.sampled_from([1, -1]),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(exact_q, _small_rationals(-6, 6), _small_rationals(-6, 6), _small_rationals(-6, 6), st.integers(0, 10))
+def test_hirschhorn_closed_equals_exact_recurrence(q, a, b, lam, n):
+    assume(b != 1)
+    seq = run_jfraction(hirschhorn_family(Params(q, a, b, lam)), Fraction(1), max(n, 1))
+    assert hirschhorn_closed(n, q, a, b, lam) == (seq.N[n], seq.D[n])
+
+
+@settings(deadline=None, max_examples=40)
+@given(exact_q, _small_rationals(-6, 6), _small_rationals(-6, 6), st.integers(0, 10))
+def test_a0_closed_equals_exact_backward_fraction(q, b, lam, n):
+    assume(b != 1)
+    Np, Dp = a0_closed(n, b, lam, q)
+    try:
+        cf = hirschhorn_cf(Params(q, Fraction(0), b, lam), n + 1)
+    except PoleError:  # an exact rational truncation can hit a zero denominator
+        assume(False)
+    assume(Dp != 0)
+    assert Np / Dp == cf

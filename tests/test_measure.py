@@ -210,6 +210,11 @@ class TestStieltjes:
         with pytest.raises(DomainError):
             stieltjes_transform(0.2, P_STD)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, complex("inf"), complex(2.0, math.nan)])
+    def test_rejects_nonfinite(self, x):
+        with pytest.raises(DomainError, match="finite"):
+            stieltjes_transform(x, P_STD)
+
     def test_markov_error_strictly_decreasing(self):
         # sub-double-precision decay: checked by the extended-precision oracle
         for x in (2.0, -2.0, 1.2 + 0.5j):

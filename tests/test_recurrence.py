@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfraclab.errors import DomainError, PoleError
+from qfraclab.errors import DomainError, PoleError, QFracError, RangeError
 from qfraclab.qseries import qpochhammer
 from qfraclab.recurrence import (
     Params,
@@ -203,6 +203,33 @@ class TestMonic:
         with pytest.raises(DomainError):
             run_monic(P_STD, 0.3, 5, "Q")
 
+    def test_overflow_raises_instead_of_nan(self):
+        # P_k(2) grows like 1.87^k and leaves the double range near k = 1130
+        with pytest.raises(RangeError) as info:
+            run_monic(P_STD, 2.0, 1200)
+        assert isinstance(info.value, QFracError)
+        with pytest.raises(RangeError):
+            run_monic(P_STD, 2.0, 1200, "Pstar")
+        assert math.isfinite(run_monic(P_STD, 2.0, 1100)[-1])
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, complex(0.3, math.inf)])
+    def test_nonfinite_x_rejected(self, x):
+        for run in (run_monic, run_monic_scaled):
+            with pytest.raises(DomainError, match="finite"):
+                run(P_STD, x, 5)
+        with pytest.raises(DomainError, match="finite"):
+            monic_ratio(P_STD, x, 5)
+
+    def test_fraction_and_complex_x(self):
+        x = Fraction(2, 7)
+        vals = run_monic(P_STD, x, 6)
+        assert vals == pytest.approx(run_monic(P_STD, float(x), 6), rel=1e-14)
+        z = complex(0.4, 0.7)
+        vals = run_monic(P_STD, z, 6, "Pstar")
+        conj = run_monic(P_STD, z.conjugate(), 6, "Pstar")
+        assert all(isinstance(v, complex) for v in vals[2:])
+        assert [v.conjugate() for v in vals[2:]] == pytest.approx(conj[2:], rel=1e-14)
+
 
 class TestB0Norms:
     def test_norm_product_closed_form(self):
@@ -233,6 +260,18 @@ class TestScaledRun:
     def test_monic_ratio_matches_direct(self):
         direct = run_monic(P_STD, 2.0, 200, "Pstar")[200] / run_monic(P_STD, 2.0, 200, "P")[200]
         assert monic_ratio(P_STD, 2.0, 200) == pytest.approx(direct, rel=1e-13)
+
+
+def test_forward_prefix_independent_of_depth():
+    # the acceptance suite reads every depth n + 1 <= 26 off one depth-26 run
+    rng = random.Random(1603)
+    for _ in range(10):
+        q = rng.uniform(0.05, 0.9) * rng.choice([1, -1])
+        fam = b0_family(Params(q, rng.uniform(-0.9, 0.9), 0, rng.uniform(-1, 1)))
+        deep = run_jfraction(fam, 1, 26)
+        for n in range(1, 26):
+            seq = run_jfraction(fam, 1, n + 1)
+            assert deep.D[n + 1] / deep.N[n + 1] == seq.D[n + 1] / seq.N[n + 1]
 
 
 def test_exact_rational_recurrence():
