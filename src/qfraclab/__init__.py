@@ -40,13 +40,10 @@ from .recurrence import (
 from .cfrac import backward_convergent, convergent, eval_backward, hirschhorn_cf
 from .genfun import gf_eval, gf_radius
 from .measure import (
-    DensitySample,
-    Rho,
     density_inversion,
     density_nevai,
     gram_matrix,
     norm_squared,
-    orthogonality_integral,
     rho_select,
     series_F,
     series_G,

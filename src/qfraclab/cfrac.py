@@ -38,9 +38,11 @@ def eval_backward(partial_numers, partial_denoms, depth: int):
 
 
 def _jfraction_levels(family: JFamily, x, m: int):
-    coeffs = [family.coeffs(k) for k in range(m)]
-    dens = [0] + [ck.A * x + ck.B for ck in coeffs]
-    nums = [coeffs[0].A] + [-ck.C for ck in coeffs[1:]]
+    """Partial numerators A_0, -C_1, ..., -C_{m-1} and denominators 0, A_k x + B_k, in one pass."""
+    nums, dens = [], [0]
+    for A, B, C in map(family.coeffs, range(m)):
+        nums.append(-C if nums else A)  # level 0 contributes A_0
+        dens.append(A * x + B)
     return nums, dens
 
 

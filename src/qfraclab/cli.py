@@ -140,8 +140,8 @@ def _density_rows(p: Params, grid: int, xmin: float, xmax: float):
     rows = []
     for i in range(grid):
         x = xmin + (xmax - xmin) * i / (grid - 1) if grid > 1 else xmin
-        dn = measure.density_nevai(x, p).density
-        di = measure.density_inversion(x, p).density
+        dn = measure.density_nevai(x, p)
+        di = measure.density_inversion(x, p)
         rows.append((x, dn, di))
     return rows
 

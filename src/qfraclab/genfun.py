@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 
 from .errors import DomainError
+from .measure import rho_select
 from .qseries import DEFAULT_CONTROL, SeriesControl, sum_series
 from .recurrence import Params
 
@@ -33,14 +34,6 @@ __all__ = ["KINDS", "gf_radius", "gf_eval"]
 KINDS = ("P", "Pstar", "D", "N", "Q", "Qstar")
 
 _RADIUS_SAFETY = 0.9
-
-
-def _half_roots(x):
-    """u, v with 1 - x t + t^2/4 = (1 - u t/2)(1 - v t/2); u v = 1, u + v = 2x."""
-    xc = complex(x)
-    s = cmath.sqrt(xc - 1) * cmath.sqrt(xc + 1)
-    u = xc + s
-    return u, 1 / u
 
 
 def _base_roots(x, b):
@@ -58,8 +51,7 @@ def _base_roots(x, b):
 def gf_radius(kind: str, x, p: Params) -> float:
     """Distance from t = 0 to the nearest singularity of the generating function."""
     if kind in ("P", "Pstar"):
-        u, v = _half_roots(x)
-        return 2 / max(abs(u), abs(v))
+        return 2 * abs(rho_select(x))  # t = 2 rho is the nearer zero of 1 - x t + t^2/4
     if kind in ("D", "N"):
         alpha, beta = _base_roots(x, p.b)
         m = max(abs(alpha), abs(beta))
@@ -91,33 +83,24 @@ def gf_eval(kind: str, t, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL):
     if kind in ("P", "Pstar"):
         p.require_monic()
         c = p.c
-        u, v = _half_roots(x)
+        # 1 - x t + t^2/4 = (1 - u t/2)(1 - v t/2) with v = rho, u = 1/rho
+        v = rho_select(x)
+        u = 1 / v
 
         def new_factor(j):  # j-th regrouped factor of (-lam t q/4bc; q)_j (-c t)^j
             return -c * tc - lam * tc * tc * q**j / (4 * p.b)
 
-        if kind == "P":
-
-            def terms():
-                tk = 1 / ((1 - u * tc / 2) * (1 - v * tc / 2))
-                k = 0
-                while True:
-                    yield tk
-                    tk *= new_factor(k + 1) * q**k / ((1 - u * tc * q ** (k + 1) / 2) * (1 - v * tc * q ** (k + 1) / 2))
-                    k += 1
-
-            return sum_series(terms(), ctrl, "P generating function")
-
         def terms():
+            shift = 0 if kind == "P" else 1
             tk = 1.0 + 0j
             k = 0
             while True:
                 yield tk
-                tk *= new_factor(k + 1) * q ** (k + 1) / ((1 - u * tc * q ** (k + 1) / 2) * (1 - v * tc * q ** (k + 1) / 2))
+                tk *= new_factor(k + 1) * q ** (k + shift) / ((1 - u * tc * q ** (k + 1) / 2) * (1 - v * tc * q ** (k + 1) / 2))
                 k += 1
 
-        pref = tc / ((1 - u * tc / 2) * (1 - v * tc / 2))
-        return pref * sum_series(terms(), ctrl, "Pstar generating function")
+        pref = (1 if kind == "P" else tc) / ((1 - u * tc / 2) * (1 - v * tc / 2))
+        return pref * sum_series(terms(), ctrl, f"{kind} generating function")
 
     if kind in ("D", "N"):
         alpha, beta = _base_roots(x, p.b)

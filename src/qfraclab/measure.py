@@ -32,15 +32,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, PoleError, TruncationError
 from .qseries import DEFAULT_CONTROL, SeriesControl, qpochhammer, qpochhammer_inf, sum_series
 from .recurrence import Params, run_monic
 
 __all__ = [
-    "Rho",
-    "DensitySample",
     "rho_select",
     "series_F",
     "series_G",
@@ -49,22 +46,12 @@ __all__ = [
     "density_inversion",
     "stieltjes_transform",
     "norm_squared",
-    "orthogonality_integral",
     "gram_matrix",
 ]
 
 
-@dataclass(frozen=True)
-class Rho:
-    """A root pair of t^2 - 2xt + 1 = 0: ``value`` has |value| <= 1 and
-    ``conj_pair`` is its reciprocal, so value * conj_pair = 1 exactly."""
-
-    value: complex
-    conj_pair: complex
-
-
-def rho_select(x) -> Rho:
-    """Select the modulus-<=1 root of t^2 - 2xt + 1 = 0.
+def rho_select(x) -> complex:
+    """The modulus-<=1 root rho of t^2 - 2xt + 1 = 0; the other root is 1/rho.
 
     The branch of sqrt(x^2 - 1) behaves like x at infinity, so the value is
     analytic off [-1, 1]; at x = +-1 it is +-1, and for real x in (-1, 1)
@@ -72,9 +59,7 @@ def rho_select(x) -> Rho:
     The reciprocal form 1/(x + s) avoids cancellation for large |x|.
     """
     xc = complex(x)
-    s = cmath.sqrt(xc - 1) * cmath.sqrt(xc + 1)
-    big = xc + s
-    return Rho(1 / big, big)
+    return 1 / (xc + cmath.sqrt(xc - 1) * cmath.sqrt(xc + 1))
 
 
 def _fg_terms(rho: complex, p: Params, qpow_shift: int, ctrl: SeriesControl):
@@ -153,19 +138,11 @@ def series_R(theta: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> 
     return -sum_series(terms(), ctrl, "R series") / (1j * sin_t)
 
 
-@dataclass(frozen=True)
-class DensitySample:
-    """One sample (x, mu'(x)) of the absolutely continuous density."""
-
-    x: float
-    density: float
-
-
 def _weight_prefactor(p: Params, ctrl: SeriesControl) -> float:
     return qpochhammer_inf(-p.lam * p.q / p.b, p.q, ctrl)
 
 
-def density_nevai(x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> DensitySample:
+def density_nevai(x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Density on (-1, 1) via the phase-amplitude route:
     (2/pi) (-lam q/b; q)_inf / (|R|^2 sqrt(1 - x^2))."""
     if not -1 < x < 1:
@@ -173,8 +150,7 @@ def density_nevai(x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) ->
     p.require_monic()
     theta = math.acos(x)
     R = series_R(theta, p, ctrl)
-    val = 2.0 * _weight_prefactor(p, ctrl) / (math.pi * abs(R) ** 2 * math.sqrt(1 - x * x))
-    return DensitySample(x, val)
+    return 2.0 * _weight_prefactor(p, ctrl) / (math.pi * abs(R) ** 2 * math.sqrt(1 - x * x))
 
 
 def _inversion_value(x: float, p: Params, ctrl: SeriesControl) -> complex:
@@ -191,7 +167,7 @@ def _inversion_value(x: float, p: Params, ctrl: SeriesControl) -> complex:
     return (w2 - w1) / (math.pi * 1j)
 
 
-def density_inversion(x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> DensitySample:
+def density_inversion(x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Density on (-1, 1) via Stieltjes inversion:
     (1/pi i) (rho2 F(rho2)/G(rho2) - rho1 F(rho1)/G(rho1)) with rho_{1,2} = e^{-+i theta}.
 
@@ -201,7 +177,7 @@ def density_inversion(x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL
     if not -1 < x < 1:
         raise DomainError("density is defined for x in (-1, 1)")
     p.require_monic()
-    return DensitySample(x, _inversion_value(x, p, ctrl).real)
+    return _inversion_value(x, p, ctrl).real
 
 
 def stieltjes_transform(x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> complex:
@@ -216,7 +192,7 @@ def stieltjes_transform(x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> 
     if xc.imag == 0 and -1 < xc.real < 1:
         raise DomainError("x lies inside (-1, 1); use the density routines there")
     p.require_monic()
-    rho = rho_select(xc).value
+    rho = rho_select(xc)
     f = series_F(rho, p, ctrl)
     g = series_G(rho, p, ctrl)
     if abs(g) <= 1e-14 * max(1.0, abs(f)):
@@ -292,8 +268,3 @@ def gram_matrix(p: Params, nmax: int, ctrl: SeriesControl = DEFAULT_CONTROL) -> 
     for (n, m), v in zip(pairs, est):
         out[n][m] = out[m][n] = v
     return out
-
-
-def orthogonality_integral(n: int, m: int, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Single weighted inner product <P_n, P_m> over the a.c. part."""
-    return gram_matrix(p, max(n, m), ctrl)[n][m]

@@ -114,8 +114,8 @@ def moment_pk_integral(k: int, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTR
     q, b, lam, c = p.q, p.b, p.lam, p.c
     if not abs(lam * q / b) < 1:
         raise DomainError("q-integral moments require |lam q / b| < 1")
-    r = rho_select(x)
-    w, W = r.value, r.conj_pair  # e^{-i theta}, e^{i theta} for Im x >= 0
+    w = rho_select(x)
+    W = 1 / w  # e^{-i theta}, e^{i theta} for Im x >= 0
     sin_t = (W - w) / 2j
     pre = (
         4
@@ -165,8 +165,8 @@ def moment_pk_closed(k: int, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL
     if branch not in ("auto", "upper", "lower"):
         raise DomainError(f"unknown branch {branch!r}")
     xc = complex(x)
-    r = rho_select(xc)
-    s, S = r.value, r.conj_pair
+    s = rho_select(xc)
+    S = 1 / s
     if branch == "upper" and xc.imag < 0:
         raise DomainError("upper branch needs Im(x) >= 0")
     if branch == "lower":

@@ -23,7 +23,17 @@ The monic rescaling ``P_k(x) = D_k(gamma x) / (gamma^k (1 - b)^k)`` with
     alpha_k = c q^k,  beta_k = (1 + lam q^k / b) / 4,  c = a / (2 sqrt(-b)),
 
 which is a Nevai-class recurrence (alpha_k -> 0, beta_k -> 1/4) whenever
-``b < 0`` and every ``beta_k`` is positive.
+``b < 0`` and every ``beta_k`` is positive.  It is the J-fraction with
+``A_k = 1, B_k = -alpha_k, C_k = beta_k``: P_k is its D solution and the
+numerator polynomials P*_k its N solution.
+
+One kernel, :func:`_run`, steps every family: it reads the level triples
+from an iterator and advances N and D together.  Float and complex runs
+keep one power-of-two exponent ledger for both solutions: once a new value
+passes 2^512, or one step leaves the double range, the step is redone from
+the previous pair scaled below 1/8 by a power of two, which changes no
+value short of underflow.  Fraction and int runs (the type of ``D_1``
+decides) are exact and never rescaled.
 """
 
 from __future__ import annotations
@@ -31,7 +41,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, PoleError, RangeError
 
@@ -108,8 +119,7 @@ class Params:
         raise DomainError("could not certify beta_k > 0 within max_check indices")
 
 
-@dataclass(frozen=True)
-class JCoeffs:
+class JCoeffs(NamedTuple):
     """Level-k coefficient triple of a J-fraction.  C is unused at k = 0."""
 
     A: complex
@@ -182,24 +192,75 @@ class ConvergentSeq:
         return self.N[k] / self.D[k]
 
 
+_LEDGER_LIMIT = 2.0**512  # a new value past it (in modulus) triggers a rescale
+
+
+def _exponent(v) -> int:
+    """Binary exponent of the largest component of ``v`` (0 for zero)."""
+    if isinstance(v, complex):
+        return max(math.frexp(v.real)[1], math.frexp(v.imag)[1])
+    return math.frexp(v)[1]
+
+
+def _run(levels, x, depth: int):
+    """The one recurrence loop: N and D of the J-fraction whose level triples
+    ``levels`` yields, to ``depth``, as mantissa lists and their shared
+    exponent list ``E`` (all zero for Fraction and int runs)."""
+    A, B, _ = next(levels)
+    n0, n1, d0, d1 = 0, A, 1, A * x + B
+    N, D, E = [n0, n1], [d0, d1], [0, 0]
+    scaled = isinstance(d1, (float, complex))
+    e = 0
+    for A, B, C in islice(levels, depth - 1):
+        lin = A * x + B
+        nn, dn = lin * n1 - C * n0, lin * d1 - C * d0
+        if scaled:
+            try:
+                small = abs(nn) <= _LEDGER_LIMIT >= abs(dn)
+            except OverflowError:  # a complex modulus past the double range
+                small = False
+            if not small:
+                k = max(map(_exponent, (n0, n1, d0, d1))) + 3
+                s = 2.0**-k
+                n0, n1, d0, d1 = n0 * s, n1 * s, d0 * s, d1 * s
+                nn, dn = lin * n1 - C * n0, lin * d1 - C * d0
+                e += k
+        n0, n1, d0, d1 = n1, nn, d1, dn
+        N.append(nn)
+        D.append(dn)
+        E.append(e)
+    return N, D, E
+
+
+def _ldexp(m, e: int):
+    """``m * 2**e`` for a float or complex mantissa; infinite past the double range."""
+    if isinstance(m, complex):
+        return complex(_ldexp(m.real, e), _ldexp(m.imag, e))
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _values(M: list, E: list) -> list:
+    """The values ``M[k] * 2**E[k]`` of one solution of :func:`_run`."""
+    if not any(E):
+        return M
+    return [m if e == 0 else _ldexp(m, e) for m, e in zip(M, E)]
+
+
 def run_jfraction(family, x, depth: int) -> ConvergentSeq:
     """Unroll the J-fraction recurrence to ``depth``, seeding both solutions.
 
     ``family`` may be a :class:`JFamily` or a bare ``k -> JCoeffs`` callable.
-    Exact for Fraction-valued coefficients and evaluation points.
+    Exact for Fraction-valued coefficients and evaluation points; float
+    values past the double range come back infinite.
     """
     if depth < 1:
         raise DomainError("run_jfraction requires depth >= 1")
     coeffs = family.coeffs if isinstance(family, JFamily) else family
-    c0 = coeffs(0)
-    N = [0, c0.A]
-    D = [1, c0.A * x + c0.B]
-    for k in range(1, depth):
-        ck = coeffs(k)
-        lin = ck.A * x + ck.B
-        N.append(lin * N[k] - ck.C * N[k - 1])
-        D.append(lin * D[k] - ck.C * D[k - 1])
-    return ConvergentSeq(N, D, x)
+    N, D, E = _run(map(coeffs, range(depth)), x, depth)
+    return ConvergentSeq(_values(N, E), _values(D, E), x)
 
 
 def monic_alpha(p: Params, k: int) -> float:
@@ -210,20 +271,24 @@ def monic_beta(p: Params, k: int) -> float:
     return (1 + p.lam * p.q**k / p.b) / 4
 
 
-_SEED_NAMES = ("P", "Pstar")
+def _monic_triples(c, q, r):
+    """Level triples (1, -alpha_k, beta_k) = (1, -c q^k, (1 + r q^k)/4) with r = lam/b."""
+    qk = 1
+    while True:
+        yield 1, -c * qk, (1 + r * qk) / 4
+        qk *= q
 
 
-def _monic_start(p: Params, x, depth: int, seed: str, name: str):
-    """Validate a monic run; return the x-free invariants c, q, lam/b and the seed pair."""
+def _monic_run(p: Params, x, depth: int, seed: str, name: str):
+    """Validate a monic run and step it: ``(N, D, E)`` of :func:`_run`."""
     if depth < 1:
         raise DomainError(f"{name} requires depth >= 1")
-    if seed not in _SEED_NAMES:
+    if seed not in ("P", "Pstar"):
         raise DomainError(f"unknown seed {seed!r}; use 'P' or 'Pstar'")
     if not cmath.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
     p.require_monic()
-    c = p.c
-    return c, p.q, p.lam / p.b, ((1.0, x - c) if seed == "P" else (0.0, 1.0 + 0 * x))
+    return _run(_monic_triples(p.c, p.q, p.lam / p.b), x, depth)
 
 
 def run_monic(p: Params, x, depth: int, seed: str = "P") -> list:
@@ -231,55 +296,33 @@ def run_monic(p: Params, x, depth: int, seed: str = "P") -> list:
 
     ``seed="P"`` gives the monic orthogonal polynomials (P_0 = 1,
     P_1 = x - c); ``seed="Pstar"`` the numerator solution (0, 1).
-    A run that overflows double precision raises RangeError; use
-    :func:`run_monic_scaled` past that depth.
+    A run with a value past the double range raises RangeError; use
+    :func:`run_monic_scaled` there.
     """
-    c, q, r, (y_prev, y_cur) = _monic_start(p, x, depth, seed, "run_monic")
-    out = [y_prev, y_cur]
-    qk = q
-    for _ in range(1, depth):
-        # alpha_k = c q^k, beta_k = (1 + (lam/b) q^k) / 4
-        y_prev, y_cur = y_cur, (x - c * qk) * y_cur - (1 + r * qk) / 4 * y_prev
-        out.append(y_cur)
-        qk *= q
-    # inf and NaN propagate through every later step, so the last value
-    # shows whether any step left the double range
-    if not cmath.isfinite(y_cur):
-        raise RangeError(f"{seed}_{depth}({x}) overflows double precision; use run_monic_scaled")
-    return out
-
-
-_RESCALE = 2.0**512
+    N, D, E = _monic_run(p, x, depth, seed, "run_monic")
+    vals = _values(D if seed == "P" else N, E)
+    if not all(map(cmath.isfinite, vals)):
+        raise RangeError(f"{seed}({x}) leaves the double range by depth {depth}; use run_monic_scaled")
+    return vals
 
 
 def run_monic_scaled(p: Params, x, depth: int, seed: str = "P"):
-    """Like :func:`run_monic` but with a shared power-of-two exponent ledger.
+    """Like :func:`run_monic` but returns the kernel's exponent ledger.
 
     Returns ``(mantissas, exponents)`` with ``y_k = mantissas[k] * 2.0**exponents[k]``,
     so depths well past the double-precision overflow point stay finite.
     """
-    c, q, r, (y_prev, y_cur) = _monic_start(p, x, depth, seed, "run_monic_scaled")
-    mant = [y_prev, y_cur]
-    exps = [0, 0]
-    e = 0  # shared exponent of the sliding pair
-    qk = q
-    for _ in range(1, depth):
-        y_next = (x - c * qk) * y_cur - (1 + r * qk) / 4 * y_prev
-        qk *= q
-        if abs(y_next) > _RESCALE or abs(y_cur) > _RESCALE:
-            y_next /= _RESCALE
-            y_cur /= _RESCALE
-            e += 512
-        mant.append(y_next)
-        exps.append(e)
-        y_prev, y_cur = y_cur, y_next
-    return mant, exps
+    N, D, E = _monic_run(p, x, depth, seed, "run_monic_scaled")
+    return (D if seed == "P" else N), E
 
 
 def monic_ratio(p: Params, x, depth: int):
-    """Markov-limit ratio ``Pstar_depth(x) / P_depth(x)`` using the scaled runs."""
-    mn, en = run_monic_scaled(p, x, depth, "Pstar")
-    md, ed = run_monic_scaled(p, x, depth, "P")
-    if md[depth] == 0:
+    """Markov-limit ratio ``Pstar_depth(x) / P_depth(x)`` from one scaled run;
+    both solutions share the exponent ledger, so their mantissas give the ratio."""
+    N, D, _ = _monic_run(p, x, depth, "P", "monic_ratio")
+    if D[depth] == 0:
         raise PoleError(f"P_{depth}(x) = 0 at x = {x}", level=depth)
-    return (mn[depth] / md[depth]) * 2.0 ** (en[depth] - ed[depth])
+    ratio = N[depth] / D[depth]
+    if not cmath.isfinite(ratio):
+        raise RangeError(f"Pstar_{depth}/P_{depth} at x = {x} leaves the double range")
+    return ratio

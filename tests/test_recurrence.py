@@ -1,18 +1,24 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfraclab.errors import DomainError, PoleError, QFracError, RangeError
 from qfraclab.qseries import qpochhammer
 from qfraclab.recurrence import (
+    JCoeffs,
+    JFamily,
     Params,
     b0_coeffs,
     b0_family,
     entry16_family,
     hirschhorn_coeffs,
     hirschhorn_family,
+    monic_alpha,
     monic_beta,
     monic_ratio,
     run_jfraction,
@@ -281,5 +287,122 @@ def test_exact_rational_recurrence():
     # Casoratian holds exactly
     prod = 1 - b
     for k in range(0, 5):
+        assert seq.N[k + 1] * seq.D[k] - seq.N[k] * seq.D[k + 1] == prod
+        prod *= hirschhorn_coeffs(p, k + 1).C
+
+
+def _monic_or_none(q, a, b, lam):
+    p = Params(q, a, b, lam)
+    try:
+        p.require_monic()
+    except DomainError:
+        return None
+    return p
+
+
+monic_params = st.builds(
+    _monic_or_none,
+    st.floats(0.05, 0.95).flatmap(lambda q: st.sampled_from([q, -q])),
+    st.floats(-3, 3),
+    st.floats(-3, -0.01),
+    st.floats(-3, 3),
+).filter(lambda p: p is not None)
+finite_x = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+
+
+def _plain_monic(p, x, depth, seed):
+    """The monic recurrence in plain doubles, without the exponent ledger."""
+    c, q, r = p.c, p.q, p.lam / p.b
+    y_prev, y = (1.0, x - c) if seed == "P" else (0.0, 1.0)
+    out = [y_prev, y]
+    qk = q
+    for _ in range(1, depth):
+        y_prev, y = y, (x - c * qk) * y - (1 + r * qk) / 4 * y_prev
+        out.append(y)
+        qk *= q
+    return out
+
+
+def _ldexp(m, e):
+    """m * 2**e, infinite past the double range."""
+    if isinstance(m, complex):
+        return complex(_ldexp(m.real, e), _ldexp(m.imag, e))
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _same(u, v):
+    # exact for real x; for complex x a component that is tiny next to the
+    # other one may underflow once the ledger scales the pair down
+    return u == v or (isinstance(v, complex) and abs(u / v - 1) <= 1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monic_params, finite_x, st.integers(1, 1500), st.sampled_from(["P", "Pstar"]))
+def test_monic_runs_are_finite_or_raise(p, x, depth, seed):
+    plain = _plain_monic(p, x, depth, seed)
+    mant, exps = run_monic_scaled(p, x, depth, seed)
+    assert len(mant) == len(exps) == depth + 1
+    assert all(map(cmath.isfinite, mant))
+    for m, e, v in zip(mant, exps, plain):
+        if cmath.isfinite(v):
+            assert _same(_ldexp(m, e), v)
+    try:
+        vals = run_monic(p, x, depth, seed)
+    except RangeError:
+        assert not all(map(cmath.isfinite, plain))
+    else:
+        assert vals == [_ldexp(m, e) for m, e in zip(mant, exps)]
+        assert all(map(cmath.isfinite, vals))
+    try:
+        ratio = monic_ratio(p, x, depth)
+    except QFracError:
+        pass
+    else:
+        assert cmath.isfinite(ratio)
+
+
+@pytest.mark.parametrize("x", [0.3, 2.0, -1.7, complex(0.4, 0.7), 1e200])
+def test_jfraction_of_monic_triples_is_run_monic(x):
+    # P_k is the D solution and Pstar_k the N solution of the J-fraction
+    # A_k = 1, B_k = -alpha_k, C_k = beta_k; at x = 1e200 the values pass
+    # the double range, so they are compared as infinities and run_monic raises
+    p = P_STD
+    c, r, q = p.c, p.lam / p.b, p.q
+    triples, qk = [], 1
+    for _ in range(400):  # alpha_k and beta_k with q^k built up as run_monic does
+        triples.append(JCoeffs(1, -c * qk, (1 + r * qk) / 4))
+        qk *= q
+    seq = run_jfraction(JFamily("monic", triples.__getitem__), x, 400)
+    for seed, values in (("P", seq.D), ("Pstar", seq.N)):
+        mant, exps = run_monic_scaled(p, x, 400, seed)
+        assert values == [_ldexp(m, e) for m, e in zip(mant, exps)]
+    if x != 1e200:
+        assert seq.D == run_monic(p, x, 400, "P")
+        assert seq.N == run_monic(p, x, 400, "Pstar")
+    # the coefficient functions as the benchmark's monic family spells them
+    bench_fam = JFamily("monic", lambda k: JCoeffs(1, -monic_alpha(p, k), monic_beta(p, k)))
+    mant, exps = run_monic_scaled(p, x, 400, "P")
+    seq = run_jfraction(bench_fam, x, 400)
+    for k in (1, 2, 50, 400):
+        value = _ldexp(mant[k], exps[k])
+        assert seq.D[k] == value or abs(seq.D[k] / value - 1) <= 1e-12
+
+
+def test_fraction_runs_stay_exact_past_the_double_range():
+    q, a, b, lam = Fraction(2, 5), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 7)
+    p = Params(q, a, b, lam)
+    x = Fraction(10**300, 3)
+    seq = run_jfraction(hirschhorn_family(p), x, 8)
+    assert (seq.N[0], seq.D[0]) == (0, 1)
+    assert all(type(v) is Fraction for v in seq.N[1:] + seq.D[1:])
+    assert seq.D[8] > Fraction(10) ** 2000
+    prod = 1 - b
+    for k in range(7):
         assert seq.N[k + 1] * seq.D[k] - seq.N[k] * seq.D[k + 1] == prod
         prod *= hirschhorn_coeffs(p, k + 1).C
