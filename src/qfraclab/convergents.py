@@ -14,7 +14,10 @@ from a prefix table of (q; q)_m.  The double and triple sums of
 the inverses 1/(q; q)_m and the powers of their arguments and of q
 (with q^C(k,2)), and pull every factor that does not depend on the
 innermost index out of the innermost sum, so that loop only multiplies
-table entries.
+table entries.  The finite products over i in [j, n - j] of
+:func:`entry15`, :func:`ram_Q` and :func:`ram_Qstar` are grown outward from
+the innermost range (largest j), two factors per step, from one table of
+1 + a q^i (or x + a q^i).
 """
 
 from __future__ import annotations
@@ -60,6 +63,23 @@ def _powers(x, n: int) -> list:
     return [x**i for i in range(n + 1)]
 
 
+def _centred_products(f, lo: int, hi: int, count: int) -> list:
+    """prod(f[lo + j : hi - j + 1]) for j = 0..count-1.
+
+    Grown outward from the innermost range (zero or one factor), two factors
+    per step; there is no division, so a zero factor is harmless.
+    """
+    out = [1] * count
+    prod = 1
+    for i in range(lo + count - 1, hi - count + 2):
+        prod *= f[i]
+    out[count - 1] = prod
+    for j in range(count - 2, -1, -1):
+        prod *= f[lo + j] * f[hi - j]
+        out[j] = prod
+    return out
+
+
 def _qbin(tab, n: int, k: int):
     """q-binomial from a (q; q) prefix table; 0 outside 0 <= k <= n."""
     if k < 0 or n < k:
@@ -80,12 +100,15 @@ def entry16(n: int, lam, q):
     if n < 0:
         raise DomainError("entry16 requires n >= 0")
     tab = _qfac_table(q, n + 1)
+    top = (n + 1) // 2
+    q_pw, lam_pw = _powers(q, top), _powers(lam, top)
     N = 0
-    for k in range(0, n // 2 + 1):
-        N += q ** (k * k + k) * lam**k * _qbin(tab, n - k, k)
     D = 0
-    for k in range(0, (n + 1) // 2 + 1):
-        D += q ** (k * k) * lam**k * _qbin(tab, n - k + 1, k)
+    for k in range(0, top + 1):
+        w = q ** (k * k) * lam_pw[k]
+        if 2 * k <= n:
+            N += w * q_pw[k] * _qbin(tab, n - k, k)
+        D += w * _qbin(tab, n - k + 1, k)
     return N, D
 
 
@@ -169,11 +192,9 @@ def ram_Q(n: int, x, a, lam, q):
     if n < 0:
         raise DomainError("ram_Q requires n >= 0")
     tab = _qfac_table(q, n)
+    f = [x + a * t for t in _powers(q, n)]  # x + a q^i
     total = 0
-    for j in range(0, n // 2 + 1):
-        prod = 1
-        for i in range(j, n - j):
-            prod *= x + a * q**i
+    for j, prod in enumerate(_centred_products(f, 0, n - 1, n // 2 + 1)):
         total += _qbin(tab, n - j, j) * lam**j * q ** (j * j) * prod
     return total
 
@@ -188,11 +209,9 @@ def ram_Qstar(n: int, x, a, lam, q):
     if n == 0:
         return 0
     tab = _qfac_table(q, n)
+    f = [x + a * t for t in _powers(q, n)]  # x + a q^i
     total = 0
-    for j in range(0, (n - 1) // 2 + 1):
-        prod = 1
-        for i in range(j + 1, n - j):
-            prod *= x + a * q**i
+    for j, prod in enumerate(_centred_products(f, 1, n - 1, (n - 1) // 2 + 1)):
         total += _qbin(tab, n - j - 1, j) * lam**j * q ** (j * j + j) * prod
     return total
 
@@ -214,17 +233,12 @@ def entry15(n: int, a, lam, q):
     if 1 + a == 0:
         raise DomainError("a = -1 zeroes the (-a; q)_j factors")
     tab = _qfac_table(q, n + 1)
+    f = [1 + a * t for t in _powers(q, n)]  # 1 + a q^i
     Nh = 0
-    for j in range(0, (n + 1) // 2 + 1):
-        prod = 1
-        for i in range(j, n - j + 1):
-            prod *= 1 + a * q**i
+    for j, prod in enumerate(_centred_products(f, 0, n, (n + 1) // 2 + 1)):
         Nh += q ** (j * j) * lam**j * _qbin(tab, n + 1 - j, j) * prod / (1 + a)
     Dh = 0
-    for j in range(0, n // 2 + 1):
-        prod = 1
-        for i in range(j + 1, n - j + 1):
-            prod *= 1 + a * q**i
+    for j, prod in enumerate(_centred_products(f, 1, n, n // 2 + 1)):
         Dh += q ** (j * j + j) * lam**j * _qbin(tab, n - j, j) * prod
     return Nh, Dh
 

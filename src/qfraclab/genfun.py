@@ -17,7 +17,8 @@ Supported kinds:
 * ``P`` / ``Pstar``: monic family denominators/numerators; the second
   argument is the spectral variable x (x = cos theta on the support).
 * ``D`` / ``N``: base-family denominators/numerators at a general x.
-* ``Q`` / ``Qstar``: the b = 0 family.
+* ``Q`` / ``Qstar``: the b = 0 family, which is ``D`` / ``N`` at b = 0
+  (there alpha = x and beta = 0), so it shares their series.
 """
 
 from __future__ import annotations
@@ -52,12 +53,10 @@ def gf_radius(kind: str, x, p: Params) -> float:
     """Distance from t = 0 to the nearest singularity of the generating function."""
     if kind in ("P", "Pstar"):
         return 2 * abs(rho_select(x))  # t = 2 rho is the nearer zero of 1 - x t + t^2/4
-    if kind in ("D", "N"):
+    if kind in ("D", "N", "Q", "Qstar"):
         alpha, beta = _base_roots(x, p.b)
         m = max(abs(alpha), abs(beta))
         return float("inf") if m == 0 else 1 / m
-    if kind in ("Q", "Qstar"):
-        return float("inf") if x == 0 else 1 / abs(x)
     raise DomainError(f"unknown generating-function kind {kind!r}")
 
 
@@ -70,6 +69,8 @@ def gf_eval(kind: str, t, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL):
     """
     if kind not in KINDS:
         raise DomainError(f"unknown generating-function kind {kind!r}")
+    if kind in ("Q", "Qstar") and p.b != 0:
+        raise DomainError("kinds Q and Qstar require b = 0")
     radius = gf_radius(kind, x, p)
     tc = complex(t)
     if abs(tc) >= _RADIUS_SAFETY * radius:
@@ -102,37 +103,20 @@ def gf_eval(kind: str, t, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL):
         pref = (1 if kind == "P" else tc) / ((1 - u * tc / 2) * (1 - v * tc / 2))
         return pref * sum_series(terms(), ctrl, f"{kind} generating function")
 
-    if kind in ("D", "N"):
-        alpha, beta = _base_roots(x, p.b)
-        a = p.a
-
-        def terms():
-            shift = 0 if kind == "D" else 1
-            tk = 1 / ((1 - alpha * tc) * (1 - beta * tc))
-            k = 0
-            while True:
-                yield tk
-                tk *= (a * tc + lam * tc * tc * q ** (k + 1)) * q ** (k + shift) / (
-                    (1 - alpha * tc * q ** (k + 1)) * (1 - beta * tc * q ** (k + 1))
-                )
-                k += 1
-
-        total = sum_series(terms(), ctrl, f"{kind} generating function")
-        return total if kind == "D" else tc * (1 - p.b) * total
-
-    # Q / Qstar
-    if p.b != 0:
-        raise DomainError("kinds Q and Qstar require b = 0")
+    # D / N, and Q / Qstar as their b = 0 case
+    alpha, beta = _base_roots(x, p.b)
     a = p.a
+    shift = 0 if kind in ("D", "Q") else 1
 
     def terms():
-        shift = 0 if kind == "Q" else 1
-        tk = 1 / (1 - x * tc)
+        tk = 1 / ((1 - alpha * tc) * (1 - beta * tc))
         k = 0
         while True:
             yield tk
-            tk *= (a * tc + lam * tc * tc * q ** (k + 1)) * q ** (k + shift) / (1 - x * tc * q ** (k + 1))
+            tk *= (a * tc + lam * tc * tc * q ** (k + 1)) * q ** (k + shift) / (
+                (1 - alpha * tc * q ** (k + 1)) * (1 - beta * tc * q ** (k + 1))
+            )
             k += 1
 
     total = sum_series(terms(), ctrl, f"{kind} generating function")
-    return total if kind == "Q" else tc * total
+    return total if shift == 0 else tc * (1 - p.b) * total

@@ -8,6 +8,17 @@ sinusoid residuals past k ~ 60); those comparisons run in extended
 precision via mpmath oracles that re-derive the quantities independently,
 while the package's own double-precision values are cross-checked against
 the oracles where they are resolvable.
+
+The oracle series (F and G of the Stieltjes transform, R of the
+asymptotics) are q-hypergeometric: the ratio of consecutive terms is
+bounded by B |q|^m / (1 - |q|)^2, with B = 2|c| + |lam/b| for F and G
+(using |rho| <= 1) and B = 2|c| (1 + |parg|) for R.  A sum stops once that
+bound is at most 1/2 and the last term is at most ``mp.eps`` times the
+partial sum; the remaining tail is then no larger than the last term.  A
+sum that reaches its term cap (160 for F/G, 80 for R) before the rule
+holds raises TruncationError, which fails the criterion.  Real points
+outside [-1, 1] run in real arithmetic (mpf), with
+rho = 1 / (x + sign(x) sqrt(x^2 - 1)); complex points run in mpc.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import asymptotics, cfrac, convergents, measure, moments, qseries, recurrence
-from .errors import QFracError
+from .errors import QFracError, TruncationError
 from .qseries import qbinomial, qpochhammer, theta
 from .recurrence import Params
 
@@ -53,62 +64,93 @@ def _draw_q(rng: random.Random, lo: float = 0.05, hi: float = 0.9) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Term caps of the oracle sums.  Each sum stops earlier, once its tail is
+# certified below the working precision; reaching a cap raises instead.
+_FG_TERMS = 160
+_R_TERMS = 80
+
+
 def _mp_rho(x):
+    """Root of rho^2 - 2 x rho + 1 inside the unit disc; real x beyond [-1, 1] stays in mpf."""
+    if isinstance(x, mp.mpf):
+        return 1 / (x + mp.sign(x) * mp.sqrt(x * x - 1))
     s = mp.sqrt(x - 1) * mp.sqrt(x + 1)
     return 1 / (x + s)
 
 
-def _mp_fg(rho, q, b, lam, c, shift: int, nterms: int = 160):
-    """F (shift=1) or G (shift=0) series at high precision."""
+def _tail_certified(term, total, ratio_bound, eps) -> bool:
+    """True when every later term ratio is at most 1/2 and the last term is below eps * |total|.
+
+    The remaining tail is then at most the last term, so the sum is exact to
+    the working precision.
+    """
+    return ratio_bound <= 0.5 and abs(term) <= eps * abs(total)
+
+
+def _mp_fg(rho, q, b, lam, c, shift: int):
+    """F (shift=1) or G (shift=0) series at high precision, with |rho| <= 1."""
     rho2 = rho * rho
-    total = mp.mpc(1)
-    term = mp.mpc(1)
-    for m in range(1, nterms):
-        qm = q**m
-        term *= (-2 * c * rho - (lam / b) * qm * rho2) * q ** (m - 1 + shift) / ((1 - qm) * (1 - qm * rho2))
+    r = lam / b
+    eps = +mp.eps
+    # |term_{m+1} / term_m| <= (2|c| + |lam/b|) |q|^m / (1 - |q|)^2 for |rho| <= 1
+    bound = (2 * abs(c) + abs(r)) / (1 - abs(q)) ** 2
+    total = term = mp.mpf(1)
+    qm = mp.mpf(1)  # q^m
+    for _ in range(1, _FG_TERMS):
+        qprev = qm
+        qm *= q
+        term *= (-2 * c * rho - r * qm * rho2) * (qm if shift else qprev) / ((1 - qm) * (1 - qm * rho2))
         total += term
-    return total
+        if _tail_certified(term, total, bound * abs(qm), eps):
+            return total
+    raise TruncationError(f"F/G oracle not converged within {_FG_TERMS} terms")
 
 
-def _mp_monic(q, b, lam, c, x, depth: int, seed: str):
-    y0, y1 = (mp.mpf(1), x - c) if seed == "P" else (mp.mpf(0), mp.mpf(1))
-    out = [y0, y1]
+def _mp_monic(q, b, lam, c, x, depth: int):
+    """P_0..P_depth and Pstar_0..Pstar_depth, stepped together."""
+    P, Ps = [mp.mpf(1), x - c], [mp.mpf(0), mp.mpf(1)]
+    r = lam / b
+    qk = mp.mpf(1)
     for k in range(1, depth):
-        qk = q**k
-        out.append((x - c * qk) * out[k] - (1 + lam * qk / b) / 4 * out[k - 1])
-    return out
+        qk *= q
+        d, e = x - c * qk, (1 + r * qk) / 4
+        P.append(d * P[k] - e * P[k - 1])
+        Ps.append(d * Ps[k] - e * Ps[k - 1])
+    return P, Ps
 
 
 def _mp_markov_errors(p: Params, x, ks, dps: int):
-    """|Pstar_k/P_k - X| at the requested depths, resolved in extended precision."""
+    """|Pstar_k/P_k - X| at the requested depths, as mpf so no error underflows.
+
+    Real x runs in real arithmetic; X is returned as a complex double.
+    """
     with mp.workdps(dps):
         q, b, lam = mp.mpf(p.q), mp.mpf(p.b), mp.mpf(p.lam)
         c = mp.mpf(p.a) / (2 * mp.sqrt(-b))
-        xm = mp.mpc(x)
+        xm = mp.mpf(x.real) if complex(x).imag == 0 and abs(x) > 1 else mp.mpc(x)
         rho = _mp_rho(xm)
         X = 2 * rho * _mp_fg(rho, q, b, lam, c, 1) / _mp_fg(rho, q, b, lam, c, 0)
-        kmax = max(ks)
-        P = _mp_monic(q, b, lam, c, xm, kmax, "P")
-        Ps = _mp_monic(q, b, lam, c, xm, kmax, "Pstar")
-        return [float(abs(Ps[k] / P[k] - X)) for k in ks], complex(X)
+        P, Ps = _mp_monic(q, b, lam, c, xm, max(ks))
+        return [abs(Ps[k] / P[k] - X) for k in ks], complex(X)
 
 
-def _mp_series_R(theta_mp, q, b, lam, c, nterms: int = 80):
-    eit = mp.exp(mp.mpc(0, 1) * theta_mp)
+def _mp_series_R(theta_mp, q, b, lam, c):
+    eit = mp.expj(theta_mp)
     e2it = eit * eit
     parg = -lam * q * eit / (2 * b * c)
-    poch = mp.mpc(1)
-    pw = mp.mpc(1)
-    den = mp.mpc(1)
-    qm = mp.mpf(1)
-    total = mp.mpc(0)
-    for _ in range(nterms):
-        total += poch * pw / den
-        poch *= 1 - parg * qm
-        pw *= -2 * c * eit * qm
-        den *= (1 - q * qm) * (1 - q * qm * e2it)
-        qm *= q
-    return -total / (mp.mpc(0, 1) * mp.sin(theta_mp))
+    eps = +mp.eps
+    # |term_{m+1} / term_m| <= 2|c| (1 + |parg|) |q|^m / (1 - |q|)^2
+    bound = 2 * abs(c) * (1 + abs(parg)) / (1 - abs(q)) ** 2
+    term = total = mp.mpc(1)
+    qm = mp.mpf(1)  # q^m
+    for _ in range(1, _R_TERMS):
+        qn = qm * q
+        term *= (1 - parg * qm) * (-2 * c * eit * qm) / ((1 - qn) * (1 - qn * e2it))
+        total += term
+        qm = qn
+        if _tail_certified(term, total, bound * abs(qm), eps):
+            return -total / (mp.mpc(0, 1) * mp.sin(theta_mp))
+    raise TruncationError(f"R oracle not converged within {_R_TERMS} terms")
 
 
 def _mp_asym_residuals(p: Params, x: float, ks, dps: int = 80):
@@ -119,7 +161,7 @@ def _mp_asym_residuals(p: Params, x: float, ks, dps: int = 80):
         theta_mp = mp.acos(mp.mpf(x))
         R = _mp_series_R(theta_mp, q, b, lam, c)
         absR, phase = abs(R), mp.arg(R)
-        P = _mp_monic(q, b, lam, c, mp.mpf(x), max(ks), "P")
+        P, _ = _mp_monic(q, b, lam, c, mp.mpf(x), max(ks))
         return [float(abs(2**k * P[k] - absR * mp.sin((k + 1) * theta_mp - phase + mp.pi / 2))) for k in ks]
 
 
@@ -137,20 +179,20 @@ def check_entry16_identity() -> CheckResult:
     for _ in range(100):
         q = _draw_q(rng)
         lam = rng.uniform(-2, 2)
-        fam = recurrence.entry16_family(lam, q)
+        # the n-th convergent is the backward value of the first n + 1 levels
+        nums, dens = cfrac._jfraction_levels(recurrence.entry16_family(lam, q), 1, 31)
         for n in range(0, 31):
             N, D = convergents.entry16(n, lam, q)
-            val = cfrac.backward_convergent(fam, 1, n)
-            worst = max(worst, _rel_err(N / D, val))
+            worst = max(worst, _rel_err(N / D, cfrac.eval_backward(nums, dens, n + 1)))
     ok = worst < 1e-11
     exact_ok = True
     for _ in range(5):
         q = Fraction(rng.randint(1, 8), rng.randint(9, 20))
         lam = Fraction(rng.randint(-6, 6) or 1, rng.randint(2, 9))
-        fam = recurrence.entry16_family(lam, q)
+        nums, dens = cfrac._jfraction_levels(recurrence.entry16_family(lam, q), Fraction(1), 13)
         for n in range(0, 13):
             N, D = convergents.entry16(n, lam, q)
-            exact_ok = exact_ok and (N / D == cfrac.backward_convergent(fam, Fraction(1), n))
+            exact_ok = exact_ok and (N / D == cfrac.eval_backward(nums, dens, n + 1))
     dt = time.perf_counter() - t0
     ok = ok and exact_ok and dt < 5.0
     return CheckResult(
@@ -248,19 +290,23 @@ def check_markov_limit() -> CheckResult:
     ok = True
     worst = 0.0
     decreasing = True
+    mp_errs = []
     for x in points:
         X = measure.stieltjes_transform(x, p)
         err300 = abs(recurrence.monic_ratio(p, x, 300) - X)
         worst = max(worst, err300)
+        # mpf errors: at k = 300 they sit near 1e-344, below the double range
         errs, X_mp = _mp_markov_errors(p, x, ks, dps=460)
         decreasing = decreasing and all(errs[i + 1] < errs[i] for i in range(len(ks) - 1))
+        mp_errs += errs
         ok = ok and abs(X - X_mp) <= 1e-12 * max(1.0, abs(X_mp))
     ok = ok and worst < 1e-9 and decreasing
     return CheckResult(
         "markov-limit",
         ok,
         f"max |Pstar_300/P_300 - X| = {worst:.2e} (double); strict error decrease over "
-        f"k in {ks} {'holds' if decreasing else 'FAILS'} (extended precision)",
+        f"k in {ks} {'holds' if decreasing else 'FAILS'} (extended precision, smallest "
+        f"error {mp.nstr(min(mp_errs), 3)})",
     )
 
 
@@ -345,6 +391,14 @@ def check_g_limit() -> CheckResult:
     )
 
 
+def _horner(coeffs, t):
+    """sum(coeffs[i] * t**i) by Horner's rule."""
+    acc = 0.0
+    for co in reversed(coeffs):
+        acc = acc * t + co
+    return acc
+
+
 def check_qseries_kernel() -> CheckResult:
     rng = random.Random(1610)
     worst = 0.0
@@ -370,8 +424,8 @@ def check_qseries_kernel() -> CheckResult:
 
         fc = [rng.uniform(-1, 1) for _ in range(6)]
         gc = [rng.uniform(-1, 1) for _ in range(6)]
-        fpoly = lambda t: sum(co * t**i for i, co in enumerate(fc))
-        gpoly = lambda t: sum(co * t**i for i, co in enumerate(gc))
+        fpoly = lambda t: _horner(fc, t)
+        gpoly = lambda t: _horner(gc, t)
         aa, bb = (0.0, 1.0) if rng.random() < 0.5 else (rng.uniform(-1, 1), rng.uniform(-1, 1))
         lhs = moments.qintegral(moments.QIntegrand(lambda t: fpoly(t) * gpoly(q * t), aa, bb), q)
         part_int = moments.qintegral(moments.QIntegrand(lambda t: gpoly(t) * fpoly(t / q), aa, bb), q) / q

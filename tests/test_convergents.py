@@ -173,11 +173,14 @@ class TestEntry15:
                 assert ram_Qstar(n + 1, 1.0, a, lam, q) == pytest.approx(Dh, rel=1e-11, abs=1e-11)
 
     def test_exact_consistency(self):
-        q, a, lam = Fraction(2, 5), Fraction(1, 4), Fraction(-1, 3)
-        for n in range(1, 11):
-            Nh, Dh = entry15(n, a, lam, q)
-            assert ram_Q(n + 1, Fraction(1), a, lam, q) == (1 + a) * Nh
-            assert ram_Qstar(n + 1, Fraction(1), a, lam, q) == Dh
+        # a = -2, q = 1/2 zeroes the product factor 1 + a q at i = 1
+        lam = Fraction(-1, 3)
+        for q, a in [(Fraction(2, 5), Fraction(1, 4)), (Fraction(1, 2), Fraction(-2))]:
+            seq = run_jfraction(b0_family(Params(q, a, 0, lam)), Fraction(1), 11)
+            for n in range(1, 11):
+                Nh, Dh = entry15(n, a, lam, q)
+                assert ram_Q(n + 1, Fraction(1), a, lam, q) == (1 + a) * Nh == seq.D[n + 1]
+                assert ram_Qstar(n + 1, Fraction(1), a, lam, q) == Dh == seq.N[n + 1]
 
     def test_a_minus_one_rejected(self):
         with pytest.raises(DomainError):
