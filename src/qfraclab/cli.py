@@ -12,17 +12,17 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 Numbers are printed with ``repr``, the shortest round-trip decimal form,
 so output is byte-identical across runs with the same flags.
+
+Each subcommand imports the modules it uses when it runs, so building the
+parser (and ``--help``) loads no numerical module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import cfrac, convergents, measure, moments, recurrence
 from .errors import QFracError
-from .recurrence import Params
 
 __all__ = ["main", "entry"]
 
@@ -54,8 +54,10 @@ def _read_params_file(path: str) -> dict:
     return out
 
 
-def _params_from(args) -> Params:
+def _params_from(args):
     """Merge flags over params-file values; explicit flags win."""
+    from .recurrence import Params
+
     vals = {"q": args.q, "a": args.a, "b": args.b, "lam": args.lam}
     if getattr(args, "params_file", None):
         fromfile = _read_params_file(args.params_file)
@@ -81,6 +83,8 @@ def _add_param_flags(sub, need_all: bool = False):
 
 
 def _cmd_eval(args) -> int:
+    from . import cfrac, recurrence
+
     p = _params_from(args)
     depth = args.depth
     if args.family == "hirschhorn":
@@ -89,7 +93,7 @@ def _cmd_eval(args) -> int:
         forward = seq.ratio(depth) / (1 - p.b)
         label = "base fraction (x = 1) / (1 - b)" if args.x == 1 else "H(x)/(1-b)"
     elif args.family == "b0":
-        fam = recurrence.b0_family(Params(p.q, p.a, 0.0, p.lam))
+        fam = recurrence.b0_family(recurrence.Params(p.q, p.a, 0.0, p.lam))
         backward = cfrac.backward_convergent(fam, args.x, depth)
         forward = cfrac.convergent(fam, args.x, depth)
         label = "R(x)"
@@ -108,6 +112,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_convergents(args) -> int:
+    from . import convergents
+
     n = args.n
     if n < 0:
         raise QFracError("--n must be >= 0")
@@ -136,7 +142,9 @@ def _cmd_convergents(args) -> int:
     return 0
 
 
-def _density_rows(p: Params, grid: int, xmin: float, xmax: float):
+def _density_rows(p, grid: int, xmin: float, xmax: float):
+    from . import measure
+
     rows = []
     for i in range(grid):
         x = xmin + (xmax - xmin) * i / (grid - 1) if grid > 1 else xmin
@@ -161,6 +169,8 @@ def _cmd_density(args) -> int:
     else:
         if args.method == "both":
             raise QFracError("JSON output needs a single --method (nevai or inversion)")
+        import json
+
         samples = [[x, dn if args.method == "nevai" else di] for x, dn, di in rows]
         text = json.dumps(
             {
@@ -179,6 +189,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_orthogonality(args) -> int:
+    from . import measure
+
     p = _params_from(args)
     g = measure.gram_matrix(p, args.nmax)
     deficit = 1.0 - g[0][0]
@@ -194,6 +206,8 @@ def _cmd_orthogonality(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from . import moments
+
     p = _params_from(args)
     print("k,p_k_closed,p_k_qintegral,abs_diff")
     for k in range(args.kmax + 1):

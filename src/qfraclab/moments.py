@@ -22,8 +22,7 @@ rho(x), which is how they are evaluated here.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 from .qseries import DEFAULT_CONTROL, PhiSpec, SeriesControl, phi, qpochhammer, qpochhammer_inf, sum_series
@@ -33,8 +32,7 @@ from .recurrence import Params
 __all__ = ["QIntegrand", "qintegral", "weight_f", "moment_pk_integral", "moment_pk_closed"]
 
 
-@dataclass(frozen=True)
-class QIntegrand:
+class QIntegrand(NamedTuple):
     """An integrand and its (possibly complex) q-integral endpoints."""
 
     evaluator: Callable[[complex], complex]

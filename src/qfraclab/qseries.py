@@ -22,9 +22,9 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._frozen import Frozen, _set
 from .errors import DomainError, TruncationError
 
 __all__ = [
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesControl:
+class SeriesControl(Frozen):
     """Truncation policy for infinite sums and products.
 
     A sum stops once ``consecutive_small`` successive terms ``t`` satisfy
@@ -53,17 +52,18 @@ class SeriesControl:
     successive ``k``.  Exceeding ``max_terms`` raises TruncationError.
     """
 
-    rel_tol: float = 1e-15
-    consecutive_small: int = 3
-    max_terms: int = 10_000
+    __slots__ = ("rel_tol", "consecutive_small", "max_terms")
 
-    def __post_init__(self):
-        if not self.rel_tol > 0:
+    def __init__(self, rel_tol: float = 1e-15, consecutive_small: int = 3, max_terms: int = 10_000):
+        if not rel_tol > 0:
             raise DomainError("rel_tol must be positive")
-        if self.consecutive_small < 1:
+        if consecutive_small < 1:
             raise DomainError("consecutive_small must be at least 1")
-        if self.max_terms < self.consecutive_small:
+        if max_terms < consecutive_small:
             raise DomainError("max_terms must be at least consecutive_small")
+        _set(self, "rel_tol", rel_tol)
+        _set(self, "consecutive_small", consecutive_small)
+        _set(self, "max_terms", max_terms)
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -201,8 +201,7 @@ def _is_nonneg_q_power(value, q, rtol: float = 1e-12) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class PhiSpec:
+class PhiSpec(Frozen):
     """Description of an r-phi-s basic hypergeometric sum.
 
     ``upper`` holds the numerator parameters ``a_1..a_r``, ``lower`` the
@@ -212,22 +211,23 @@ class PhiSpec:
                * ((-1)^k q^(k choose 2))^(1 + s - r) * z^k.
 
     No lower parameter may be of the form ``q^(-m)`` with m >= 0, which
-    would zero a denominator factor.
+    would zero a denominator factor.  ``upper`` and ``lower`` are stored as
+    tuples whatever sequence type they arrive as.
     """
 
-    upper: tuple
-    lower: tuple
-    base: float
-    argument: complex
+    __slots__ = ("upper", "lower", "base", "argument")
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(self.upper))
-        object.__setattr__(self, "lower", tuple(self.lower))
-        if not 0 < abs(self.base) < 1:
+    def __init__(self, upper: Sequence, lower: Sequence, base: float, argument: complex):
+        upper, lower = tuple(upper), tuple(lower)
+        if not 0 < abs(base) < 1:
             raise DomainError("PhiSpec requires 0 < |q| < 1")
-        for b in self.lower:
-            if _is_nonneg_q_power(b, self.base):
+        for b in lower:
+            if _is_nonneg_q_power(b, base):
                 raise DomainError(f"lower parameter {b!r} is q^(-m); denominator would vanish")
+        _set(self, "upper", upper)
+        _set(self, "lower", lower)
+        _set(self, "base", base)
+        _set(self, "argument", argument)
 
 
 def phi(spec: PhiSpec, ctrl: SeriesControl = DEFAULT_CONTROL):

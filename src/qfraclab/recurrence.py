@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, NamedTuple
 
+from ._frozen import Frozen, _set
 from .errors import DomainError, PoleError, RangeError
 
 __all__ = [
@@ -65,8 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Frozen):
     """Parameter quadruple (q, a, b, lam) plus the derived constants.
 
     ``gamma`` and ``c`` require ``b < 0``.  Only ``gamma^2 = -4b/(1-b)^2``
@@ -78,16 +77,17 @@ class Params:
     ``P_k -> (-1)^k P_k(-x)``.
     """
 
-    q: float
-    a: float
-    b: float
-    lam: float
+    __slots__ = ("q", "a", "b", "lam")
 
-    def __post_init__(self):
-        if not 0 < abs(self.q) < 1:
+    def __init__(self, q: float, a: float, b: float, lam: float):
+        if not 0 < abs(q) < 1:
             raise DomainError("Params require 0 < |q| < 1")
-        if self.b == 1:
+        if b == 1:
             raise DomainError("b = 1 zeroes every linear coefficient A_k")
+        _set(self, "q", q)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "lam", lam)
 
     @property
     def gamma(self) -> float:
@@ -127,8 +127,7 @@ class JCoeffs(NamedTuple):
     C: complex
 
 
-@dataclass(frozen=True)
-class JFamily:
+class JFamily(NamedTuple):
     """A J-fraction family given by its level-coefficient function.
 
     ``index_shift`` maps the family's conventional convergent index onto the
@@ -174,7 +173,6 @@ def entry16_family(lam, q) -> JFamily:
     return JFamily("entry16", lambda k: b0_coeffs(p, k), index_shift=1)
 
 
-@dataclass
 class ConvergentSeq:
     """Paired numerator/denominator value sequences of a J-fraction at x.
 
@@ -182,9 +180,10 @@ class ConvergentSeq:
     ``N_{k+1} D_k - N_k D_{k+1}`` telescopes to ``A_0 prod_{j<=k} C_j``.
     """
 
-    N: list
-    D: list
-    x: complex
+    __slots__ = ("N", "D", "x")
+
+    def __init__(self, N: list, D: list, x):
+        self.N, self.D, self.x = N, D, x
 
     def ratio(self, k: int):
         if self.D[k] == 0:

@@ -12,7 +12,7 @@ the oracles where they are resolvable.
 The oracle series (F and G of the Stieltjes transform, R of the
 asymptotics) are q-hypergeometric: the ratio of consecutive terms is
 bounded by B |q|^m / (1 - |q|)^2, with B = 2|c| + |lam/b| for F and G
-(using |rho| <= 1) and B = 2|c| (1 + |parg|) for R.  A sum stops once that
+(using |rho| <= 1) and B = 2|c| + |lam q/b| for R.  A sum stops once that
 bound is at most 1/2 and the last term is at most ``mp.eps`` times the
 partial sum; the remaining tail is then no larger than the last term.  A
 sum that reaches its term cap (160 for F/G, 80 for R) before the rule
@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -39,8 +39,7 @@ from .recurrence import Params
 __all__ = ["CheckResult", "CRITERIA", "SUITE_NAMES", "run_suite"]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -137,15 +136,17 @@ def _mp_markov_errors(p: Params, x, ks, dps: int):
 def _mp_series_R(theta_mp, q, b, lam, c):
     eit = mp.expj(theta_mp)
     e2it = eit * eit
-    parg = -lam * q * eit / (2 * b * c)
+    # (1 - parg q^m)(-2c e^{i theta} q^m) with parg = -lam q e^{i theta} / (2bc),
+    # multiplied out so that c = 0 (a = 0) needs no division
+    u, v = -2 * c * eit, -lam * q / b * e2it
     eps = +mp.eps
-    # |term_{m+1} / term_m| <= 2|c| (1 + |parg|) |q|^m / (1 - |q|)^2
-    bound = 2 * abs(c) * (1 + abs(parg)) / (1 - abs(q)) ** 2
+    # |term_{m+1} / term_m| <= (2|c| + |lam q/b|) |q|^m / (1 - |q|)^2
+    bound = (2 * abs(c) + abs(lam * q / b)) / (1 - abs(q)) ** 2
     term = total = mp.mpc(1)
     qm = mp.mpf(1)  # q^m
     for _ in range(1, _R_TERMS):
         qn = qm * q
-        term *= (1 - parg * qm) * (-2 * c * eit * qm) / ((1 - qn) * (1 - qn * e2it))
+        term *= (u + v * qm) * qm / ((1 - qn) * (1 - qn * e2it))
         total += term
         qm = qn
         if _tail_certified(term, total, bound * abs(qm), eps):

@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -141,18 +137,46 @@ def test_suite_choices_match_verify():
     assert cli.SUITE_NAMES == verify.SUITE_NAMES
 
 
-def test_cli_import_loads_neither_numpy_nor_mpmath():
-    # a fresh interpreter, so that modules imported by other tests do not count
+def test_cli_import_loads_neither_numpy_nor_mpmath(run_fresh):
+    # only what the import adds counts, not what the interpreter's site preloaded
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "import qfraclab.cli\n"
-        "heavy = [m for m in ('numpy', 'mpmath') if m in sys.modules]\n"
+        "added = set(sys.modules) - before\n"
+        "ours = sorted(m for m in added if m.split('.')[0] == 'qfraclab')\n"
+        "assert ours == ['qfraclab', 'qfraclab.cli', 'qfraclab.errors'], ours\n"
+        "heavy = sorted(added & {'dataclasses', 'json', 'numpy', 'mpmath'})\n"
         "assert not heavy, heavy\n"
         "sys.exit(qfraclab.cli.main(['verify', '--suite', 'qseries']))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+LIGHT_SUBCOMMANDS = [
+    ["eval", "--family", "hirschhorn", *ACCEPT_FLAGS, "--depth", "50"],
+    ["convergents", "--family", "hirschhorn", *ACCEPT_FLAGS, "--n", "3"],
+    ["density", *ACCEPT_FLAGS, "--grid", "3"],
+    ["orthogonality", *ACCEPT_FLAGS, "--nmax", "1"],
+    ["moments", *ACCEPT_FLAGS, "--kmax", "1"],
+]
+
+
+def test_light_subcommands_add_no_heavy_module(run_fresh):
+    # one interpreter runs them in turn: a module that one of them loads is
+    # still loaded when the next is checked, so the first culprit is named
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "from qfraclab.cli import main\n"
+        f"for argv in {LIGHT_SUBCOMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    heavy = sorted((set(sys.modules) - before) & {'dataclasses', 'json', 'numpy', 'mpmath'})\n"
+        "    assert not heavy, (argv[0], heavy)\n"
+    )
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
 
 

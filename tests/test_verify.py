@@ -6,6 +6,7 @@ from mpmath import mp
 
 from qfraclab import verify
 from qfraclab.errors import TruncationError
+from qfraclab.recurrence import Params
 
 P = verify.ACCEPT_PARAMS
 ASYM_GRID = [-0.8 + 1.6 * i / 8 for i in range(9)]
@@ -65,6 +66,16 @@ def test_r_oracle_matches_fixed_length_sum(x):
         q, b, lam, c = _mp_consts(P)
         theta = mp.acos(mp.mpf(x))
         assert _ulps(verify._mp_series_R(theta, q, b, lam, c), _r_fixed(theta, q, b, lam, c)) < 8
+
+
+def test_r_oracle_at_a_zero_is_the_limit_from_small_a():
+    # the R factor is multiplied out, so c = 0 divides by nothing
+    ks = (10, 25, 60)
+    zero = verify._mp_asym_residuals(Params(0.4, 0.0, -0.25, 0.2), 0.3, ks)
+    near = verify._mp_asym_residuals(Params(0.4, 1e-12, -0.25, 0.2), 0.3, ks)
+    for r0, r1 in zip(zero, near):
+        assert 0 < r0 < float("inf")
+        assert abs(r0 - r1) <= 1e-10 * r1
 
 
 def _failed_detail(suite, name):
