@@ -21,17 +21,7 @@ __version__ = "0.1.0"
 # Home module of every lazily exported name; the keys are also exported, as
 # the submodules themselves.
 _EXPORTS = {
-    "qseries": (
-        "DEFAULT_CONTROL",
-        "PhiSpec",
-        "SeriesControl",
-        "phi",
-        "qbinomial",
-        "qmultinomial",
-        "qpochhammer",
-        "qpochhammer_inf",
-        "theta",
-    ),
+    "qseries": ("phi", "qbinomial", "qmultinomial", "qpochhammer", "qpochhammer_inf", "theta"),
     "recurrence": (
         "ConvergentSeq",
         "JCoeffs",
@@ -63,7 +53,7 @@ _EXPORTS = {
         "stieltjes_transform",
     ),
     "asymptotics": ("asymptotic_P", "asymptotic_Q", "asymptotic_Qstar", "b0_support_bound", "stieltjes_b0"),
-    "moments": ("QIntegrand", "moment_pk_closed", "moment_pk_integral", "qintegral", "weight_f"),
+    "moments": ("moment_pk_closed", "moment_pk_integral", "qintegral", "weight_f"),
     "convergents": ("a0_closed", "entry15", "entry16", "g_function", "hirschhorn_closed", "ram_Q", "ram_Qstar"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

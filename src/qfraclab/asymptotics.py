@@ -17,7 +17,7 @@ import cmath
 import math
 
 from .errors import DomainError, PoleError
-from .qseries import DEFAULT_CONTROL, PhiSpec, SeriesControl, phi, qpochhammer_inf
+from .qseries import phi, qpochhammer_inf
 from .measure import series_R
 from .recurrence import Params
 
@@ -30,12 +30,12 @@ __all__ = [
 ]
 
 
-def asymptotic_P(k: int, x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def asymptotic_P(k: int, x: float, p: Params) -> float:
     """Leading asymptotic value (|R|/2^k) sin((k+1) theta - phi + pi/2) at x = cos theta."""
     if not -1 < x < 1:
         raise DomainError("asymptotic_P requires x in (-1, 1)")
     theta = math.acos(x)
-    R = series_R(theta, p, ctrl)
+    R = series_R(theta, p)
     return abs(R) / 2**k * math.sin((k + 1) * theta - cmath.phase(R) + math.pi / 2)
 
 
@@ -45,24 +45,22 @@ def _b0_params(p: Params):
     return p.q, p.a, p.lam
 
 
-def asymptotic_Q(n: int, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL):
+def asymptotic_Q(n: int, x, p: Params):
     """Large-n form of the b = 0 denominators:
     x^n (-a/x; q)_inf 0phi1[-; -a/x; q, lam q / x^2]."""
     q, a, lam = _b0_params(p)
     if x == 0:
         raise DomainError("asymptotic_Q requires x != 0")
-    spec = PhiSpec((), (-a / x,), q, lam * q / (x * x))
-    return x**n * qpochhammer_inf(-a / x, q, ctrl) * phi(spec, ctrl)
+    return x**n * qpochhammer_inf(-a / x, q) * phi((), (-a / x,), q, lam * q / (x * x))
 
 
-def asymptotic_Qstar(n: int, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL):
+def asymptotic_Qstar(n: int, x, p: Params):
     """Large-n form of the b = 0 numerators:
     x^(n-1) (-aq/x; q)_inf 0phi1[-; -aq/x; q, lam q^2 / x^2]."""
     q, a, lam = _b0_params(p)
     if x == 0:
         raise DomainError("asymptotic_Qstar requires x != 0")
-    spec = PhiSpec((), (-a * q / x,), q, lam * q * q / (x * x))
-    return x ** (n - 1) * qpochhammer_inf(-a * q / x, q, ctrl) * phi(spec, ctrl)
+    return x ** (n - 1) * qpochhammer_inf(-a * q / x, q) * phi((), (-a * q / x,), q, lam * q * q / (x * x))
 
 
 def b0_support_bound(p: Params) -> float:
@@ -78,7 +76,7 @@ def b0_support_bound(p: Params) -> float:
     return 2.0 * (abs(a) + 2.0 * math.sqrt(-lam * q))
 
 
-def stieltjes_b0(x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def stieltjes_b0(x: float, p: Params) -> float:
     """Stieltjes transform of the b = 0 measure at real x off the support:
 
         (1/(x+a)) 0phi1[-; -aq/x; q, lam q^2/x^2] / 0phi1[-; -a/x; q, lam q/x^2].
@@ -89,8 +87,8 @@ def stieltjes_b0(x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> 
     bound = b0_support_bound(p)
     if abs(x) < bound:
         raise DomainError(f"|x| = {abs(x):.6g} is inside the support exclusion radius {bound:.6g}")
-    num = phi(PhiSpec((), (-a * q / x,), q, lam * q * q / (x * x)), ctrl)
-    den = phi(PhiSpec((), (-a / x,), q, lam * q / (x * x)), ctrl)
+    num = phi((), (-a * q / x,), q, lam * q * q / (x * x))
+    den = phi((), (-a / x,), q, lam * q / (x * x))
     if abs(den) <= 1e-14 * max(1.0, abs(num)):
         raise PoleError(f"denominator 0phi1 ~ 0 at x = {x}: candidate mass point")
     return num / ((x + a) * den)

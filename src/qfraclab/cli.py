@@ -87,21 +87,16 @@ def _cmd_eval(args) -> int:
 
     p = _params_from(args)
     depth = args.depth
-    if args.family == "hirschhorn":
-        backward = cfrac.hirschhorn_cf(p, depth)
-        seq = recurrence.run_jfraction(recurrence.hirschhorn_family(p), args.x, depth)
-        forward = seq.ratio(depth) / (1 - p.b)
-        label = "base fraction (x = 1) / (1 - b)" if args.x == 1 else "H(x)/(1-b)"
-    elif args.family == "b0":
-        fam = recurrence.b0_family(recurrence.Params(p.q, p.a, 0.0, p.lam))
-        backward = cfrac.backward_convergent(fam, args.x, depth)
-        forward = cfrac.convergent(fam, args.x, depth)
-        label = "R(x)"
-    else:  # entry16
-        fam = recurrence.entry16_family(p.lam, p.q)
-        backward = cfrac.backward_convergent(fam, args.x, depth)
-        forward = cfrac.convergent(fam, args.x, depth)
-        label = "Rogers-Ramanujan-type fraction"
+    if depth < 1:
+        raise QFracError("--depth must be >= 1")
+    # family -> (J-fraction, label, divisor of its convergents)
+    fam, label, scale = {
+        "hirschhorn": (recurrence.hirschhorn_family(p), "H(x)/(1-b)", 1 - p.b),
+        "b0": (recurrence.b0_family(recurrence.Params(p.q, p.a, 0.0, p.lam)), "R(x)", 1),
+        "entry16": (recurrence.entry16_family(p.lam, p.q), "Rogers-Ramanujan-type fraction", 1),
+    }[args.family]
+    forward = cfrac.convergent(fam, args.x, depth) / scale
+    backward = cfrac.backward_convergent(fam, args.x, depth) / scale
     diff = abs(forward - backward)
     print(f"family   : {args.family} ({label})")
     print(f"depth    : {depth}")
@@ -118,23 +113,14 @@ def _cmd_convergents(args) -> int:
     if n < 0:
         raise QFracError("--n must be >= 0")
     p = _params_from(args)
-    rows = []
-    if args.family == "entry16":
-        for m in range(n + 1):
-            N, D = convergents.entry16(m, p.lam, p.q)
-            rows.append((m, N, D))
-    elif args.family == "a0":
-        for m in range(n + 1):
-            N, D = convergents.a0_closed(m, p.b, p.lam, p.q)
-            rows.append((m, N, D))
-    elif args.family == "hirschhorn":
-        for m in range(n + 1):
-            N, D = convergents.hirschhorn_closed(m, p.q, p.a, p.b, p.lam)
-            rows.append((m, N, D))
-    else:  # entry15
-        for m in range(1, n + 1):
-            N, D = convergents.entry15(m, p.a, p.lam, p.q)
-            rows.append((m, N, D))
+    # family -> (closed form called with (m, p), first m)
+    closed, first = {
+        "entry16": (lambda m, p: convergents.entry16(m, p.lam, p.q), 0),
+        "a0": (lambda m, p: convergents.a0_closed(m, p.b, p.lam, p.q), 0),
+        "hirschhorn": (lambda m, p: convergents.hirschhorn_closed(m, p.q, p.a, p.b, p.lam), 0),
+        "entry15": (lambda m, p: convergents.entry15(m, p.a, p.lam, p.q), 1),
+    }[args.family]
+    rows = [(m, *closed(m, p)) for m in range(first, n + 1)]
     print("n,N,D,ratio")
     for m, N, D in rows:
         ratio = N / D if D != 0 else float("nan")
@@ -167,16 +153,13 @@ def _cmd_density(args) -> int:
             lines.append(f"{x!r},{dn!r},{di!r},{abs(dn - di)!r}")
         text = "\n".join(lines) + "\n"
     else:
-        if args.method == "both":
-            raise QFracError("JSON output needs a single --method (nevai or inversion)")
         import json
 
-        samples = [[x, dn if args.method == "nevai" else di] for x, dn, di in rows]
         text = json.dumps(
             {
                 "params": {"q": p.q, "a": p.a, "b": p.b, "lambda": p.lam},
-                "method": args.method,
-                "samples": samples,
+                "columns": ["x", "density_nevai", "density_inversion"],
+                "samples": [list(row) for row in rows],
             },
             indent=2,
         ) + "\n"
@@ -253,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("density", help="spectral density over an x-grid")
     _add_param_flags(pd, need_all=True)
-    pd.add_argument("--method", choices=("nevai", "inversion", "both"), default="both")
     pd.add_argument("--grid", type=int, default=101)
     pd.add_argument("--xmin", type=float, default=-0.99)
     pd.add_argument("--xmax", type=float, default=0.99)

@@ -23,7 +23,7 @@ the innermost range (largest j), two factors per step, from one table of
 from __future__ import annotations
 
 from .errors import DomainError
-from .qseries import DEFAULT_CONTROL, SeriesControl, sum_series
+from .qseries import sum_series
 
 __all__ = [
     "entry16",
@@ -243,7 +243,7 @@ def entry15(n: int, a, lam, q):
     return Nh, Dh
 
 
-def g_function(b, lam, q, ctrl: SeriesControl = DEFAULT_CONTROL):
+def g_function(b, lam, q):
     """g(b, lam) = sum_k lam^k q^(k^2) / ((q; q)_k (-bq; q)_k).
 
     The q^(k^2) factor forces rapid convergence for any fixed arguments;
@@ -265,4 +265,4 @@ def g_function(b, lam, q, ctrl: SeriesControl = DEFAULT_CONTROL):
             t = t * lam * q ** (2 * k + 1) / den
             k += 1
 
-    return sum_series(terms(), ctrl, "g series")
+    return sum_series(terms(), "g series")

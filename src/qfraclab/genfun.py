@@ -1,9 +1,10 @@
 """Closed-form generating functions, evaluated as convergent k-sums.
 
 Each generating function is an outer sum over k of closed rational factors
-(finite q-Pochhammer products in t); the outer sum is truncated per the
-SeriesControl policy.  Coefficient sequences of these functions are exactly
-the recurrence families, which gives an independent oracle for both sides.
+(finite q-Pochhammer products in t); the outer sum is truncated under the
+fixed policy of :func:`qfraclab.qseries.sum_series`.  Coefficient sequences
+of these functions are exactly the recurrence families, which gives an
+independent oracle for both sides.
 
 Term products are accumulated in regrouped form, e.g.
 
@@ -27,7 +28,7 @@ import cmath
 
 from .errors import DomainError
 from .measure import rho_select
-from .qseries import DEFAULT_CONTROL, SeriesControl, sum_series
+from .qseries import sum_series
 from .recurrence import Params
 
 __all__ = ["KINDS", "gf_radius", "gf_eval"]
@@ -60,7 +61,7 @@ def gf_radius(kind: str, x, p: Params) -> float:
     raise DomainError(f"unknown generating-function kind {kind!r}")
 
 
-def gf_eval(kind: str, t, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL):
+def gf_eval(kind: str, t, x, p: Params):
     """Evaluate the ``kind`` generating function at the point ``t``.
 
     ``x`` is the spectral/evaluation variable of the coefficient family.
@@ -101,7 +102,7 @@ def gf_eval(kind: str, t, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL):
                 k += 1
 
         pref = (1 if kind == "P" else tc) / ((1 - u * tc / 2) * (1 - v * tc / 2))
-        return pref * sum_series(terms(), ctrl, f"{kind} generating function")
+        return pref * sum_series(terms(), f"{kind} generating function")
 
     # D / N, and Q / Qstar as their b = 0 case
     alpha, beta = _base_roots(x, p.b)
@@ -118,5 +119,5 @@ def gf_eval(kind: str, t, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL):
             )
             k += 1
 
-    total = sum_series(terms(), ctrl, f"{kind} generating function")
+    total = sum_series(terms(), f"{kind} generating function")
     return total if shift == 0 else tc * (1 - p.b) * total

@@ -34,7 +34,7 @@ import cmath
 import math
 
 from .errors import DomainError, PoleError, TruncationError
-from .qseries import DEFAULT_CONTROL, SeriesControl, qpochhammer, qpochhammer_inf, sum_series
+from .qseries import qpochhammer, qpochhammer_inf, sum_series
 from .recurrence import Params, run_monic
 
 __all__ = [
@@ -62,7 +62,7 @@ def rho_select(x) -> complex:
     return 1 / (xc + cmath.sqrt(xc - 1) * cmath.sqrt(xc + 1))
 
 
-def _fg_terms(rho: complex, p: Params, qpow_shift: int, ctrl: SeriesControl):
+def _fg_terms(rho: complex, p: Params, qpow_shift: int):
     """Terms of the F (qpow_shift=1) or G (qpow_shift=0) series at rho.
 
     The m-th term is the regrouped product
@@ -83,23 +83,23 @@ def _fg_terms(rho: complex, p: Params, qpow_shift: int, ctrl: SeriesControl):
         m += 1
 
 
-def series_F(rho, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def series_F(rho, p: Params) -> complex:
     """F(rho): the q^(binom(m+1,2)) member of the series pair behind X(x)."""
     p.require_monic()
     if p.a == 0:
         return 1.0 + 0j  # only the m = 0 term survives the (-2 c rho)^m factor
-    return sum_series(_fg_terms(complex(rho), p, 1, ctrl), ctrl, "F series")
+    return sum_series(_fg_terms(complex(rho), p, 1), "F series")
 
 
-def series_G(rho, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def series_G(rho, p: Params) -> complex:
     """G(rho): the q^(binom(m,2)) member; its zeros are the candidate poles of X."""
     p.require_monic()
     if p.a == 0:
         return 1.0 + 0j
-    return sum_series(_fg_terms(complex(rho), p, 0, ctrl), ctrl, "G series")
+    return sum_series(_fg_terms(complex(rho), p, 0), "G series")
 
 
-def series_R(theta: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def series_R(theta: float, p: Params) -> complex:
     """Phase-amplitude series R(theta) = |R| e^{i phi} for theta in (0, pi).
 
     R = (-1/(i sin theta)) * sum_m (-lam q e^{i theta}/2bc; q)_m /
@@ -135,39 +135,39 @@ def series_R(theta: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> 
                 raise DomainError("R series denominator vanished")
             qm *= q
 
-    return -sum_series(terms(), ctrl, "R series") / (1j * sin_t)
+    return -sum_series(terms(), "R series") / (1j * sin_t)
 
 
-def _weight_prefactor(p: Params, ctrl: SeriesControl) -> float:
-    return qpochhammer_inf(-p.lam * p.q / p.b, p.q, ctrl)
+def _weight_prefactor(p: Params) -> float:
+    return qpochhammer_inf(-p.lam * p.q / p.b, p.q)
 
 
-def density_nevai(x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def density_nevai(x: float, p: Params) -> float:
     """Density on (-1, 1) via the phase-amplitude route:
     (2/pi) (-lam q/b; q)_inf / (|R|^2 sqrt(1 - x^2))."""
     if not -1 < x < 1:
         raise DomainError("density is defined for x in (-1, 1)")
     p.require_monic()
     theta = math.acos(x)
-    R = series_R(theta, p, ctrl)
-    return 2.0 * _weight_prefactor(p, ctrl) / (math.pi * abs(R) ** 2 * math.sqrt(1 - x * x))
+    R = series_R(theta, p)
+    return 2.0 * _weight_prefactor(p) / (math.pi * abs(R) ** 2 * math.sqrt(1 - x * x))
 
 
-def _inversion_value(x: float, p: Params, ctrl: SeriesControl) -> complex:
+def _inversion_value(x: float, p: Params) -> complex:
     """Jump of X across the cut, before discarding the imaginary residual."""
     theta = math.acos(x)
     r1 = cmath.exp(-1j * theta)
     r2 = cmath.exp(1j * theta)
-    g1 = series_G(r1, p, ctrl)
-    g2 = series_G(r2, p, ctrl)
+    g1 = series_G(r1, p)
+    g2 = series_G(r2, p)
     if g1 == 0 or g2 == 0:
         raise PoleError(f"G vanishes on the unit circle at x = {x}")
-    w1 = r1 * series_F(r1, p, ctrl) / g1
-    w2 = r2 * series_F(r2, p, ctrl) / g2
+    w1 = r1 * series_F(r1, p) / g1
+    w2 = r2 * series_F(r2, p) / g2
     return (w2 - w1) / (math.pi * 1j)
 
 
-def density_inversion(x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def density_inversion(x: float, p: Params) -> float:
     """Density on (-1, 1) via Stieltjes inversion:
     (1/pi i) (rho2 F(rho2)/G(rho2) - rho1 F(rho1)/G(rho1)) with rho_{1,2} = e^{-+i theta}.
 
@@ -177,10 +177,10 @@ def density_inversion(x: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL
     if not -1 < x < 1:
         raise DomainError("density is defined for x in (-1, 1)")
     p.require_monic()
-    return _inversion_value(x, p, ctrl).real
+    return _inversion_value(x, p).real
 
 
-def stieltjes_transform(x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def stieltjes_transform(x, p: Params) -> complex:
     """X(x) = 2 rho F(rho)/G(rho) for x off the open interval (-1, 1).
 
     A vanishing G(rho) raises PoleError: real poles outside [-1, 1] are
@@ -193,8 +193,8 @@ def stieltjes_transform(x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> 
         raise DomainError("x lies inside (-1, 1); use the density routines there")
     p.require_monic()
     rho = rho_select(xc)
-    f = series_F(rho, p, ctrl)
-    g = series_G(rho, p, ctrl)
+    f = series_F(rho, p)
+    g = series_G(rho, p)
     if abs(g) <= 1e-14 * max(1.0, abs(f)):
         raise PoleError(f"G(rho) ~ 0 at x = {x}: candidate discrete mass point")
     return 2 * rho * f / g
@@ -215,7 +215,7 @@ _GRAM_TOL = 1e-10
 _GRAM_MAX_NODES = 1 << 16
 
 
-def gram_matrix(p: Params, nmax: int, ctrl: SeriesControl = DEFAULT_CONTROL) -> list[list[float]]:
+def gram_matrix(p: Params, nmax: int) -> list[list[float]]:
     """Matrix of inner products over the absolutely continuous part.
 
     Entry (n, m) is (2 (-lam q/b; q)_inf / pi) *
@@ -238,7 +238,7 @@ def gram_matrix(p: Params, nmax: int, ctrl: SeriesControl = DEFAULT_CONTROL) -> 
     if nmax < 0:
         raise DomainError("nmax must be >= 0")
     p.require_monic()
-    pref = 2.0 * _weight_prefactor(p, ctrl) / math.pi
+    pref = 2.0 * _weight_prefactor(p) / math.pi
     pairs = [(n, m) for n in range(nmax + 1) for m in range(n, nmax + 1)]
     depth = max(nmax, 1)
 
@@ -246,7 +246,7 @@ def gram_matrix(p: Params, nmax: int, ctrl: SeriesControl = DEFAULT_CONTROL) -> 
         acc = [0.0] * len(pairs)
         for phi in phis:
             theta = phi - math.sin(2 * phi) / 2
-            w = 2 * math.sin(phi) ** 2 / abs(series_R(theta, p, ctrl)) ** 2
+            w = 2 * math.sin(phi) ** 2 / abs(series_R(theta, p)) ** 2
             pv = run_monic(p, math.cos(theta), depth, "P")
             for k, (n, m) in enumerate(pairs):
                 acc[k] += w * pv[n] * pv[m]

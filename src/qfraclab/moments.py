@@ -7,9 +7,12 @@ The weight
     f(t) = (2q e^{it'} t, 2q e^{-it'} t, At, q/At; q)_inf
            / ((-4bct/lam, Bt, q/Bt; q)_inf),    A = -4bc/lam, B = 4c,
 
-satisfies f(t) (x - t - 1/4t) = f(t/q) (c/q + lam/4bt) and vanishes at the
-points t_{1,2}/q just outside the integration endpoints t_1 = e^{-i theta}/2,
-t_2 = e^{i theta}/2, which is exactly what integration by parts needs for
+in which (At; q)_inf and (-4bct/lam; q)_inf are the same product (one
+private function evaluates the cancelled form for both :func:`weight_f` and
+:func:`moment_pk_integral`), satisfies f(t) (x - t - 1/4t) = f(t/q)
+(c/q + lam/4bt) and vanishes at the points t_{1,2}/q just outside the
+integration endpoints t_1 = e^{-i theta}/2, t_2 = e^{i theta}/2, which is
+exactly what integration by parts needs for
 
     p_k(x) = prefactor * integral_{t_1}^{t_2} t^k f(t) d_q t
 
@@ -22,30 +25,22 @@ rho(x), which is how they are evaluated here.
 from __future__ import annotations
 
 import cmath
-from typing import Callable, NamedTuple
 
 from .errors import DomainError
-from .qseries import DEFAULT_CONTROL, PhiSpec, SeriesControl, phi, qpochhammer, qpochhammer_inf, sum_series
+from .qseries import phi, qpochhammer, qpochhammer_inf, sum_series
 from .measure import rho_select
 from .recurrence import Params
 
-__all__ = ["QIntegrand", "qintegral", "weight_f", "moment_pk_integral", "moment_pk_closed"]
+__all__ = ["qintegral", "weight_f", "moment_pk_integral", "moment_pk_closed"]
 
 
-class QIntegrand(NamedTuple):
-    """An integrand and its (possibly complex) q-integral endpoints."""
+def qintegral(f, lower, upper, q: float):
+    """Jackson q-integral of ``f`` from ``lower`` to ``upper``:
+    ``upper (1-q) sum_n q^n f(upper q^n) - lower (1-q) sum_n q^n f(lower q^n)``.
 
-    evaluator: Callable[[complex], complex]
-    lower: complex
-    upper: complex
-
-
-def qintegral(f: QIntegrand, q: float, ctrl: SeriesControl = DEFAULT_CONTROL):
-    """Jackson q-integral
-    ``b (1-q) sum_n q^n f(b q^n) - a (1-q) sum_n q^n f(a q^n)``.
-
-    Both endpoint sums are truncated under ``ctrl``; equal endpoints cancel
-    exactly.  The definition is applied verbatim for complex endpoints.
+    Both endpoint sums are truncated under the q-series truncation policy;
+    equal endpoints cancel exactly.  The definition is applied verbatim for
+    complex endpoints.
     """
     if not 0 < abs(q) < 1:
         raise DomainError("qintegral requires 0 < |q| < 1")
@@ -57,12 +52,12 @@ def qintegral(f: QIntegrand, q: float, ctrl: SeriesControl = DEFAULT_CONTROL):
         def terms():
             pw = 1.0  # q^n
             while True:
-                yield pw * f.evaluator(e * pw)
+                yield pw * f(e * pw)
                 pw *= q
 
-        return e * (1 - q) * sum_series(terms(), ctrl, "q-integral endpoint sum")
+        return e * (1 - q) * sum_series(terms(), "q-integral endpoint sum")
 
-    return endpoint_sum(f.upper) - endpoint_sum(f.lower)
+    return endpoint_sum(upper) - endpoint_sum(lower)
 
 
 def _require_moment_params(p: Params):
@@ -73,35 +68,37 @@ def _require_moment_params(p: Params):
         raise DomainError("moment machinery requires lam != 0")
 
 
-def weight_f(t, theta: float, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL):
-    """The product weight f(t) at x = cos theta, written with the theta
-    factorial pair (At, q/At) over (Bt, q/Bt) uncancelled."""
+def _weight(w, p: Params):
+    """The weight at x = (w + 1/w)/2, with w = e^{i theta}, as a function of t:
+
+        f(t) = (2q w t, 2q t/w, -lam q/(4bct); q)_inf / (4ct, q/(4ct); q)_inf,
+
+    symmetric under w -> 1/w.  The constants are computed once here, not
+    once per node of a q-integral.
+    """
+    q, c = p.q, p.c
+    u, v = 2 * q * w, 2 * q / w
+    r = -p.lam * q / (4 * p.b * c)
+    B = 4 * c
+
+    def f(t):
+        den = qpochhammer_inf(B * t, q) * qpochhammer_inf(q / (B * t), q)
+        if den == 0:
+            raise DomainError(f"weight denominator (4ct, q/4ct; q)_inf vanishes at t = {t}")
+        return qpochhammer_inf(u * t, q) * qpochhammer_inf(v * t, q) * qpochhammer_inf(r / t, q) / den
+
+    return f
+
+
+def weight_f(t, theta: float, p: Params):
+    """The product weight f(t) at x = cos theta."""
     _require_moment_params(p)
     if t == 0:
         raise DomainError("weight_f requires t != 0")
-
-    q, b, lam, c = p.q, p.b, p.lam, p.c
-    A = -4 * b * c / lam
-    B = 4 * c
-    eit = cmath.exp(1j * theta)
-    emit = cmath.exp(-1j * theta)
-    num = (
-        qpochhammer_inf(2 * q * eit * t, q, ctrl)
-        * qpochhammer_inf(2 * q * emit * t, q, ctrl)
-        * qpochhammer_inf(A * t, q, ctrl)
-        * qpochhammer_inf(q / (A * t), q, ctrl)
-    )
-    den = (
-        qpochhammer_inf(-4 * b * c * t / lam, q, ctrl)
-        * qpochhammer_inf(B * t, q, ctrl)
-        * qpochhammer_inf(q / (B * t), q, ctrl)
-    )
-    if den == 0:
-        raise DomainError("weight_f denominator product vanishes at this t")
-    return num / den
+    return _weight(cmath.exp(1j * theta), p)(t)
 
 
-def moment_pk_integral(k: int, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def moment_pk_integral(k: int, x, p: Params) -> complex:
     """Moment solution p_k(x) as the prefactored q-integral of t^k against the weight.
 
     Requires |lam q / b| < 1 in addition to the monic hypotheses.
@@ -115,34 +112,15 @@ def moment_pk_integral(k: int, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTR
     w = rho_select(x)
     W = 1 / w  # e^{-i theta}, e^{i theta} for Im x >= 0
     sin_t = (W - w) / 2j
-    pre = (
-        4
-        * (-1j * sin_t)
-        / (1 - q)
-        * qpochhammer_inf(2 * c * W, q, ctrl)
-        * qpochhammer_inf(2 * c * w, q, ctrl)
-        / (
-            qpochhammer_inf(q, q, ctrl)
-            * qpochhammer_inf(W * W, q, ctrl)
-            * qpochhammer_inf(w * w, q, ctrl)
-        )
-    )
-
-    def f(t):
-        # the (At; q)_inf factor cancelled against (-4bct/lam; q)_inf
-        return (
-            qpochhammer_inf(2 * q * W * t, q, ctrl)
-            * qpochhammer_inf(2 * q * w * t, q, ctrl)
-            * qpochhammer_inf(-lam * q / (4 * b * c * t), q, ctrl)
-            / (qpochhammer_inf(4 * c * t, q, ctrl) * qpochhammer_inf(q / (4 * c * t), q, ctrl))
-        )
-
-    integrand = QIntegrand(lambda t: t**k * f(t), w / 2, W / 2)
-    return pre * qintegral(integrand, q, ctrl)
+    den = qpochhammer_inf(q, q) * qpochhammer_inf(W * W, q) * qpochhammer_inf(w * w, q)
+    if den == 0:  # w^2 = 1
+        raise DomainError("q-integral moments require x != +-1")
+    pre = 4 * (-1j * sin_t) / (1 - q) * qpochhammer_inf(2 * c * W, q) * qpochhammer_inf(2 * c * w, q) / den
+    f = _weight(w, p)
+    return pre * qintegral(lambda t: t**k * f(t), w / 2, W / 2, q)
 
 
-def moment_pk_closed(k: int, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL,
-                     branch: str = "auto") -> complex:
+def moment_pk_closed(k: int, x, p: Params, branch: str = "auto") -> complex:
     """Closed 2phi1 form of the moment solution p_k(x).
 
     With s the modulus-<=1 root of t^2 - 2xt + 1 and S = 1/s:
@@ -176,8 +154,7 @@ def moment_pk_closed(k: int, x, p: Params, ctrl: SeriesControl = DEFAULT_CONTROL
     head = (
         S**k
         * qpochhammer(2 * c * s, q, k)
-        * qpochhammer_inf(z, q, ctrl)
-        / (2**k * qpochhammer_inf(q * s / (2 * c), q, ctrl))
+        * qpochhammer_inf(z, q)
+        / (2**k * qpochhammer_inf(q * s / (2 * c), q))
     )
-    spec = PhiSpec((-b * q ** (-k) / lam, 0), (q ** (1 - k) * S / (2 * c),), q, z)
-    return head * phi(spec, ctrl)
+    return head * phi((-b * q ** (-k) / lam, 0), (q ** (1 - k) * S / (2 * c),), q, z)

@@ -5,9 +5,10 @@ Everything here is scalar and polymorphic over the numeric type of its
 inputs: float/complex for the usual double-precision paths, and
 ``fractions.Fraction`` wherever the routine is a finite product or sum
 (which is what the exact-rational checks in :mod:`qfraclab.convergents`
-rely on).  Infinite sums and products are truncated under an explicit
-:class:`SeriesControl` policy and never silently: exhausting the term
-budget raises :class:`~qfraclab.errors.TruncationError`.
+rely on).  Infinite sums and products are truncated under one fixed policy
+(relative tolerance 1e-15, three small terms in a row, at most 10 000 terms;
+see ``_REL_TOL``) and never silently: exhausting the term budget raises
+:class:`~qfraclab.errors.TruncationError`.
 
 Conventions:
 
@@ -24,13 +25,9 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ._frozen import Frozen, _set
 from .errors import DomainError, TruncationError
 
 __all__ = [
-    "SeriesControl",
-    "DEFAULT_CONTROL",
-    "PhiSpec",
     "sum_series",
     "qpochhammer",
     "qpochhammer_inf",
@@ -41,39 +38,22 @@ __all__ = [
 ]
 
 
-class SeriesControl(Frozen):
-    """Truncation policy for infinite sums and products.
-
-    A sum stops once ``consecutive_small`` successive terms ``t`` satisfy
-    ``|t| <= rel_tol * (1 + |partial sum|)``; requiring several successive
-    small terms makes the rule robust against isolated zero terms produced
-    by alternating ``q^(k choose 2)`` powers.  An infinite product
-    ``(a; q)_inf`` stops once ``|a q^k| < rel_tol`` for ``consecutive_small``
-    successive ``k``.  Exceeding ``max_terms`` raises TruncationError.
-    """
-
-    __slots__ = ("rel_tol", "consecutive_small", "max_terms")
-
-    def __init__(self, rel_tol: float = 1e-15, consecutive_small: int = 3, max_terms: int = 10_000):
-        if not rel_tol > 0:
-            raise DomainError("rel_tol must be positive")
-        if consecutive_small < 1:
-            raise DomainError("consecutive_small must be at least 1")
-        if max_terms < consecutive_small:
-            raise DomainError("max_terms must be at least consecutive_small")
-        _set(self, "rel_tol", rel_tol)
-        _set(self, "consecutive_small", consecutive_small)
-        _set(self, "max_terms", max_terms)
+# Truncation policy of every infinite sum and product: a sum stops once
+# _SMALL_RUN successive terms t satisfy |t| <= _REL_TOL * (1 + |partial sum|)
+# (several in a row, so that an isolated zero term, such as the alternating
+# q^(k choose 2) powers produce, does not end it), and a product (a; q)_inf
+# once |a q^k| < _REL_TOL for _SMALL_RUN successive k.  Reaching _MAX_TERMS
+# terms or factors raises TruncationError.
+_REL_TOL = 1e-15
+_SMALL_RUN = 3
+_MAX_TERMS = 10_000
 
 
-DEFAULT_CONTROL = SeriesControl()
-
-
-def sum_series(terms: Iterator, ctrl: SeriesControl = DEFAULT_CONTROL, what: str = "series"):
-    """Sum an iterable of terms under the truncation policy of ``ctrl``.
+def sum_series(terms: Iterator, what: str = "series"):
+    """Sum an iterable of terms under the module's truncation policy.
 
     Terminating series may simply exhaust the iterator; infinite ones must
-    meet the smallness criterion within ``ctrl.max_terms`` terms.
+    meet the smallness criterion within ``_MAX_TERMS`` terms.
     """
     total = 0
     small = 0
@@ -85,14 +65,14 @@ def sum_series(terms: Iterator, ctrl: SeriesControl = DEFAULT_CONTROL, what: str
         if at != at or at == inf:  # overflow masquerades as convergence otherwise
             raise TruncationError(f"{what} diverged (nonfinite term at index {count - 1})")
         total += term
-        if at <= ctrl.rel_tol * (1.0 + abs(total)):
+        if at <= _REL_TOL * (1.0 + abs(total)):
             small += 1
-            if small >= ctrl.consecutive_small:
+            if small >= _SMALL_RUN:
                 return total
         else:
             small = 0
-        if count >= ctrl.max_terms:
-            raise TruncationError(f"{what} did not converge within {ctrl.max_terms} terms")
+        if count >= _MAX_TERMS:
+            raise TruncationError(f"{what} did not converge within {_MAX_TERMS} terms")
     return total
 
 
@@ -111,27 +91,27 @@ def qpochhammer(a, q, n: int):
     return out
 
 
-def qpochhammer_inf(a, q, ctrl: SeriesControl = DEFAULT_CONTROL):
+def qpochhammer_inf(a, q):
     """Infinite product ``(a; q)_inf`` for ``0 < |q| < 1``.
 
-    The partial product is truncated once ``|a q^k| < ctrl.rel_tol`` for
-    ``ctrl.consecutive_small`` successive ``k``.
+    The partial product is truncated once ``|a q^k| < _REL_TOL`` for
+    ``_SMALL_RUN`` successive ``k``.
     """
     if not 0 < abs(q) < 1:
         raise DomainError("qpochhammer_inf requires 0 < |q| < 1")
     out = 1
     term = a  # a q^k
     small = 0
-    for _ in range(ctrl.max_terms):
+    for _ in range(_MAX_TERMS):
         out *= 1 - term
-        if abs(term) < ctrl.rel_tol:
+        if abs(term) < _REL_TOL:
             small += 1
-            if small >= ctrl.consecutive_small:
+            if small >= _SMALL_RUN:
                 return out
         else:
             small = 0
         term *= q
-    raise TruncationError(f"(a; q)_inf did not converge within {ctrl.max_terms} factors")
+    raise TruncationError(f"(a; q)_inf did not converge within {_MAX_TERMS} factors")
 
 
 def qbinomial(n: int, k: int, q):
@@ -174,7 +154,7 @@ def qmultinomial(n: int, ks: Sequence[int], q):
     return out
 
 
-def theta(z, q, ctrl: SeriesControl = DEFAULT_CONTROL):
+def theta(z, q):
     """Theta factorial ``<z; q> = (z; q)_inf (q/z; q)_inf`` for ``z != 0``.
 
     Satisfies the quasiperiodicity ``<z; q> / <zq; q> = -z``.
@@ -183,7 +163,7 @@ def theta(z, q, ctrl: SeriesControl = DEFAULT_CONTROL):
         raise DomainError("theta requires z != 0")
     if not 0 < abs(q) < 1:
         raise DomainError("theta requires 0 < |q| < 1")
-    return qpochhammer_inf(z, q, ctrl) * qpochhammer_inf(q / z, q, ctrl)
+    return qpochhammer_inf(z, q) * qpochhammer_inf(q / z, q)
 
 
 def _is_nonneg_q_power(value, q, rtol: float = 1e-12) -> bool:
@@ -201,45 +181,27 @@ def _is_nonneg_q_power(value, q, rtol: float = 1e-12) -> bool:
     return False
 
 
-class PhiSpec(Frozen):
-    """Description of an r-phi-s basic hypergeometric sum.
+def phi(upper: Sequence, lower: Sequence, q, z):
+    """Partial sum of the r-phi-s basic hypergeometric series in ``z``.
 
     ``upper`` holds the numerator parameters ``a_1..a_r``, ``lower`` the
-    denominator parameters ``b_1..b_s``; the series in ``argument`` z is
+    denominator parameters ``b_1..b_s``; the series is
 
         sum_k  (a_1..a_r; q)_k / ((q; q)_k (b_1..b_s; q)_k)
                * ((-1)^k q^(k choose 2))^(1 + s - r) * z^k.
 
     No lower parameter may be of the form ``q^(-m)`` with m >= 0, which
-    would zero a denominator factor.  ``upper`` and ``lower`` are stored as
-    tuples whatever sequence type they arrive as.
+    would zero a denominator factor.  Terminating series (an upper parameter
+    of the form ``q^(-n)``) finish on their own; otherwise the series must
+    converge under the truncation policy, which covers ``r <= s`` always and
+    ``r = s + 1`` for ``|z| < 1``.
     """
-
-    __slots__ = ("upper", "lower", "base", "argument")
-
-    def __init__(self, upper: Sequence, lower: Sequence, base: float, argument: complex):
-        upper, lower = tuple(upper), tuple(lower)
-        if not 0 < abs(base) < 1:
-            raise DomainError("PhiSpec requires 0 < |q| < 1")
-        for b in lower:
-            if _is_nonneg_q_power(b, base):
-                raise DomainError(f"lower parameter {b!r} is q^(-m); denominator would vanish")
-        _set(self, "upper", upper)
-        _set(self, "lower", lower)
-        _set(self, "base", base)
-        _set(self, "argument", argument)
-
-
-def phi(spec: PhiSpec, ctrl: SeriesControl = DEFAULT_CONTROL):
-    """Partial sum of the basic hypergeometric series described by ``spec``.
-
-    Terminating series (an upper parameter of the form ``q^(-n)``) finish on
-    their own; otherwise the series must converge under the truncation
-    policy, which covers ``r <= s`` always and ``r = s + 1`` for ``|z| < 1``.
-    """
-    q = spec.base
-    z = spec.argument
-    extra = 1 + len(spec.lower) - len(spec.upper)
+    if not 0 < abs(q) < 1:
+        raise DomainError("phi requires 0 < |q| < 1")
+    for b in lower:
+        if _is_nonneg_q_power(b, q):
+            raise DomainError(f"lower parameter {b!r} is q^(-m); denominator would vanish")
+    extra = 1 + len(lower) - len(upper)
 
     def terms():
         t = 1
@@ -248,10 +210,10 @@ def phi(spec: PhiSpec, ctrl: SeriesControl = DEFAULT_CONTROL):
         while True:
             yield t
             ratio = z
-            for a in spec.upper:
+            for a in upper:
                 ratio *= 1 - a * qk
             den = 1 - q * qk  # (q; q)_{k+1} factor
-            for b in spec.lower:
+            for b in lower:
                 den *= 1 - b * qk
             if den == 0:
                 raise DomainError(f"phi denominator vanished at term {k + 1}")
@@ -261,4 +223,4 @@ def phi(spec: PhiSpec, ctrl: SeriesControl = DEFAULT_CONTROL):
             qk *= q
             k += 1
 
-    return sum_series(terms(), ctrl, "basic hypergeometric series")
+    return sum_series(terms(), "basic hypergeometric series")

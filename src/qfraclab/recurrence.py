@@ -41,9 +41,9 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import islice
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from ._frozen import Frozen, _set
 from .errors import DomainError, PoleError, RangeError
 
 __all__ = [
@@ -65,8 +65,19 @@ __all__ = [
 ]
 
 
-class Params(Frozen):
+_set = object.__setattr__
+
+# require_monic checks beta_k > 0 index by index up to this k at most.
+_MONIC_CHECK = 10_000
+
+
+class Params:
     """Parameter quadruple (q, a, b, lam) plus the derived constants.
+
+    Immutable: instances compare and hash as the tuple of their fields,
+    print like a dataclass, pickle and copy through the constructor, and
+    raise AttributeError on assignment.  A plain ``__slots__`` class keeps
+    ``dataclasses`` (and the ``inspect`` it loads) off the import path.
 
     ``gamma`` and ``c`` require ``b < 0``.  Only ``gamma^2 = -4b/(1-b)^2``
     is forced; with ``c = a / (2 sqrt(-b))`` taken positive, the sign of
@@ -89,6 +100,28 @@ class Params(Frozen):
         _set(self, "b", b)
         _set(self, "lam", lam)
 
+    _values = property(attrgetter(*__slots__))  # the fields, as a tuple
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen Params")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen Params")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return "Params(q={!r}, a={!r}, b={!r}, lam={!r})".format(*self._values)
+
+    def __reduce__(self):
+        return Params, self._values
+
     @property
     def gamma(self) -> float:
         if not self.b < 0:
@@ -101,7 +134,7 @@ class Params(Frozen):
             raise DomainError("c is real only for b < 0")
         return self.a / (2.0 * math.sqrt(-self.b))
 
-    def require_monic(self, max_check: int = 10_000) -> "Params":
+    def require_monic(self) -> "Params":
         """Validate the monic-family hypotheses: b < 0 and beta_k > 0 for all k >= 1.
 
         Positivity is checked index by index until ``|lam q^k / b| < 1``,
@@ -110,13 +143,13 @@ class Params(Frozen):
         if not self.b < 0:
             raise DomainError("monic family requires b < 0")
         ratio = self.lam * self.q / self.b
-        for k in range(1, max_check + 1):
+        for k in range(1, _MONIC_CHECK + 1):
             if 1 + ratio <= 0:
                 raise DomainError(f"beta_{k} <= 0: 1 + lam q^{k}/b = {1 + ratio}")
             if abs(ratio) < 1:
                 return self
             ratio *= self.q
-        raise DomainError("could not certify beta_k > 0 within max_check indices")
+        raise DomainError(f"could not certify beta_k > 0 within {_MONIC_CHECK} indices")
 
 
 class JCoeffs(NamedTuple):

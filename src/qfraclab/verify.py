@@ -428,8 +428,8 @@ def check_qseries_kernel() -> CheckResult:
         fpoly = lambda t: _horner(fc, t)
         gpoly = lambda t: _horner(gc, t)
         aa, bb = (0.0, 1.0) if rng.random() < 0.5 else (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        lhs = moments.qintegral(moments.QIntegrand(lambda t: fpoly(t) * gpoly(q * t), aa, bb), q)
-        part_int = moments.qintegral(moments.QIntegrand(lambda t: gpoly(t) * fpoly(t / q), aa, bb), q) / q
+        lhs = moments.qintegral(lambda t: fpoly(t) * gpoly(q * t), aa, bb, q)
+        part_int = moments.qintegral(lambda t: gpoly(t) * fpoly(t / q), aa, bb, q) / q
         part_bdy = (1 - q) / q * (aa * gpoly(aa) * fpoly(aa / q) - bb * gpoly(bb) * fpoly(bb / q))
         # poly values at t/q blow up for tiny |q|; scale by the cancelling parts
         scale = max(1.0, abs(lhs), abs(part_int), abs(part_bdy))

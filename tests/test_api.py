@@ -1,6 +1,6 @@
-"""The package namespace: every name it exported when ``__init__`` imported
-all modules eagerly still resolves, now lazily, to the object of its home
-module, and ``import qfraclab`` alone loads only the exception types."""
+"""The package namespace: every exported name resolves, lazily, to the object
+of its home module, and ``import qfraclab`` alone loads only the exception
+types."""
 
 import importlib
 import sys
@@ -12,10 +12,7 @@ import qfraclab
 # The exported names, frozen: home module -> names defined there.
 EXPORTS = {
     "errors": ("DomainError", "PoleError", "QFracError", "RangeError", "TruncationError"),
-    "qseries": (
-        "DEFAULT_CONTROL", "PhiSpec", "SeriesControl", "phi", "qbinomial", "qmultinomial",
-        "qpochhammer", "qpochhammer_inf", "theta",
-    ),
+    "qseries": ("phi", "qbinomial", "qmultinomial", "qpochhammer", "qpochhammer_inf", "theta"),
     "recurrence": (
         "ConvergentSeq", "JCoeffs", "JFamily", "Params", "b0_coeffs", "b0_family", "entry16_family",
         "hirschhorn_coeffs", "hirschhorn_family", "monic_alpha", "monic_beta", "monic_ratio",
@@ -28,7 +25,7 @@ EXPORTS = {
         "series_F", "series_G", "series_R", "stieltjes_transform",
     ),
     "asymptotics": ("asymptotic_P", "asymptotic_Q", "asymptotic_Qstar", "b0_support_bound", "stieltjes_b0"),
-    "moments": ("QIntegrand", "moment_pk_closed", "moment_pk_integral", "qintegral", "weight_f"),
+    "moments": ("moment_pk_closed", "moment_pk_integral", "qintegral", "weight_f"),
     "convergents": ("a0_closed", "entry15", "entry16", "g_function", "hirschhorn_closed", "ram_Q", "ram_Qstar"),
 }
 

@@ -15,6 +15,29 @@ def test_eval_hirschhorn_methods_agree(capsys):
     assert abs(float(lines["value"]) - float(lines["backward"])) <= 1e-12 * (1 + abs(float(lines["value"])))
 
 
+@pytest.mark.parametrize("x", ["0.5", "2"])
+@pytest.mark.parametrize("family", ["hirschhorn", "b0", "entry16"])
+def test_eval_backward_is_taken_at_the_same_x(family, x, capsys):
+    from qfraclab import cfrac, recurrence
+
+    rc = main(["eval", "--family", family, *ACCEPT_FLAGS, "--x", x, "--depth", "50"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert [line.split(":")[0].strip() for line in lines] == ["family", "depth", "value", "backward", "|diff|"]
+    value, backward = (float(line.split(":", 1)[1]) for line in lines[2:4])
+    assert abs(value - backward) <= 1e-12 * (1 + abs(value))
+    if family == "hirschhorn":  # H(x)/(1 - b) from the backward route at this x
+        p = recurrence.Params(0.4, 0.3, -0.25, 0.2)
+        expected = cfrac.backward_convergent(recurrence.hirschhorn_family(p), float(x), 50) / (1 - p.b)
+        assert backward == expected
+
+
+def test_eval_depth_must_be_positive(capsys):
+    assert main(["eval", "--family", "hirschhorn", *ACCEPT_FLAGS, "--depth", "0"]) == 2
+    assert "--depth must be >= 1" in capsys.readouterr().err
+
+
 def test_eval_b0_family(capsys):
     rc = main(["eval", "--family", "b0", "--q", "0.4", "--a", "0.3", "--lambda", "-0.5",
                "--x", "3.0", "--depth", "150"])
@@ -52,19 +75,24 @@ def test_density_csv_schema_and_determinism(capsys):
 
 
 def test_density_json_schema(capsys):
-    rc = main(["density", *ACCEPT_FLAGS, "--grid", "5", "--format", "json", "--method", "nevai"])
+    rc = main(["density", *ACCEPT_FLAGS, "--grid", "5", "--format", "json"])
     out = capsys.readouterr().out
     assert rc == 0
     doc = json.loads(out)
-    assert doc["method"] == "nevai"
     assert doc["params"]["lambda"] == 0.2
-    assert len(doc["samples"]) == 5
-    assert all(len(s) == 2 for s in doc["samples"])
+    assert doc["columns"] == ["x", "density_nevai", "density_inversion"]
+    # both routes, the same rows as the CSV
+    main(["density", *ACCEPT_FLAGS, "--grid", "5"])
+    csv_rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert doc["samples"] == [[float(v) for v in row[:3]] for row in csv_rows]
 
 
 def test_density_json_both_is_usage_error(capsys):
-    rc = main(["density", *ACCEPT_FLAGS, "--grid", "5", "--format", "json", "--method", "both"])
-    assert rc == 2
+    # there is no --method flag: JSON carries both routes, like CSV
+    for method in ("both", "nevai", "inversion"):
+        rc = main(["density", *ACCEPT_FLAGS, "--grid", "5", "--format", "json", "--method", method])
+        assert rc == 2
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 def test_density_out_file(tmp_path, capsys):

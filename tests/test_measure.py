@@ -19,9 +19,9 @@ from qfraclab.measure import (
     series_R,
     stieltjes_transform,
 )
-from qfraclab.qseries import SeriesControl, qpochhammer, qpochhammer_inf
+from qfraclab.qseries import qpochhammer, qpochhammer_inf
 from qfraclab.recurrence import Params, monic_beta, monic_ratio, run_monic
-from qfraclab.verify import _mp_markov_errors
+from qfraclab.verify import _mp_markov_errors, _mp_series_R
 
 P_STD = Params(0.4, 0.3, -0.25, 0.2)
 
@@ -130,10 +130,26 @@ class TestSeriesR:
         with pytest.raises(DomainError):
             series_R(math.pi, P_STD)
 
-    def test_stable_under_control_tightening(self):
-        loose = series_R(math.pi / 2, P_STD, SeriesControl(rel_tol=1e-10))
-        tight = series_R(math.pi / 2, P_STD, SeriesControl(rel_tol=1e-15, consecutive_small=5))
-        assert abs(loose - tight) < 1e-14 * (1 + abs(tight))
+    def test_matches_the_certified_oracle(self):
+        # the fixed truncation policy against the 80-digit oracle, whose tail
+        # is certified by a term-ratio bound, at theta = pi i / 20
+        from mpmath import mp
+
+        sets = [
+            P_STD,
+            Params(0.7, -0.5, -0.6, 0.3),
+            Params(0.2, 1.0, -0.5, -0.4),
+            Params(0.85, 0.1, -0.9, 0.5),
+            Params(-0.5, 0.6, -0.3, 0.1),
+        ]
+        for p in sets:
+            with mp.workdps(80):
+                q, b, lam = mp.mpf(p.q), mp.mpf(p.b), mp.mpf(p.lam)
+                c = mp.mpf(p.a) / (2 * mp.sqrt(-b))
+                for i in range(1, 20):
+                    theta = math.pi * i / 20
+                    ref = complex(_mp_series_R(mp.mpf(theta), q, b, lam, c))
+                    assert abs(series_R(theta, p) - ref) <= 1e-13 * abs(ref), (p, i)
 
 
 class TestDensities:
@@ -172,7 +188,7 @@ class TestDensities:
 
     def test_imaginary_residual_small(self):
         for x in (-0.8, -0.2, 0.1, 0.6, 0.9):
-            assert abs(_inversion_value(x, P_STD, SeriesControl()).imag) < 1e-12
+            assert abs(_inversion_value(x, P_STD).imag) < 1e-12
 
     def test_density_nonnegative(self):
         for x in np.linspace(-0.99, 0.99, 40):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from qfraclab.errors import DomainError
-from qfraclab.moments import QIntegrand, moment_pk_closed, moment_pk_integral, qintegral, weight_f
-from qfraclab.qseries import theta
+from qfraclab.moments import moment_pk_closed, moment_pk_integral, qintegral, weight_f
+from qfraclab.qseries import qpochhammer_inf, theta
 from qfraclab.recurrence import Params, monic_alpha, monic_beta, run_monic
 
 P_STD = Params(0.4, 0.3, -0.25, 0.2)
@@ -15,21 +15,20 @@ THETA = math.acos(0.3)
 
 class TestQIntegral:
     def test_equal_endpoints_cancel(self):
-        f = QIntegrand(lambda t: t * t + 1, 0.7, 0.7)
-        assert qintegral(f, 0.5) == 0
+        assert qintegral(lambda t: t * t + 1, 0.7, 0.7, 0.5) == 0
 
     def test_monomial_geometric_series(self):
         # integral of t from 0 to 1 is 1/(1+q)
         for q in (0.5, 0.2, -0.4):
-            val = qintegral(QIntegrand(lambda t: t, 0.0, 1.0), q)
+            val = qintegral(lambda t: t, 0.0, 1.0, q)
             assert val == pytest.approx(1 / (1 + q), rel=1e-14)
 
     def test_by_parts_identity_on_monomials(self):
         q = 0.5
         f = lambda t: t
         g = lambda t: t * t
-        lhs = qintegral(QIntegrand(lambda t: f(t) * g(q * t), 0.0, 1.0), q)
-        rhs = qintegral(QIntegrand(lambda t: g(t) * f(t / q), 0.0, 1.0), q) / q
+        lhs = qintegral(lambda t: f(t) * g(q * t), 0.0, 1.0, q)
+        rhs = qintegral(lambda t: g(t) * f(t / q), 0.0, 1.0, q) / q
         rhs += (1 - q) / q * (0.0 - 1.0 * g(1.0) * f(1.0 / q))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -39,19 +38,19 @@ class TestQIntegral:
         f = lambda t: 0.3 * t**3 - t + 0.2
         g = lambda t: t * t - 0.4
         aa, bb = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        both = qintegral(QIntegrand(lambda t: 2 * f(t) - 3 * g(t), aa, bb), q)
-        sep = 2 * qintegral(QIntegrand(f, aa, bb), q) - 3 * qintegral(QIntegrand(g, aa, bb), q)
+        both = qintegral(lambda t: 2 * f(t) - 3 * g(t), aa, bb, q)
+        sep = 2 * qintegral(f, aa, bb, q) - 3 * qintegral(g, aa, bb, q)
         assert both == pytest.approx(sep, abs=1e-13)
 
     def test_q_range(self):
         with pytest.raises(DomainError):
-            qintegral(QIntegrand(lambda t: t, 0.0, 1.0), 1.0)
+            qintegral(lambda t: t, 0.0, 1.0, 1.0)
 
     def test_nonconvergent_integrand_raises(self):
         from qfraclab.errors import TruncationError
 
         with pytest.raises(TruncationError):
-            qintegral(QIntegrand(lambda t: 1 / t**3, 0.0, 1.0), 0.5)
+            qintegral(lambda t: 1 / t**3, 0.0, 1.0, 0.5)
 
 
 class TestWeight:
@@ -81,11 +80,42 @@ class TestWeight:
         assert h(t) / h(t * p.q) == pytest.approx(A / B, rel=1e-12)
         assert A / B == pytest.approx(-p.b / p.lam, rel=1e-15)
 
+    def test_matches_the_uncancelled_seven_product_formula(self):
+        # the weight as first written, (At; q)_inf and (-4bct/lam; q)_inf both kept
+        rng = random.Random(31)
+        for p in (P_STD, Params(0.6, -0.7, -0.4, -0.3), Params(0.3, 1.1, -0.8, 0.5)):
+            A, B = -4 * p.b * p.c / p.lam, 4 * p.c
+            for _ in range(8):
+                theta = rng.uniform(0.1, math.pi - 0.1)
+                t = cmath.rect(rng.uniform(0.1, 0.9), rng.uniform(0, 2 * math.pi))
+                e = cmath.exp(1j * theta)
+                old = (
+                    qpochhammer_inf(2 * p.q * e * t, p.q)
+                    * qpochhammer_inf(2 * p.q * t / e, p.q)
+                    * qpochhammer_inf(A * t, p.q)
+                    * qpochhammer_inf(p.q / (A * t), p.q)
+                    / (
+                        qpochhammer_inf(-4 * p.b * p.c * t / p.lam, p.q)
+                        * qpochhammer_inf(B * t, p.q)
+                        * qpochhammer_inf(p.q / (B * t), p.q)
+                    )
+                )
+                assert abs(weight_f(t, theta, p) - old) <= 1e-13 * max(1.0, abs(old))
+
     def test_zero_denominator_factor_rejected(self):
         # B t = 1 = q^0 zeroes the (Bt; q)_inf factor
         t = 1.0 / (4 * P_STD.c)
         with pytest.raises(DomainError):
             weight_f(t, THETA, P_STD)
+
+    def test_zero_denominator_in_the_integral_is_a_domain_error(self):
+        # c = 1 and x = 1.25 (w = 1/2 exactly) put the node t = w/2 on B t = 1
+        with pytest.raises(DomainError, match="weight denominator"):
+            moment_pk_integral(0, 1.25, Params(0.4, 1.0, -0.25, 0.2))
+        # at x = +-1 the prefactor's (w^2; q)_inf vanishes
+        for x in (1.0, -1.0):
+            with pytest.raises(DomainError, match="x !="):
+                moment_pk_integral(0, x, P_STD)
 
     def test_requires_nonzero_a_lam_t(self):
         with pytest.raises(DomainError):

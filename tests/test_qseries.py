@@ -6,16 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfraclab.errors import DomainError, TruncationError
-from qfraclab.qseries import (
-    PhiSpec,
-    SeriesControl,
-    phi,
-    qbinomial,
-    qmultinomial,
-    qpochhammer,
-    qpochhammer_inf,
-    theta,
-)
+from qfraclab import qseries
+from qfraclab.qseries import phi, qbinomial, qmultinomial, qpochhammer, qpochhammer_inf, sum_series, theta
 
 # strategies kept away from the singular sets: |q| in [0.05, 0.9], and the
 # Pochhammer argument inside the unit disk so no factor 1 - a q^j can come
@@ -115,7 +107,7 @@ def test_theta_long_product_oracle():
 
 
 def test_phi_zero_argument():
-    assert phi(PhiSpec((0.2, 0.3), (0.4,), 0.5, 0.0)) == 1
+    assert phi((0.2, 0.3), (0.4,), 0.5, 0.0) == 1
 
 
 def test_phi_terminating_equals_explicit_sum():
@@ -132,7 +124,7 @@ def test_phi_terminating_equals_explicit_sum():
             / (qpochhammer(q, q, k) * qpochhammer(lower[0], q, k))
             * z**k
         )
-    assert phi(PhiSpec(upper, lower, q, z)) == pytest.approx(explicit, rel=1e-13)
+    assert phi(upper, lower, q, z) == pytest.approx(explicit, rel=1e-13)
 
 
 def test_phi_2phi1_brute_force_oracle():
@@ -147,7 +139,7 @@ def test_phi_2phi1_brute_force_oracle():
             / (qpochhammer(q, q, k) * qpochhammer(b1, q, k))
             * z**k
         )
-    assert phi(PhiSpec((a1, a2), (b1,), q, z)) == pytest.approx(oracle, rel=1e-13)
+    assert phi((a1, a2), (b1,), q, z) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_phi_extra_factor_for_lower_majority():
@@ -156,28 +148,33 @@ def test_phi_extra_factor_for_lower_majority():
     oracle = sum(
         q ** (k * k - k) * z**k / (qpochhammer(q, q, k) * qpochhammer(b, q, k)) for k in range(80)
     )
-    assert phi(PhiSpec((), (b,), q, z)) == pytest.approx(oracle, rel=1e-13)
+    assert phi((), (b,), q, z) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_phi_rejects_lower_q_inverse_power():
     with pytest.raises(DomainError):
-        PhiSpec((0.2,), (0.5**-2,), 0.5, 0.1)
+        phi((0.2,), (0.5**-2,), 0.5, 0.1)
     with pytest.raises(DomainError):
-        PhiSpec((0.2,), (1.0,), 0.5, 0.1)
+        phi((0.2,), (1.0,), 0.5, 0.1)
 
 
 def test_phi_divergent_raises_truncation():
     with pytest.raises(TruncationError):
-        phi(PhiSpec((0.5, 0.5), (0.3,), 0.5, 1.5))
+        phi((0.5, 0.5), (0.3,), 0.5, 1.5)
 
 
-def test_series_control_validation():
-    with pytest.raises(DomainError):
-        SeriesControl(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        SeriesControl(consecutive_small=0)
-    with pytest.raises(DomainError):
-        SeriesControl(max_terms=2, consecutive_small=3)
+def test_truncation_policy_is_the_documented_one():
+    assert (qseries._REL_TOL, qseries._SMALL_RUN, qseries._MAX_TERMS) == (1e-15, 3, 10_000)
+
+
+def test_term_cap_raises_truncation(monkeypatch):
+    monkeypatch.setattr(qseries, "_MAX_TERMS", 5)
+    with pytest.raises(TruncationError, match="did not converge within 5 terms"):
+        sum_series(0.5**k for k in range(100))
+    with pytest.raises(TruncationError, match="did not converge within 5 factors"):
+        qpochhammer_inf(0.5, 0.5)
+    # a series that settles within the cap still sums
+    assert sum_series(iter([1.0, 0.0, 0.0, 0.0])) == 1.0
 
 
 # ---------------------------------------------------------------------------
