@@ -16,17 +16,24 @@ exactly what integration by parts needs for
 
     p_k(x) = prefactor * integral_{t_1}^{t_2} t^k f(t) d_q t
 
-to solve the monic three-term recurrence.  The same p_k has a closed 2phi1
-form; for Im(x) >= 0 and Im(x) <= 0 the two stated branches are mirror
-images in theta, and both are the same function of the modulus-<=1 root
-rho(x), which is how they are evaluated here.
+to solve the monic three-term recurrence.  The Jackson sum evaluates the
+weight's products once per endpoint e; every later node e q^n follows from
+the one before by the q-shift (a; q)_inf = (1 - a)(aq; q)_inf of each
+product, a few complex multiplications per node that never overflow (the
+products in q/4ct and -lam q/4bct, which grow like q^-n, are never formed
+at small t).  The step uses no moment recurrence and no 2phi1, so the two
+routes stay independent.
+
+The same p_k has a closed 2phi1 form; for Im(x) >= 0 and Im(x) <= 0 the two
+stated branches are mirror images in theta, and both are the same function
+of the modulus-<=1 root rho(x), which is how they are evaluated here.
 """
 
 from __future__ import annotations
 
 import cmath
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .qseries import phi, qpochhammer, qpochhammer_inf, sum_series
 from .measure import rho_select
 from .recurrence import Params
@@ -34,30 +41,52 @@ from .recurrence import Params
 __all__ = ["qintegral", "weight_f", "moment_pk_integral", "moment_pk_closed"]
 
 
+def _jackson(e, q, values, k: int = 0):
+    """One endpoint of the Jackson integral of ``t^k f(t)``:
+    ``e (1-q) sum_n q^n t_n^k f(t_n)`` over the nodes ``t_n = e q^n``, given
+    an iterator over the node values ``f(t_n)``.  Summed as
+    ``e^(k+1) (1-q) sum_n (q^(k+1))^n f(t_n)`` under the truncation policy;
+    ``e = 0`` contributes 0.
+    """
+    if e == 0:
+        return 0.0
+    try:
+        scale = e ** (k + 1)
+    except OverflowError:  # complex and float powers raise where a product would give inf
+        raise RangeError(f"q-integral endpoint power {e}^{k + 1} leaves the double range") from None
+    qk = q ** (k + 1)
+
+    def terms():
+        pw = 1.0  # q^(n (k+1))
+        for value in values:
+            yield pw * value
+            pw *= qk
+
+    return scale * (1 - q) * sum_series(terms(), "q-integral endpoint sum")
+
+
+def _nodes(e, q):
+    """The Jackson nodes e q^n, n = 0, 1, ..."""
+    pw = 1.0  # q^n
+    while True:
+        yield e * pw
+        pw *= q
+
+
 def qintegral(f, lower, upper, q: float):
     """Jackson q-integral of ``f`` from ``lower`` to ``upper``:
     ``upper (1-q) sum_n q^n f(upper q^n) - lower (1-q) sum_n q^n f(lower q^n)``.
 
-    Both endpoint sums are truncated under the q-series truncation policy;
-    equal endpoints cancel exactly.  The definition is applied verbatim for
-    complex endpoints.
+    ``f`` is called once per node.  Both endpoint sums are truncated under
+    the q-series truncation policy; equal endpoints cancel exactly.  The
+    definition is applied verbatim for complex endpoints.
+    :func:`moment_pk_integral` shares the endpoint sum but not the per-node
+    calls: it evaluates the weight's products once per endpoint and steps
+    the nodes by (a; q)_inf = (1 - a)(aq; q)_inf.
     """
     if not 0 < abs(q) < 1:
         raise DomainError("qintegral requires 0 < |q| < 1")
-
-    def endpoint_sum(e):
-        if e == 0:
-            return 0.0
-
-        def terms():
-            pw = 1.0  # q^n
-            while True:
-                yield pw * f(e * pw)
-                pw *= q
-
-        return e * (1 - q) * sum_series(terms(), "q-integral endpoint sum")
-
-    return endpoint_sum(upper) - endpoint_sum(lower)
+    return _jackson(upper, q, map(f, _nodes(upper, q))) - _jackson(lower, q, map(f, _nodes(lower, q)))
 
 
 def _require_moment_params(p: Params):
@@ -69,25 +98,42 @@ def _require_moment_params(p: Params):
 
 
 def _weight(w, p: Params):
-    """The weight at x = (w + 1/w)/2, with w = e^{i theta}, as a function of t:
+    """The weight at x = (w + 1/w)/2, with w = e^{i theta}, at the Jackson
+    nodes of an endpoint:
 
         f(t) = (2q w t, 2q t/w, -lam q/(4bct); q)_inf / (4ct, q/(4ct); q)_inf,
 
-    symmetric under w -> 1/w.  The constants are computed once here, not
-    once per node of a q-integral.
+    symmetric under w -> 1/w.  Returns ``nodes(e)``, an iterator over
+    f(e), f(eq), f(eq^2), ...  Only f(e) evaluates the products; each later
+    node follows from the one before by (a; q)_inf = (1 - a)(aq; q)_inf:
+
+        f(tq) = f(t) (1 - r/tq)(1 - Bt) / ((1 - ut)(1 - vt)(1 - 1/Bt))
+
+    with u = 2qw, v = 2q/w, r = -lam q/(4bc) and B = 4c.  The step tends to
+    -lam/b as t -> 0.  A zero of its denominator is, in exact arithmetic,
+    a zero of the moment prefactor or a pole of f(e), both caught earlier;
+    a floating-point coincidence raises DomainError.
     """
     q, c = p.q, p.c
     u, v = 2 * q * w, 2 * q / w
     r = -p.lam * q / (4 * p.b * c)
     B = 4 * c
 
-    def f(t):
+    def nodes(e):
+        t = e
         den = qpochhammer_inf(B * t, q) * qpochhammer_inf(q / (B * t), q)
         if den == 0:
             raise DomainError(f"weight denominator (4ct, q/4ct; q)_inf vanishes at t = {t}")
-        return qpochhammer_inf(u * t, q) * qpochhammer_inf(v * t, q) * qpochhammer_inf(r / t, q) / den
+        f = qpochhammer_inf(u * t, q) * qpochhammer_inf(v * t, q) * qpochhammer_inf(r / t, q) / den
+        while True:
+            yield f
+            den = (1 - u * t) * (1 - v * t) * (1 - 1 / (B * t))
+            if den == 0:
+                raise DomainError(f"weight denominator (1 - 2qwt)(1 - 2qt/w)(1 - 1/4ct) vanishes at t = {t}")
+            f *= (1 - r / (t * q)) * (1 - B * t) / den
+            t *= q
 
-    return f
+    return nodes
 
 
 def weight_f(t, theta: float, p: Params):
@@ -95,13 +141,15 @@ def weight_f(t, theta: float, p: Params):
     _require_moment_params(p)
     if t == 0:
         raise DomainError("weight_f requires t != 0")
-    return _weight(cmath.exp(1j * theta), p)(t)
+    return next(_weight(cmath.exp(1j * theta), p)(t))
 
 
 def moment_pk_integral(k: int, x, p: Params) -> complex:
     """Moment solution p_k(x) as the prefactored q-integral of t^k against the weight.
 
-    Requires |lam q / b| < 1 in addition to the monic hypotheses.
+    The weight's products are evaluated once per endpoint and stepped from
+    node to node (see :func:`_weight`).  Requires |lam q / b| < 1 in
+    addition to the monic hypotheses.
     """
     if k < 0:
         raise DomainError("moment index k must be >= 0")
@@ -116,8 +164,12 @@ def moment_pk_integral(k: int, x, p: Params) -> complex:
     if den == 0:  # w^2 = 1
         raise DomainError("q-integral moments require x != +-1")
     pre = 4 * (-1j * sin_t) / (1 - q) * qpochhammer_inf(2 * c * W, q) * qpochhammer_inf(2 * c * w, q) / den
-    f = _weight(w, p)
-    return pre * qintegral(lambda t: t**k * f(t), w / 2, W / 2, q)
+    nodes = _weight(w, p)
+    upper, lower = W / 2, w / 2
+    value = pre * (_jackson(upper, q, nodes(upper), k) - _jackson(lower, q, nodes(lower), k))
+    if not cmath.isfinite(value):  # far off the cut the products and t^k leave the double range
+        raise RangeError(f"q-integral moment p_{k}({x}) is not finite in double precision")
+    return value
 
 
 def moment_pk_closed(k: int, x, p: Params, branch: str = "auto") -> complex:

@@ -166,14 +166,18 @@ def theta(z, q):
     return qpochhammer_inf(z, q) * qpochhammer_inf(q / z, q)
 
 
-def _is_nonneg_q_power(value, q, rtol: float = 1e-12) -> bool:
-    """True when ``value == q**(-m)`` for some integer m >= 0, within rtol."""
+# Relative tolerance within which a lower phi parameter counts as q^(-m).
+_Q_POWER_RTOL = 1e-12
+
+
+def _is_nonneg_q_power(value, q) -> bool:
+    """True when ``value == q**(-m)`` for some integer m >= 0, within _Q_POWER_RTOL."""
     target = abs(value)
     if target == 0:
         return False
     p = 1.0
-    for _ in range(10_000):
-        if abs(value - p) <= rtol * abs(p):
+    for _ in range(_MAX_TERMS):
+        if abs(value - p) <= _Q_POWER_RTOL * abs(p):
             return True
         if abs(p) > target * (1 + 1e-9):
             return False

@@ -4,13 +4,31 @@ import random
 
 import pytest
 
-from qfraclab.errors import DomainError
-from qfraclab.moments import moment_pk_closed, moment_pk_integral, qintegral, weight_f
+from qfraclab.errors import DomainError, QFracError
+from qfraclab.measure import rho_select
+from qfraclab.moments import _weight, moment_pk_closed, moment_pk_integral, qintegral, weight_f
 from qfraclab.qseries import qpochhammer_inf, theta
 from qfraclab.recurrence import Params, monic_alpha, monic_beta, run_monic
 
 P_STD = Params(0.4, 0.3, -0.25, 0.2)
 THETA = math.acos(0.3)
+# |lam q / b| = 0.45: the weight's products, formed afresh at each Jackson
+# node, overflow at the 35th before the sum converges
+P_SLOW_TAIL = Params(0.3, 0.5, -0.2, 0.3)
+
+
+def _moment_draw(rng, r_lo, r_hi):
+    """Monic Params with |lam q / b| in [r_lo, r_hi) and |lam q / 2bc| < 0.9."""
+    while True:
+        q, b, lam = rng.uniform(0.15, 0.7), rng.uniform(-0.6, -0.1), rng.uniform(-0.5, 0.5)
+        c = rng.choice((-1, 1)) * rng.uniform(0.05, 0.4)
+        p = Params(q, 2 * c * math.sqrt(-b), b, lam)
+        try:
+            p.require_monic()
+        except DomainError:
+            continue
+        if r_lo <= abs(lam * q / b) < r_hi and abs(lam * q / (2 * b * c)) < 0.9:
+            return p
 
 
 class TestQIntegral:
@@ -117,6 +135,26 @@ class TestWeight:
             with pytest.raises(DomainError, match="x !="):
                 moment_pk_integral(0, x, P_STD)
 
+    def test_stepped_nodes_match_the_products_node_by_node(self):
+        # the q-shift step against the products evaluated afresh at each node
+        sets = (Params(0.5, 0.3, -0.25, 0.2), Params(0.6, -0.7, -0.4, -0.3), Params(0.7, 1.1, -0.8, 0.5))
+        for p in sets:
+            for x in (0.3, -0.62, 0.4 + 0.3j, -1.2 - 0.5j):  # on the cut and off it
+                w = rho_select(x)
+                nodes = _weight(w, p)
+                for e in (w / 2, 1 / (2 * w)):
+                    for n, stepped in zip(range(41), nodes(e)):
+                        direct = next(nodes(e * p.q**n))
+                        assert cmath.isfinite(direct)
+                        assert abs(stepped - direct) <= 1e-12 * abs(direct), (p, x, e, n)
+
+    def test_vanishing_step_denominator_is_a_domain_error(self):
+        # u = 2qw = 1 at q = 1/2, w = 1: from e = 2 the second node t = 1 has 1 - ut = 0
+        nodes = _weight(1.0, Params(0.5, 0.3, -0.25, 0.2))
+        with pytest.raises(DomainError, match="weight denominator"):
+            for _ in zip(range(3), nodes(2.0)):
+                pass
+
     def test_requires_nonzero_a_lam_t(self):
         with pytest.raises(DomainError):
             weight_f(0.3, THETA, Params(0.4, 0.0, -0.25, 0.2))
@@ -183,3 +221,27 @@ class TestMomentSolutions:
             moment_pk_closed(2, 0.3 + 0.1j, P_STD, branch="lower")
         with pytest.raises(DomainError):
             moment_pk_closed(-1, 0.3, P_STD)
+
+    def test_slow_tail_matches_closed(self):
+        x = 0.3
+        assert abs(moment_pk_integral(0, x, P_SLOW_TAIL) - moment_pk_closed(0, x, P_SLOW_TAIL)) < 1e-10
+
+    def test_slow_tail_sweep_matches_closed(self):
+        # |lam q / b| in [0.3, 0.95): the Jackson sum needs hundreds of nodes,
+        # far past where products formed at each node overflow
+        rng = random.Random(41)
+        for _ in range(120):
+            p, x = _moment_draw(rng, 0.3, 0.95), rng.uniform(-0.9, 0.9)
+            assert abs(moment_pk_integral(0, x, p) - moment_pk_closed(0, x, p)) < 1e-10, (p, x)
+
+    def test_integral_is_finite_or_raises(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            p = Params(rng.choice((-1, 1)) * rng.uniform(0.05, 0.9), rng.uniform(-3, 3), rng.uniform(-3, 0.5), rng.uniform(-2, 2))
+            mag = 10 ** rng.uniform(-3, rng.choice((1, 3, 30, 200)))
+            x = rng.choice((mag, -mag, complex(mag, rng.uniform(-mag, mag)), rng.uniform(-1, 1)))
+            try:
+                value = moment_pk_integral(rng.randint(0, 40), x, p)
+            except QFracError:
+                continue
+            assert cmath.isfinite(value), (p, x)

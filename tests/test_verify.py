@@ -96,3 +96,11 @@ def test_r_cap_below_need_raises(monkeypatch):
     with pytest.raises(TruncationError):
         verify._mp_asym_residuals(P, 0.3, (25,))
     assert "TruncationError" in _failed_detail("asymptotics", "asymptotics")
+
+
+def test_moment_solutions_reports_the_slow_tail_point():
+    # the last figure of the detail is the |lam q/b| = 0.45, k = 0 error
+    result = verify.check_moment_solutions()
+    assert result.passed
+    assert "|lam q/b| = 0.45, k = 0" in result.detail
+    assert float(result.detail.rsplit(": ", 1)[1]) < 1e-10
