@@ -56,11 +56,10 @@ def asymptotic_Q(n: int, x, p: Params):
 
 def asymptotic_Qstar(n: int, x, p: Params):
     """Large-n form of the b = 0 numerators:
-    x^(n-1) (-aq/x; q)_inf 0phi1[-; -aq/x; q, lam q^2 / x^2]."""
+    x^(n-1) (-aq/x; q)_inf 0phi1[-; -aq/x; q, lam q^2 / x^2],
+    i.e. :func:`asymptotic_Q` at n - 1 under the shift (a, lam) -> (aq, lam q)."""
     q, a, lam = _b0_params(p)
-    if x == 0:
-        raise DomainError("asymptotic_Qstar requires x != 0")
-    return x ** (n - 1) * qpochhammer_inf(-a * q / x, q) * phi((), (-a * q / x,), q, lam * q * q / (x * x))
+    return asymptotic_Q(n - 1, x, Params(q, a * q, 0, lam * q))
 
 
 def b0_support_bound(p: Params) -> float:

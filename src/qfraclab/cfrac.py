@@ -9,6 +9,8 @@ the test suite.
 
 from __future__ import annotations
 
+import cmath
+
 from .errors import DomainError, PoleError
 from .recurrence import JFamily, Params, run_jfraction
 
@@ -56,6 +58,8 @@ def backward_convergent(family: JFamily, x, n: int):
     m = n + family.index_shift
     if m == 0:
         return 0
+    if not cmath.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     nums, dens = _jfraction_levels(family, x, m)
     return eval_backward(nums, dens, m)
 

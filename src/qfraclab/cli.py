@@ -37,25 +37,33 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+# The parameters each family of ``eval`` and ``convergents`` fixes at 0.
+_FIXED = {"b0": ("b",), "entry16": ("a", "b"), "a0": ("a",), "entry15": ("b",)}
+
+
 def _read_params_file(path: str) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise QFracError(f"bad params-file line (want key=value): {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in ("q", "a", "b", "lambda"):
-                raise QFracError(f"unknown params-file key {key!r}")
-            out["lam" if key == "lambda" else key] = float(val.strip())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise QFracError(f"bad params-file line (want key=value): {line!r}")
+                key, _, val = line.partition("=")
+                key = key.strip()
+                if key not in ("q", "a", "b", "lambda"):
+                    raise QFracError(f"unknown params-file key {key!r}")
+                out["lam" if key == "lambda" else key] = float(val)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not a number
+        raise QFracError(f"bad params file: {exc}") from None
     return out
 
 
 def _params_from(args):
-    """Merge flags over params-file values; explicit flags win."""
+    """Merge flags over params-file values; explicit flags win.  A nonzero
+    value of a parameter that the chosen family fixes at 0 is an error."""
     from .recurrence import Params
 
     vals = {"q": args.q, "a": args.a, "b": args.b, "lam": args.lam}
@@ -64,6 +72,10 @@ def _params_from(args):
         for key, val in fromfile.items():
             if vals[key] is None:
                 vals[key] = val
+    family = getattr(args, "family", None)
+    for key in _FIXED.get(family, ()):
+        if vals[key] not in (None, 0):
+            raise QFracError(f"family {family} fixes {key} = 0, got {key} = {vals[key]!r}")
     if not getattr(args, "_need_all_params", False):
         vals["a"] = 0.0 if vals["a"] is None else vals["a"]
         vals["b"] = 0.0 if vals["b"] is None else vals["b"]
@@ -92,7 +104,7 @@ def _cmd_eval(args) -> int:
     # family -> (J-fraction, label, divisor of its convergents)
     fam, label, scale = {
         "hirschhorn": (recurrence.hirschhorn_family(p), "H(x)/(1-b)", 1 - p.b),
-        "b0": (recurrence.b0_family(recurrence.Params(p.q, p.a, 0.0, p.lam)), "R(x)", 1),
+        "b0": (recurrence.b0_family(p), "R(x)", 1),
         "entry16": (recurrence.entry16_family(p.lam, p.q), "Rogers-Ramanujan-type fraction", 1),
     }[args.family]
     forward = cfrac.convergent(fam, args.x, depth) / scale

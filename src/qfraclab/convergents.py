@@ -15,9 +15,10 @@ the inverses 1/(q; q)_m and the powers of their arguments and of q
 (with q^C(k,2)), and pull every factor that does not depend on the
 innermost index out of the innermost sum, so that loop only multiplies
 table entries.  The finite products over i in [j, n - j] of
-:func:`entry15`, :func:`ram_Q` and :func:`ram_Qstar` are grown outward from
-the innermost range (largest j), two factors per step, from one table of
-1 + a q^i (or x + a q^i).
+:func:`entry15` and :func:`ram_Q` are grown outward from the innermost range
+(largest j), two factors per step, from one table of 1 + a q^i (or
+x + a q^i); :func:`ram_Qstar` is :func:`ram_Q` under the numerator shift
+(a, lam) -> (aq, lam q).
 """
 
 from __future__ import annotations
@@ -202,18 +203,15 @@ def ram_Q(n: int, x, a, lam, q):
 def ram_Qstar(n: int, x, a, lam, q):
     """Numerator polynomial Q*_n(x) of the b = 0 family:
 
-        Q*_n(x) = sum_j [n-j-1 choose j]_q lam^j q^(j^2+j) prod_{i=j+1}^{n-j-1} (x + a q^i).
+        Q*_n(x) = sum_j [n-j-1 choose j]_q lam^j q^(j^2+j) prod_{i=j+1}^{n-j-1} (x + a q^i),
+
+    which is the denominator one level in, Q_{n-1}(x) at (a, lam) -> (aq, lam q).
     """
     if n < 0:
         raise DomainError("ram_Qstar requires n >= 0")
     if n == 0:
         return 0
-    tab = _qfac_table(q, n)
-    f = [x + a * t for t in _powers(q, n)]  # x + a q^i
-    total = 0
-    for j, prod in enumerate(_centred_products(f, 1, n - 1, (n - 1) // 2 + 1)):
-        total += _qbin(tab, n - j - 1, j) * lam**j * q ** (j * j + j) * prod
-    return total
+    return ram_Q(n - 1, x, a * q, lam * q, q)
 
 
 def entry15(n: int, a, lam, q):

@@ -8,16 +8,18 @@ independent oracle for both sides.
 
 Term products are accumulated in regrouped form, e.g.
 
-    (-lam t q / 4bc; q)_k (-c t)^k  =  prod_{j=1}^{k} (-c t - lam t^2 q^j / (4b)),
+    (-lam t q / a; q)_k (a t)^k  =  prod_{j=1}^{k} (a t + lam t^2 q^j),
 
-which is identical for c != 0 and remains the correct analytic limit when
-a = 0 makes c (or the analogous factor a) vanish.
+which is identical for a != 0 and remains the correct analytic limit when
+a = 0.
 
 Supported kinds:
 
-* ``P`` / ``Pstar``: monic family denominators/numerators; the second
-  argument is the spectral variable x (x = cos theta on the support).
 * ``D`` / ``N``: base-family denominators/numerators at a general x.
+* ``P`` / ``Pstar``: monic family denominators/numerators at the spectral
+  variable x, which are ``D`` / ``N`` rescaled: with s = gamma (1 - b),
+  P_k(x) = D_k(gamma x) / s^k and Pstar_k(x) = gamma N_k(gamma x) / s^k,
+  so they are evaluated as ``D`` / ``N`` at t/s and gamma x.
 * ``Q`` / ``Qstar``: the b = 0 family, which is ``D`` / ``N`` at b = 0
   (there alpha = x and beta = 0), so it shares their series.
 """
@@ -79,35 +81,16 @@ def gf_eval(kind: str, t, x, p: Params):
             f"|t| = {abs(tc):.6g} is at or beyond {_RADIUS_SAFETY} * radius = "
             f"{_RADIUS_SAFETY * radius:.6g} for kind {kind!r}"
         )
-    q = p.q
-    lam = p.lam
-
+    scale = 1
     if kind in ("P", "Pstar"):
         p.require_monic()
-        c = p.c
-        # 1 - x t + t^2/4 = (1 - u t/2)(1 - v t/2) with v = rho, u = 1/rho
-        v = rho_select(x)
-        u = 1 / v
-
-        def new_factor(j):  # j-th regrouped factor of (-lam t q/4bc; q)_j (-c t)^j
-            return -c * tc - lam * tc * tc * q**j / (4 * p.b)
-
-        def terms():
-            shift = 0 if kind == "P" else 1
-            tk = 1.0 + 0j
-            k = 0
-            while True:
-                yield tk
-                tk *= new_factor(k + 1) * q ** (k + shift) / ((1 - u * tc * q ** (k + 1) / 2) * (1 - v * tc * q ** (k + 1) / 2))
-                k += 1
-
-        pref = (1 if kind == "P" else tc) / ((1 - u * tc / 2) * (1 - v * tc / 2))
-        return pref * sum_series(terms(), f"{kind} generating function")
-
-    # D / N, and Q / Qstar as their b = 0 case
+        g = p.gamma
+        tc, x = tc / (g * (1 - p.b)), g * x
+        if kind == "Pstar":
+            scale = g
+    q, a, lam = p.q, p.a, p.lam
     alpha, beta = _base_roots(x, p.b)
-    a = p.a
-    shift = 0 if kind in ("D", "Q") else 1
+    shift = 0 if kind in ("P", "D", "Q") else 1
 
     def terms():
         tk = 1 / ((1 - alpha * tc) * (1 - beta * tc))
@@ -120,4 +103,4 @@ def gf_eval(kind: str, t, x, p: Params):
             k += 1
 
     total = sum_series(terms(), f"{kind} generating function")
-    return total if shift == 0 else tc * (1 - p.b) * total
+    return scale * (total if shift == 0 else tc * (1 - p.b) * total)

@@ -14,9 +14,12 @@ Root selection: rho(x) is the root of t^2 - 2xt + 1 = 0 with |rho| <= 1,
 computed stably as 1/(x + sqrt(x-1) sqrt(x+1)).  On the cut x in (-1, 1)
 this returns the upper-half-plane limit e^{-i theta}.
 
-Convention at c = 0 (a = 0): the series F, G, R are read verbatim, i.e. the
-``(-2 c rho)^m`` factor kills every m >= 1 term, so F = G = 1 and
-R = -1/(i sin theta).  The analytic c -> 0 limit of the full expressions
+R is G on the unit circle, R(theta) = -G(e^{i theta}) / (i sin theta) term
+by term, and is evaluated so; the oracle ``verify._mp_series_R`` sums R itself.
+
+Convention at c = 0 (a = 0): F and G are read verbatim, i.e. the
+``(-2 c rho)^m`` factor kills every m >= 1 term, so F = G = 1 and R follows
+as -1/(i sin theta).  The analytic c -> 0 limit of the full expressions
 differs (the Pochhammer numerator diverges at the same rate); tests
 therefore cross-validate the two density routes only at c != 0 or lam = 0.
 
@@ -72,14 +75,16 @@ def _fg_terms(rho: complex, p: Params, qpow_shift: int):
     q, b, lam, c = p.q, p.b, p.lam, p.c
     rho2 = rho * rho
     t = 1.0 + 0j
+    qm = 1.0  # q^m
     m = 0
     while True:
         yield t
-        qm = q ** (m + 1)
-        d2 = 1 - qm * rho2
+        qn = qm * q  # q^(m+1)
+        d2 = 1 - qn * rho2
         if abs(d2) < 1e-14:
             raise DomainError(f"(q rho^2; q) factor vanishes at m = {m + 1}: rho^2 = q^-{m + 1}")
-        t *= (-2 * c * rho - (lam / b) * qm * rho2) * q ** (m + qpow_shift) / ((1 - qm) * d2)
+        t *= (-2 * c * rho - (lam / b) * qn * rho2) * (qn if qpow_shift else qm) / ((1 - qn) * d2)
+        qm = qn
         m += 1
 
 
@@ -103,39 +108,14 @@ def series_R(theta: float, p: Params) -> complex:
     """Phase-amplitude series R(theta) = |R| e^{i phi} for theta in (0, pi).
 
     R = (-1/(i sin theta)) * sum_m (-lam q e^{i theta}/2bc; q)_m /
-        ((q; q)_m (q e^{2 i theta}; q)_m) * (-2c)^m e^{i m theta} q^(binom(m,2)).
+        ((q; q)_m (q e^{2 i theta}; q)_m) * (-2c)^m e^{i m theta} q^(binom(m,2)),
 
-    Accumulated verbatim (Pochhammer, power, and q-power tracked separately)
-    so it stays an independent route from :func:`series_G`; the re-indexing
-    identity |R| sin theta = |G(e^{i theta})| is a test, not an assumption.
+    which is -G(e^{i theta}) / (i sin theta) term by term and is evaluated so.
     Use ``abs()`` and ``cmath.phase()`` on the result for |R| and phi.
     """
     if not 0 < theta < math.pi:
         raise DomainError("series_R requires theta in (0, pi)")
-    p.require_monic()
-    sin_t = math.sin(theta)
-    if p.a == 0:
-        return -1 / (1j * sin_t)
-    q, b, lam, c = p.q, p.b, p.lam, p.c
-    eit = cmath.exp(1j * theta)
-    e2it = eit * eit
-    parg = -lam * q * eit / (2 * b * c)
-
-    def terms():
-        poch = 1.0 + 0j  # (-lam q e^{it}/2bc; q)_m
-        pw = 1.0 + 0j  # (-2c)^m e^{i m t} q^(binom(m,2))
-        den = 1.0 + 0j  # (q; q)_m (q e^{2it}; q)_m
-        qm = 1.0  # q^m
-        while True:
-            yield poch * pw / den
-            poch *= 1 - parg * qm
-            pw *= -2 * c * eit * qm
-            den *= (1 - q * qm) * (1 - q * qm * e2it)
-            if den == 0:
-                raise DomainError("R series denominator vanished")
-            qm *= q
-
-    return -sum_series(terms(), "R series") / (1j * sin_t)
+    return -series_G(cmath.exp(1j * theta), p) / (1j * math.sin(theta))
 
 
 def _weight_prefactor(p: Params) -> float:

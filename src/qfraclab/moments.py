@@ -172,36 +172,10 @@ def moment_pk_integral(k: int, x, p: Params) -> complex:
     return value
 
 
-def moment_pk_closed(k: int, x, p: Params, branch: str = "auto") -> complex:
-    """Closed 2phi1 form of the moment solution p_k(x).
-
-    With s the modulus-<=1 root of t^2 - 2xt + 1 and S = 1/s:
-
-        p_k = S^k (2cs; q)_k (-lam q s/2bc; q)_inf / (2^k (q s/2c; q)_inf)
-              * 2phi1[-b q^(-k)/lam, 0; q^(1-k) S/2c; q, -lam q s/2bc].
-
-    Requires |lam q / (2bc)| < 1.  ``branch`` selects the stated half-plane
-    form; "auto" follows sign(Im x), while "upper"/"lower" force the
-    respective branch for real x (they agree there, which is a test).
-    """
-    if k < 0:
-        raise DomainError("moment index k must be >= 0")
-    _require_moment_params(p)
+def _pk_closed_at(k: int, s, p: Params) -> complex:
+    """The closed form of p_k at the root s of t^2 - 2xt + 1 (see :func:`moment_pk_closed`)."""
     q, b, lam, c = p.q, p.b, p.lam, p.c
-    if not abs(lam * q / (2 * b * c)) < 1:
-        raise DomainError("closed-form moments require |lam q / (2 b c)| < 1")
-    if branch not in ("auto", "upper", "lower"):
-        raise DomainError(f"unknown branch {branch!r}")
-    xc = complex(x)
-    s = rho_select(xc)
     S = 1 / s
-    if branch == "upper" and xc.imag < 0:
-        raise DomainError("upper branch needs Im(x) >= 0")
-    if branch == "lower":
-        if xc.imag > 0:
-            raise DomainError("lower branch needs Im(x) <= 0")
-        if xc.imag == 0:
-            s, S = S, s  # the mirror root on the cut
     z = -lam * q * s / (2 * b * c)
     head = (
         S**k
@@ -210,3 +184,22 @@ def moment_pk_closed(k: int, x, p: Params, branch: str = "auto") -> complex:
         / (2**k * qpochhammer_inf(q * s / (2 * c), q))
     )
     return head * phi((-b * q ** (-k) / lam, 0), (q ** (1 - k) * S / (2 * c),), q, z)
+
+
+def moment_pk_closed(k: int, x, p: Params) -> complex:
+    """Closed 2phi1 form of the moment solution p_k(x).
+
+    With s = rho(x), the modulus-<=1 root of t^2 - 2xt + 1, and S = 1/s:
+
+        p_k = S^k (2cs; q)_k (-lam q s/2bc; q)_inf / (2^k (q s/2c; q)_inf)
+              * 2phi1[-b q^(-k)/lam, 0; q^(1-k) S/2c; q, -lam q s/2bc].
+
+    Requires |lam q / (2bc)| < 1.  On the cut the other stated branch, at
+    the root 1/s, agrees, which is a test.
+    """
+    if k < 0:
+        raise DomainError("moment index k must be >= 0")
+    _require_moment_params(p)
+    if not abs(p.lam * p.q / (2 * p.b * p.c)) < 1:
+        raise DomainError("closed-form moments require |lam q / (2 b c)| < 1")
+    return _pk_closed_at(k, rho_select(x), p)

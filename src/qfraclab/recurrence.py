@@ -95,6 +95,9 @@ class Params:
             raise DomainError("Params require 0 < |q| < 1")
         if b == 1:
             raise DomainError("b = 1 zeroes every linear coefficient A_k")
+        for name, value in (("a", a), ("b", b), ("lam", lam)):
+            if not cmath.isfinite(value):
+                raise DomainError(f"Params require finite {name}, got {value!r}")
         _set(self, "q", q)
         _set(self, "a", a)
         _set(self, "b", b)
@@ -238,6 +241,8 @@ def _run(levels, x, depth: int):
     """The one recurrence loop: N and D of the J-fraction whose level triples
     ``levels`` yields, to ``depth``, as mantissa lists and their shared
     exponent list ``E`` (all zero for Fraction and int runs)."""
+    if not cmath.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     A, B, _ = next(levels)
     n0, n1, d0, d1 = 0, A, 1, A * x + B
     N, D, E = [n0, n1], [d0, d1], [0, 0]
@@ -281,17 +286,15 @@ def _values(M: list, E: list) -> list:
     return [m if e == 0 else _ldexp(m, e) for m, e in zip(M, E)]
 
 
-def run_jfraction(family, x, depth: int) -> ConvergentSeq:
+def run_jfraction(family: JFamily, x, depth: int) -> ConvergentSeq:
     """Unroll the J-fraction recurrence to ``depth``, seeding both solutions.
 
-    ``family`` may be a :class:`JFamily` or a bare ``k -> JCoeffs`` callable.
     Exact for Fraction-valued coefficients and evaluation points; float
     values past the double range come back infinite.
     """
     if depth < 1:
         raise DomainError("run_jfraction requires depth >= 1")
-    coeffs = family.coeffs if isinstance(family, JFamily) else family
-    N, D, E = _run(map(coeffs, range(depth)), x, depth)
+    N, D, E = _run(map(family.coeffs, range(depth)), x, depth)
     return ConvergentSeq(_values(N, E), _values(D, E), x)
 
 
@@ -317,8 +320,6 @@ def _monic_run(p: Params, x, depth: int, seed: str, name: str):
         raise DomainError(f"{name} requires depth >= 1")
     if seed not in ("P", "Pstar"):
         raise DomainError(f"unknown seed {seed!r}; use 'P' or 'Pstar'")
-    if not cmath.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
     p.require_monic()
     return _run(_monic_triples(p.c, p.q, p.lam / p.b), x, depth)
 

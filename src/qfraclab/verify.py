@@ -23,7 +23,6 @@ rho = 1 / (x + sign(x) sqrt(x^2 - 1)); complex points run in mpc.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -43,10 +42,6 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
-
-
-def _rel_ok(a, b, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 def _rel_err(a, b) -> float:

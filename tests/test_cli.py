@@ -5,6 +5,12 @@ import pytest
 from qfraclab.cli import main
 
 ACCEPT_FLAGS = ["--q", "0.4", "--a", "0.3", "--b", "-0.25", "--lambda", "0.2"]
+# the acceptance flags less the parameters each eval family fixes at 0
+EVAL_FLAGS = {
+    "hirschhorn": ACCEPT_FLAGS,
+    "b0": ["--q", "0.4", "--a", "0.3", "--lambda", "0.2"],
+    "entry16": ["--q", "0.4", "--lambda", "0.2"],
+}
 
 
 def test_eval_hirschhorn_methods_agree(capsys):
@@ -20,7 +26,7 @@ def test_eval_hirschhorn_methods_agree(capsys):
 def test_eval_backward_is_taken_at_the_same_x(family, x, capsys):
     from qfraclab import cfrac, recurrence
 
-    rc = main(["eval", "--family", family, *ACCEPT_FLAGS, "--x", x, "--depth", "50"])
+    rc = main(["eval", "--family", family, *EVAL_FLAGS[family], "--x", x, "--depth", "50"])
     out = capsys.readouterr().out
     assert rc == 0
     lines = out.strip().splitlines()
@@ -206,6 +212,52 @@ def test_light_subcommands_add_no_heavy_module(run_fresh):
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["eval", "--family", "hirschhorn", "--q", "0.4", "--a", "nan", "--b", "-0.25", "--lambda", "0.2"],
+         "Params require finite a, got nan"),
+        (["eval", "--family", "hirschhorn", *ACCEPT_FLAGS, "--x", "nan"], "x must be finite, got nan"),
+        (["eval", "--family", "b0", *ACCEPT_FLAGS], "family b0 fixes b = 0, got b = -0.25"),
+        (["eval", "--family", "entry16", "--q", "0.4", "--a", "0.9", "--lambda", "0.2"],
+         "family entry16 fixes a = 0, got a = 0.9"),
+        (["convergents", "--family", "entry16", "--q", "0.4", "--a", "0.9", "--lambda", "0.2", "--n", "3"],
+         "family entry16 fixes a = 0, got a = 0.9"),
+        (["convergents", "--family", "entry16", "--q", "0.4", "--b", "-0.25", "--lambda", "0.2", "--n", "3"],
+         "family entry16 fixes b = 0, got b = -0.25"),
+        (["convergents", "--family", "a0", *ACCEPT_FLAGS, "--n", "3"], "family a0 fixes a = 0, got a = 0.3"),
+        (["convergents", "--family", "entry15", *ACCEPT_FLAGS, "--n", "3"], "family entry15 fixes b = 0, got b = -0.25"),
+    ],
+    ids=["nan-a", "nan-x", "b0-b", "entry16-a", "convergents-entry16-a", "convergents-entry16-b", "a0-a", "entry15-b"],
+)
+def test_bad_values_exit_two_with_a_message(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_fixed_parameter_given_as_zero_is_accepted(capsys):
+    flags = ["--q", "0.4", "--a", "0.3", "--lambda", "0.2", "--x", "3.0", "--depth", "40"]
+    assert main(["eval", "--family", "b0", *flags]) == 0
+    implicit = capsys.readouterr().out
+    assert main(["eval", "--family", "b0", *flags, "--b", "0"]) == 0
+    assert capsys.readouterr().out == implicit
+
+
+def test_params_file_errors_exit_two(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["eval", "--family", "hirschhorn", "--params-file", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad params file: [Errno 2]")
+    pf = tmp_path / "params.txt"
+    pf.write_text("q=0.4\na=three tenths\nb=-0.25\nlambda=0.2\n")
+    assert main(["eval", "--family", "hirschhorn", "--params-file", str(pf)]) == 2
+    assert capsys.readouterr().err == "error: bad params file: could not convert string to float: 'three tenths'\n"
+    # a file value counts like a flag for a parameter the family fixes
+    pf.write_text("q=0.4\nb=-0.25\nlambda=0.2\n")
+    assert main(["eval", "--family", "b0", "--params-file", str(pf)]) == 2
+    assert capsys.readouterr().err == "error: family b0 fixes b = 0, got b = -0.25\n"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -102,21 +102,6 @@ class TestSeriesFG:
         with pytest.raises(DomainError):
             series_F(rho, P_STD)
 
-    def test_g_relates_to_r_by_reindexing(self):
-        rng = random.Random(13)
-        for _ in range(5):
-            q = rng.uniform(0.1, 0.7)
-            a = rng.uniform(0.05, 0.8)
-            b = rng.uniform(-0.8, -0.1)
-            lam = rng.uniform(-0.3, 0.3)
-            p = Params(q, a, b, lam)
-            theta = rng.uniform(0.2, math.pi - 0.2)
-            R = series_R(theta, p)
-            G = series_G(cmath.exp(1j * theta), p)
-            # G(e^{i theta}) = -i sin(theta) R(theta), term by term
-            assert G == pytest.approx(-1j * math.sin(theta) * R, rel=1e-12)
-            assert abs(R) * math.sin(theta) == pytest.approx(abs(G), rel=1e-12)
-
 
 class TestSeriesR:
     def test_c_zero_value(self):
@@ -150,6 +135,28 @@ class TestSeriesR:
                     theta = math.pi * i / 20
                     ref = complex(_mp_series_R(mp.mpf(theta), q, b, lam, c))
                     assert abs(series_R(theta, p) - ref) <= 1e-13 * abs(ref), (p, i)
+
+    def test_matches_the_oracle_over_wide_draws(self):
+        # R is evaluated through G on the unit circle; the oracle sums the
+        # verbatim R series at 80 digits.  Modulus and phase are both checked.
+        from mpmath import mp
+
+        rng = random.Random(29)
+        draws = 0
+        while draws < 120:
+            q = rng.choice((-1, 1)) * rng.uniform(0.1, 0.8)
+            p = Params(q, rng.uniform(-1, 1), rng.uniform(-0.8, -0.1), rng.uniform(-0.5, 0.5))
+            try:
+                p.require_monic()
+            except DomainError:
+                continue
+            draws += 1
+            theta = rng.uniform(0.05, math.pi - 0.05)
+            with mp.workdps(80):
+                b = mp.mpf(p.b)
+                c = mp.mpf(p.a) / (2 * mp.sqrt(-b))
+                ref = complex(_mp_series_R(mp.mpf(theta), mp.mpf(p.q), b, mp.mpf(p.lam), c))
+            assert abs(series_R(theta, p) - ref) <= 1e-12 * abs(ref), (p, theta)
 
 
 class TestDensities:

@@ -6,7 +6,7 @@ import pytest
 
 from qfraclab.errors import DomainError, QFracError
 from qfraclab.measure import rho_select
-from qfraclab.moments import _weight, moment_pk_closed, moment_pk_integral, qintegral, weight_f
+from qfraclab.moments import _pk_closed_at, _weight, moment_pk_closed, moment_pk_integral, qintegral, weight_f
 from qfraclab.qseries import qpochhammer_inf, theta
 from qfraclab.recurrence import Params, monic_alpha, monic_beta, run_monic
 
@@ -185,9 +185,12 @@ class TestMomentSolutions:
             assert abs(moment_pk_closed(k, x, P_STD) - moment_pk_integral(k, x, P_STD)) < 1e-10
 
     def test_branches_agree_for_real_x(self):
+        # on the cut the stated lower-branch form sits at the mirror root 1/s
         for x in (0.3, -0.62, 0.9):
-            up = moment_pk_closed(6, x, P_STD, branch="upper")
-            lo = moment_pk_closed(6, x, P_STD, branch="lower")
+            s = rho_select(x)
+            up = _pk_closed_at(6, s, P_STD)
+            lo = _pk_closed_at(6, 1 / s, P_STD)
+            assert up == moment_pk_closed(6, x, P_STD)
             assert abs(up - lo) < 1e-12
 
     def test_branch_values_conjugate_off_axis(self):
@@ -217,8 +220,6 @@ class TestMomentSolutions:
             moment_pk_closed(2, 0.3, Params(0.5, 0.05, -0.5, 0.5))  # |lam q/2bc| >= 1
         with pytest.raises(DomainError):
             moment_pk_integral(2, 0.3, Params(0.5, 0.3, -0.2, -0.5))  # |lam q/b| >= 1, betas fine
-        with pytest.raises(DomainError):
-            moment_pk_closed(2, 0.3 + 0.1j, P_STD, branch="lower")
         with pytest.raises(DomainError):
             moment_pk_closed(-1, 0.3, P_STD)
 

@@ -225,6 +225,13 @@ class TestMonic:
                 run(P_STD, x, 5)
         with pytest.raises(DomainError, match="finite"):
             monic_ratio(P_STD, x, 5)
+        # the J-fraction entries, forward and backward
+        from qfraclab.cfrac import backward_convergent, convergent
+
+        for fam in (hirschhorn_family(P_STD), b0_family(Params(0.4, 0.3, 0, 0.2)), entry16_family(0.2, 0.4)):
+            for evaluate in (run_jfraction, convergent, backward_convergent):
+                with pytest.raises(DomainError, match="finite"):
+                    evaluate(fam, x, 5)
 
     def test_fraction_and_complex_x(self):
         x = Fraction(2, 7)

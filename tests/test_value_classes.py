@@ -67,6 +67,9 @@ def test_pickle_and_copy_round_trip(cls, fields, args, other, text):
         (lambda: Params(1.5, 0.3, -0.25, 0.2), "Params require 0 < |q| < 1"),
         (lambda: Params(0, 0.3, -0.25, 0.2), "Params require 0 < |q| < 1"),
         (lambda: Params(0.4, 0.3, 1, 0.2), "b = 1 zeroes every linear coefficient A_k"),
+        (lambda: Params(0.4, float("nan"), -0.25, 0.2), "Params require finite a, got nan"),
+        (lambda: Params(0.4, 0.3, float("-inf"), 0.2), "Params require finite b, got -inf"),
+        (lambda: Params(0.4, 0.3, -0.25, complex(0.2, float("inf"))), "Params require finite lam, got (0.2+infj)"),
         (lambda: phi((0.5,), (), 1.2, 0.7), "phi requires 0 < |q| < 1"),
         (lambda: phi((0.5,), [2.0], 0.5, 0.7), "lower parameter 2.0 is q^(-m); denominator would vanish"),
     ],
