@@ -49,6 +49,8 @@ def asymptotic_Q(n: int, x, p: Params):
     """Large-n form of the b = 0 denominators:
     x^n (-a/x; q)_inf 0phi1[-; -a/x; q, lam q / x^2]."""
     q, a, lam = _b0_params(p)
+    if not cmath.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     if x == 0:
         raise DomainError("asymptotic_Q requires x != 0")
     return x**n * qpochhammer_inf(-a / x, q) * phi((), (-a / x,), q, lam * q / (x * x))

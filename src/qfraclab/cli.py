@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import QFracError
+from .errors import PoleError, QFracError
 
 __all__ = ["main", "entry"]
 
@@ -132,11 +132,15 @@ def _cmd_convergents(args) -> int:
         "hirschhorn": (lambda m, p: convergents.hirschhorn_closed(m, p.q, p.a, p.b, p.lam), 0),
         "entry15": (lambda m, p: convergents.entry15(m, p.a, p.lam, p.q), 1),
     }[args.family]
-    rows = [(m, *closed(m, p)) for m in range(first, n + 1)]
+    rows = []
+    for m in range(first, n + 1):
+        N, D = closed(m, p)
+        if D == 0:
+            raise PoleError(f"D_{m} = 0: the depth-{m} convergent of family {args.family} has a pole")
+        rows.append(f"{m},{_fmt(N)},{_fmt(D)},{_fmt(N / D)}")
     print("n,N,D,ratio")
-    for m, N, D in rows:
-        ratio = N / D if D != 0 else float("nan")
-        print(f"{m},{_fmt(N)},{_fmt(D)},{_fmt(ratio)}")
+    for row in rows:
+        print(row)
     return 0
 
 

@@ -9,22 +9,22 @@ backend).
 
 Summation bounds always come from the vanishing conventions of the
 q-binomials, never from guessed cutoffs.  Every sum reads its q-binomials
-from a prefix table of (q; q)_m.  The double and triple sums of
-:func:`hirschhorn_closed` and :func:`a0_closed` also build, once per call,
-the inverses 1/(q; q)_m and the powers of their arguments and of q
-(with q^C(k,2)), and pull every factor that does not depend on the
-innermost index out of the innermost sum, so that loop only multiplies
-table entries.  The finite products over i in [j, n - j] of
-:func:`entry15` and :func:`ram_Q` are grown outward from the innermost range
-(largest j), two factors per step, from one table of 1 + a q^i (or
-x + a q^i); :func:`ram_Qstar` is :func:`ram_Q` under the numerator shift
-(a, lam) -> (aq, lam q).
+[n choose k]_q = (q; q)_n / ((q; q)_k (q; q)_{n-k}) from two tables built
+once per call: the prefix products (q; q)_m and their inverses.  The double
+and triple sums of :func:`hirschhorn_closed` and :func:`a0_closed` also
+build the powers of their arguments and of q (with q^C(k,2)), and pull
+every factor that does not depend on the innermost index out of the
+innermost sum, so that loop only multiplies table entries.  The finite
+products over i in [j, n - j] of :func:`entry15` and :func:`ram_Q` are grown
+outward from the innermost range (largest j), two factors per step, from
+one table of 1 + a q^i (or x + a q^i); :func:`ram_Qstar` is :func:`ram_Q`
+under the numerator shift (a, lam) -> (aq, lam q).
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .qseries import sum_series
+from .qseries import phi
 
 __all__ = [
     "entry16",
@@ -52,7 +52,8 @@ def _qfac_inverses(tab, top: int) -> list:
 
     The products are zero from the first vanishing factor on, so (q; q)_top
     vanishes exactly when some q-binomial of a sum reaching index ``top``
-    would divide by zero; that raises DomainError, as :func:`_qbin` does.
+    would divide by zero; that raises DomainError.  Every q-binomial of the
+    module is read as tab[n] * inv[k] * inv[n - k] from these two tables.
     """
     if tab[top] == 0:
         raise DomainError("q-binomial undefined: (q; q) factor vanished")
@@ -81,16 +82,6 @@ def _centred_products(f, lo: int, hi: int, count: int) -> list:
     return out
 
 
-def _qbin(tab, n: int, k: int):
-    """q-binomial from a (q; q) prefix table; 0 outside 0 <= k <= n."""
-    if k < 0 or n < k:
-        return 0
-    den = tab[k] * tab[n - k]
-    if den == 0:
-        raise DomainError("q-binomial undefined: (q; q) factor vanished")
-    return tab[n] / den
-
-
 def entry16(n: int, lam, q):
     """Closed-form convergent pair (N_n, D_n) of the Rogers-Ramanujan-type
     fraction 1/1 + lam q/1 + lam q^2/1 + ... + lam q^n/1:
@@ -101,15 +92,16 @@ def entry16(n: int, lam, q):
     if n < 0:
         raise DomainError("entry16 requires n >= 0")
     tab = _qfac_table(q, n + 1)
+    inv = _qfac_inverses(tab, n + 1)
     top = (n + 1) // 2
     q_pw, lam_pw = _powers(q, top), _powers(lam, top)
     N = 0
     D = 0
     for k in range(0, top + 1):
-        w = q ** (k * k) * lam_pw[k]
+        w = q ** (k * k) * lam_pw[k] * inv[k]
         if 2 * k <= n:
-            N += w * q_pw[k] * _qbin(tab, n - k, k)
-        D += w * _qbin(tab, n - k + 1, k)
+            N += w * q_pw[k] * tab[n - k] * inv[n - 2 * k]
+        D += w * tab[n - k + 1] * inv[n - 2 * k + 1]
     return N, D
 
 
@@ -193,10 +185,11 @@ def ram_Q(n: int, x, a, lam, q):
     if n < 0:
         raise DomainError("ram_Q requires n >= 0")
     tab = _qfac_table(q, n)
+    inv = _qfac_inverses(tab, n)
     f = [x + a * t for t in _powers(q, n)]  # x + a q^i
     total = 0
     for j, prod in enumerate(_centred_products(f, 0, n - 1, n // 2 + 1)):
-        total += _qbin(tab, n - j, j) * lam**j * q ** (j * j) * prod
+        total += tab[n - j] * inv[j] * inv[n - 2 * j] * lam**j * q ** (j * j) * prod
     return total
 
 
@@ -231,36 +224,25 @@ def entry15(n: int, a, lam, q):
     if 1 + a == 0:
         raise DomainError("a = -1 zeroes the (-a; q)_j factors")
     tab = _qfac_table(q, n + 1)
+    inv = _qfac_inverses(tab, n + 1)
     f = [1 + a * t for t in _powers(q, n)]  # 1 + a q^i
     Nh = 0
     for j, prod in enumerate(_centred_products(f, 0, n, (n + 1) // 2 + 1)):
-        Nh += q ** (j * j) * lam**j * _qbin(tab, n + 1 - j, j) * prod / (1 + a)
+        Nh += q ** (j * j) * lam**j * tab[n + 1 - j] * inv[j] * inv[n + 1 - 2 * j] * prod / (1 + a)
     Dh = 0
     for j, prod in enumerate(_centred_products(f, 1, n, n // 2 + 1)):
-        Dh += q ** (j * j + j) * lam**j * _qbin(tab, n - j, j) * prod
+        Dh += q ** (j * j + j) * lam**j * tab[n - j] * inv[j] * inv[n - 2 * j] * prod
     return Nh, Dh
 
 
 def g_function(b, lam, q):
     """g(b, lam) = sum_k lam^k q^(k^2) / ((q; q)_k (-bq; q)_k).
 
-    The q^(k^2) factor forces rapid convergence for any fixed arguments;
-    -bq of the form q^(-j) zeroes a denominator and raises DomainError.
+    This is the basic hypergeometric series 0phi1[-; -bq; q, lam q] and is
+    summed as one by :func:`qfraclab.qseries.phi`.  The q^(k^2) factor forces
+    rapid convergence for any fixed arguments; -bq of the form q^(-j)
+    zeroes a denominator and raises DomainError.
     The fraction of :func:`a0_closed` converges to g(b, lam q)/g(b, lam)
     for |b| < 1, and N'_n -> g(b, lam q)/(1 + b).
     """
-    if not 0 < abs(q) < 1:
-        raise DomainError("g_function requires 0 < |q| < 1")
-
-    def terms():
-        t = 1
-        k = 0
-        while True:
-            yield t
-            den = (1 - q ** (k + 1)) * (1 + b * q ** (k + 1))
-            if den == 0:
-                raise DomainError(f"(-bq; q) factor vanishes at k = {k + 1}")
-            t = t * lam * q ** (2 * k + 1) / den
-            k += 1
-
-    return sum_series(terms(), "g series")
+    return phi((), (-b * q,), q, lam * q)

@@ -20,8 +20,9 @@ Supported kinds:
   variable x, which are ``D`` / ``N`` rescaled: with s = gamma (1 - b),
   P_k(x) = D_k(gamma x) / s^k and Pstar_k(x) = gamma N_k(gamma x) / s^k,
   so they are evaluated as ``D`` / ``N`` at t/s and gamma x.
-* ``Q`` / ``Qstar``: the b = 0 family, which is ``D`` / ``N`` at b = 0
-  (there alpha = x and beta = 0), so it shares their series.
+
+At b = 0 the kinds ``D`` / ``N`` are the b = 0 family Q / Q* (there
+alpha = x and beta = 0), so that family needs no kind of its own.
 """
 
 from __future__ import annotations
@@ -35,31 +36,34 @@ from .recurrence import Params
 
 __all__ = ["KINDS", "gf_radius", "gf_eval"]
 
-KINDS = ("P", "Pstar", "D", "N", "Q", "Qstar")
+KINDS = ("P", "Pstar", "D", "N")
 
 _RADIUS_SAFETY = 0.9
 
 
 def _base_roots(x, b):
-    """alpha, beta with 1 - (1-b) x t - b t^2 = (1 - alpha t)(1 - beta t)."""
-    xc = complex(x)
-    s = cmath.sqrt((1 - b) ** 2 * xc * xc + 4 * b)
-    r1 = ((1 - b) * xc + s) / 2
-    r2 = ((1 - b) * xc - s) / 2
-    alpha = r1 if abs(r1) >= abs(r2) else r2
-    if alpha == 0:
-        return 0j, 0j
-    return alpha, -b / alpha
+    """alpha, beta with 1 - (1-b) x t - b t^2 = (1 - alpha t)(1 - beta t), |alpha| >= |beta|.
+
+    With s = sqrt(-b), u = s v turns the roots into those of
+    v^2 - 2 y v + 1 at y = (1-b) x / (2 s), so alpha = s / rho(y) and
+    beta = s rho(y) for the root selector rho of :mod:`qfraclab.measure`.
+    """
+    if b == 0:
+        return complex(x), 0j
+    s = cmath.sqrt(-b)
+    rho = rho_select((1 - b) * x / (2 * s))
+    return s / rho, s * rho
 
 
 def gf_radius(kind: str, x, p: Params) -> float:
     """Distance from t = 0 to the nearest singularity of the generating function."""
+    if not cmath.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     if kind in ("P", "Pstar"):
         return 2 * abs(rho_select(x))  # t = 2 rho is the nearer zero of 1 - x t + t^2/4
-    if kind in ("D", "N", "Q", "Qstar"):
-        alpha, beta = _base_roots(x, p.b)
-        m = max(abs(alpha), abs(beta))
-        return float("inf") if m == 0 else 1 / m
+    if kind in ("D", "N"):
+        alpha = _base_roots(x, p.b)[0]  # the root of larger modulus
+        return float("inf") if alpha == 0 else 1 / abs(alpha)
     raise DomainError(f"unknown generating-function kind {kind!r}")
 
 
@@ -72,8 +76,6 @@ def gf_eval(kind: str, t, x, p: Params):
     """
     if kind not in KINDS:
         raise DomainError(f"unknown generating-function kind {kind!r}")
-    if kind in ("Q", "Qstar") and p.b != 0:
-        raise DomainError("kinds Q and Qstar require b = 0")
     radius = gf_radius(kind, x, p)
     tc = complex(t)
     if abs(tc) >= _RADIUS_SAFETY * radius:
@@ -90,7 +92,7 @@ def gf_eval(kind: str, t, x, p: Params):
             scale = g
     q, a, lam = p.q, p.a, p.lam
     alpha, beta = _base_roots(x, p.b)
-    shift = 0 if kind in ("P", "D", "Q") else 1
+    shift = 0 if kind in ("P", "D") else 1
 
     def terms():
         tk = 1 / ((1 - alpha * tc) * (1 - beta * tc))

@@ -8,7 +8,9 @@ orthogonality measure on (-1, 1) is
 
 and the same density is recovered independently by inverting the Stieltjes
 transform X(x) = 2 rho F(rho)/G(rho) across the cut.  Agreement of the two
-routes is the central cross-check of the package.
+routes is the central cross-check of the package.  X is written once, as a
+function of rho: :func:`stieltjes_transform` returns it at rho(x), and
+:func:`density_inversion` is its jump (X(e^{i theta}) - X(e^{-i theta}))/(2 pi i).
 
 Root selection: rho(x) is the root of t^2 - 2xt + 1 = 0 with |rho| <= 1,
 computed stably as 1/(x + sqrt(x-1) sqrt(x+1)).  On the cut x in (-1, 1)
@@ -59,9 +61,11 @@ def rho_select(x) -> complex:
     The branch of sqrt(x^2 - 1) behaves like x at infinity, so the value is
     analytic off [-1, 1]; at x = +-1 it is +-1, and for real x in (-1, 1)
     it is the upper-half-plane limit e^{-i theta} with theta = arccos x.
-    The reciprocal form 1/(x + s) avoids cancellation for large |x|.
+    The reciprocal form 1/(x + s) avoids cancellation for large |x|.  A
+    negative-zero imaginary part counts as +0, so that x - 1 and x + 1 lie on
+    the same side of the square root's cut (else x < -1 would get 1/rho).
     """
-    xc = complex(x)
+    xc = complex(x) + 0j  # -0.0 + 0.0 is +0.0
     return 1 / (xc + cmath.sqrt(xc - 1) * cmath.sqrt(xc + 1))
 
 
@@ -133,23 +137,18 @@ def density_nevai(x: float, p: Params) -> float:
     return 2.0 * _weight_prefactor(p) / (math.pi * abs(R) ** 2 * math.sqrt(1 - x * x))
 
 
-def _inversion_value(x: float, p: Params) -> complex:
-    """Jump of X across the cut, before discarding the imaginary residual."""
-    theta = math.acos(x)
-    r1 = cmath.exp(-1j * theta)
-    r2 = cmath.exp(1j * theta)
-    g1 = series_G(r1, p)
-    g2 = series_G(r2, p)
-    if g1 == 0 or g2 == 0:
-        raise PoleError(f"G vanishes on the unit circle at x = {x}")
-    w1 = r1 * series_F(r1, p) / g1
-    w2 = r2 * series_F(r2, p) / g2
-    return (w2 - w1) / (math.pi * 1j)
+def _X(rho: complex, p: Params) -> complex:
+    """X = 2 rho F(rho)/G(rho) at x = (rho + 1/rho)/2; PoleError where G(rho) ~ 0."""
+    f = series_F(rho, p)
+    g = series_G(rho, p)
+    if abs(g) <= 1e-14 * max(1.0, abs(f)):
+        raise PoleError(f"G(rho) ~ 0 at x = {(rho + 1 / rho) / 2}: candidate discrete mass point")
+    return 2 * rho * f / g
 
 
 def density_inversion(x: float, p: Params) -> float:
-    """Density on (-1, 1) via Stieltjes inversion:
-    (1/pi i) (rho2 F(rho2)/G(rho2) - rho1 F(rho1)/G(rho1)) with rho_{1,2} = e^{-+i theta}.
+    """Density on (-1, 1) via Stieltjes inversion: the jump
+    (X(e^{i theta}) - X(e^{-i theta})) / (2 pi i) of X across the cut at x = cos theta.
 
     The value is real up to rounding (conjugate-symmetric series); the real
     part is returned.
@@ -157,11 +156,14 @@ def density_inversion(x: float, p: Params) -> float:
     if not -1 < x < 1:
         raise DomainError("density is defined for x in (-1, 1)")
     p.require_monic()
-    return _inversion_value(x, p).real
+    theta = math.acos(x)
+    jump = _X(cmath.exp(1j * theta), p) - _X(cmath.exp(-1j * theta), p)
+    return (jump / (2 * math.pi * 1j)).real
 
 
 def stieltjes_transform(x, p: Params) -> complex:
-    """X(x) = 2 rho F(rho)/G(rho) for x off the open interval (-1, 1).
+    """X(x) = 2 rho F(rho)/G(rho) at rho = rho_select(x), for x off the open
+    interval (-1, 1).
 
     A vanishing G(rho) raises PoleError: real poles outside [-1, 1] are
     candidate mass points of the discrete part of the measure.
@@ -172,12 +174,7 @@ def stieltjes_transform(x, p: Params) -> complex:
     if xc.imag == 0 and -1 < xc.real < 1:
         raise DomainError("x lies inside (-1, 1); use the density routines there")
     p.require_monic()
-    rho = rho_select(xc)
-    f = series_F(rho, p)
-    g = series_G(rho, p)
-    if abs(g) <= 1e-14 * max(1.0, abs(f)):
-        raise PoleError(f"G(rho) ~ 0 at x = {x}: candidate discrete mass point")
-    return 2 * rho * f / g
+    return _X(rho_select(xc), p)
 
 
 def norm_squared(n: int, p: Params) -> float:

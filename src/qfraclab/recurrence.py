@@ -79,9 +79,9 @@ class Params:
     raise AttributeError on assignment.  A plain ``__slots__`` class keeps
     ``dataclasses`` (and the ``inspect`` it loads) off the import path.
 
-    ``gamma`` and ``c`` require ``b < 0``.  Only ``gamma^2 = -4b/(1-b)^2``
-    is forced; with ``c = a / (2 sqrt(-b))`` taken positive, the sign of
-    ``gamma`` is pinned by requiring the rescaling
+    ``gamma`` and ``c`` require real parameters and ``b < 0``.  Only
+    ``gamma^2 = -4b/(1-b)^2`` is forced; with ``c = a / (2 sqrt(-b))`` taken
+    positive, the sign of ``gamma`` is pinned by requiring the rescaling
     ``P_k(x) = D_k(gamma x) / (gamma^k (1-b)^k)`` to land on the
     ``alpha_k = +c q^k`` monic family (seeds 1, x - c), which needs the
     negative square root.  The opposite sign merely reflects the family,
@@ -125,14 +125,22 @@ class Params:
     def __reduce__(self):
         return Params, self._values
 
+    def _require_real(self, what: str) -> None:
+        # the sum is complex exactly when some field is; one check keeps the
+        # per-level calls of ``c`` cheap
+        if isinstance(self.q + self.a + self.b + self.lam, complex):
+            raise DomainError(f"{what} requires real q, a, b and lam, got {self!r}")
+
     @property
     def gamma(self) -> float:
+        self._require_real("gamma")
         if not self.b < 0:
             raise DomainError("gamma is real only for b < 0")
         return -2.0 * math.sqrt(-self.b) / (1.0 - self.b)
 
     @property
     def c(self) -> float:
+        self._require_real("c")
         if not self.b < 0:
             raise DomainError("c is real only for b < 0")
         return self.a / (2.0 * math.sqrt(-self.b))
@@ -141,8 +149,10 @@ class Params:
         """Validate the monic-family hypotheses: b < 0 and beta_k > 0 for all k >= 1.
 
         Positivity is checked index by index until ``|lam q^k / b| < 1``,
-        beyond which every remaining beta_k is positive automatically.
+        beyond which every remaining beta_k is positive automatically.  A
+        complex q, a, b or lam raises DomainError.
         """
+        self._require_real("monic family")
         if not self.b < 0:
             raise DomainError("monic family requires b < 0")
         ratio = self.lam * self.q / self.b

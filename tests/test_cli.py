@@ -63,6 +63,15 @@ def test_convergents_entry16_row(capsys):
     assert float(last[2]) == pytest.approx(1 + lam * q + lam * q * q)
 
 
+def test_convergents_pole_exits_two_with_no_table(capsys):
+    # D_1 = 1 + lam q vanishes at lam q = -1
+    rc = main(["convergents", "--family", "entry16", "--q", "0.5", "--lambda", "-2", "--n", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: D_1 = 0")
+
+
 def test_density_csv_schema_and_determinism(capsys):
     args = ["density", *ACCEPT_FLAGS, "--grid", "11"]
     rc = main(args)

@@ -5,29 +5,39 @@ import random
 import pytest
 
 from qfraclab.errors import DomainError
-from qfraclab.genfun import gf_eval, gf_radius
+from qfraclab.genfun import _base_roots, gf_eval, gf_radius
 from qfraclab.recurrence import Params, b0_family, hirschhorn_family, run_jfraction, run_monic
 
 P_STD = Params(0.4, 0.3, -0.25, 0.2)
 P_B0 = Params(0.4, 0.3, 0.0, -0.2)
 
+# Kinds D / N at b = 0 give the b = 0 family Q / Q*; the test ids below name
+# those cases after the family.
+
 
 @pytest.mark.parametrize(
-    "kind,expected",
-    [("P", 1), ("Pstar", 0), ("D", 1), ("N", 0), ("Q", 1), ("Qstar", 0)],
+    "kind,expected,p",
+    [
+        pytest.param("P", 1, P_STD, id="P-1"),
+        pytest.param("Pstar", 0, P_STD, id="Pstar-0"),
+        pytest.param("D", 1, P_STD, id="D-1"),
+        pytest.param("N", 0, P_STD, id="N-0"),
+        pytest.param("D", 1, P_B0, id="Q-1"),
+        pytest.param("N", 0, P_B0, id="Qstar-0"),
+    ],
 )
-def test_value_at_origin_is_seed(kind, expected):
-    p = P_B0 if kind in ("Q", "Qstar") else P_STD
+def test_value_at_origin_is_seed(kind, expected, p):
     assert gf_eval(kind, 0.0, 0.7, p) == pytest.approx(expected)
 
 
 def test_q_kind_coefficient_oracle():
-    # sum of recurrence values against the closed form at t = 0.1, x = 1
+    # the b = 0 denominators Q_k are D_k at b = 0: recurrence values against
+    # the closed form at t = 0.1, x = 1
     p = P_B0
     seq = run_jfraction(b0_family(p), 1.0, 62)
     t = 0.1
     oracle = sum(seq.D[k] * t**k for k in range(61))
-    assert gf_eval("Q", t, 1.0, p) == pytest.approx(oracle, abs=1e-12)
+    assert gf_eval("D", t, 1.0, p) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_p_kind_coefficient_oracle():
@@ -39,22 +49,29 @@ def test_p_kind_coefficient_oracle():
     assert gf_eval("P", t, x, p) == pytest.approx(oracle, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["P", "Pstar", "D", "N", "Q", "Qstar"])
-def test_coefficient_agreement_inside_third_of_radius(kind):
-    rng = random.Random(hash(kind) % 1000)
-    p = P_B0 if kind in ("Q", "Qstar") else P_STD
+@pytest.mark.parametrize(
+    "kind,p",
+    [
+        pytest.param("P", P_STD, id="P"),
+        pytest.param("Pstar", P_STD, id="Pstar"),
+        pytest.param("D", P_STD, id="D"),
+        pytest.param("N", P_STD, id="N"),
+        pytest.param("D", P_B0, id="Q"),
+        pytest.param("N", P_B0, id="Qstar"),
+    ],
+)
+def test_coefficient_agreement_inside_third_of_radius(kind, p):
+    rng = random.Random(f"gf:{kind}")
     for _ in range(3):
         x = rng.uniform(-0.9, 0.9) if kind in ("P", "Pstar") else rng.uniform(0.6, 1.4)
         radius = gf_radius(kind, x, p)
         t = cmath.rect(0.3 * radius * rng.uniform(0.3, 1.0), rng.uniform(0, 2 * math.pi))
         if kind in ("P", "Pstar"):
-            vals = run_monic(p, x, 130, "P" if kind == "P" else "Pstar")
-        elif kind in ("D", "N"):
-            seq = run_jfraction(hirschhorn_family(p), x, 130)
-            vals = seq.D if kind == "D" else seq.N
+            vals = run_monic(p, x, 130, kind)
         else:
-            seq = run_jfraction(b0_family(p), x, 130)
-            vals = seq.D if kind == "Q" else seq.N
+            family = b0_family(p) if p.b == 0 else hirschhorn_family(p)
+            seq = run_jfraction(family, x, 130)
+            vals = seq.D if kind == "D" else seq.N
         oracle = sum(vals[k] * t**k for k in range(126))
         assert abs(gf_eval(kind, t, x, p) - oracle) <= 1e-11 * (1 + abs(oracle))
 
@@ -86,21 +103,27 @@ def test_d_q_difference_equation():
         assert abs(lhs - rhs) <= 1e-11 * (1 + abs(lhs))
 
 
+def test_base_roots_factor_the_quadratic():
+    # alpha + beta = (1-b) x and alpha beta = -b, with |alpha| >= |beta|; at
+    # b = -0.25, x = 0.5 lies on the cut of the root selector (|y| < 1)
+    for b in (-0.25, 0.0, 0.3):
+        for x in (0.0, 1.0, -1.0, 0.5, 0.7 + 0.4j, -2.5j):
+            alpha, beta = _base_roots(x, b)
+            assert abs(alpha + beta - (1 - b) * x) <= 1e-15 * (1 + abs(x))
+            assert abs(alpha * beta + b) <= 1e-15
+            assert abs(alpha) >= abs(beta) * (1 - 1e-15)  # equal on the cut, up to rounding
+
+
 def test_radius_guard():
     with pytest.raises(DomainError):
         gf_eval("P", 1.81, 0.3, P_STD)  # radius 2 for x inside (-1, 1)
     with pytest.raises(DomainError):
-        gf_eval("Q", 0.95, 1.0, P_B0)  # radius 1/x = 1
+        gf_eval("D", 0.95, 1.0, P_B0)  # radius 1/x = 1 at b = 0
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(DomainError):
         gf_eval("Z", 0.1, 0.5, P_STD)
-
-
-def test_q_kinds_require_b_zero():
-    with pytest.raises(DomainError):
-        gf_eval("Q", 0.1, 1.0, P_STD)
 
 
 def test_a_zero_limit_of_p_kind():

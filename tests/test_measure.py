@@ -8,7 +8,7 @@ import pytest
 from qfraclab import measure
 from qfraclab.errors import DomainError, PoleError, TruncationError
 from qfraclab.measure import (
-    _inversion_value,
+    _X,
     density_inversion,
     density_nevai,
     gram_matrix,
@@ -60,6 +60,12 @@ class TestRhoSelect:
             assert abs(r * r - 2 * x * r + 1) <= 1e-14 * max(1.0, abs(2 * x * r))
             assert r + 1 / r == pytest.approx(2 * x, rel=1e-13)
             assert abs(r) <= 1 + 1e-15
+
+    def test_signed_zero_imaginary_part(self):
+        # x - 1 and x + 1 would carry opposite zero signs into the two square roots
+        for x in (-2.0, -1.0, 0.3, 2.0):
+            assert rho_select(complex(x, -0.0)) == rho_select(x)
+        assert stieltjes_transform(complex(-2.0, -0.0), P_STD) == stieltjes_transform(-2.0, P_STD)
 
     def test_large_x_stability(self):
         # rho = 1/(x + sqrt(x^2-1)) ~ 1/(2x): no cancellation
@@ -194,8 +200,11 @@ class TestDensities:
             assert abs(dn - di) < 1e-8
 
     def test_imaginary_residual_small(self):
+        # the jump of X across the cut, before density_inversion keeps its real part
         for x in (-0.8, -0.2, 0.1, 0.6, 0.9):
-            assert abs(_inversion_value(x, P_STD).imag) < 1e-12
+            theta = math.acos(x)
+            jump = _X(cmath.exp(1j * theta), P_STD) - _X(cmath.exp(-1j * theta), P_STD)
+            assert abs((jump / (2 * math.pi * 1j)).imag) < 1e-12
 
     def test_density_nonnegative(self):
         for x in np.linspace(-0.99, 0.99, 40):

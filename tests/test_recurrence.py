@@ -68,6 +68,20 @@ class TestParams:
     def test_negative_q_allowed(self):
         Params(-0.4, 0.3, -0.25, 0.2).require_monic()
 
+    @pytest.mark.parametrize(
+        "args",
+        [(0.4j, 0.3, -0.25, 0.2), (0.4, 0.3j, -0.25, 0.2), (0.4, 0.3, -0.25j, 0.2), (0.4, 0.3, -0.25, 0.2j)],
+        ids=["q", "a", "b", "lam"],
+    )
+    def test_monic_family_rejects_complex_parameters(self, args):
+        from qfraclab.measure import density_nevai, gram_matrix
+
+        p = Params(*args)
+        for use in (p.require_monic, lambda: p.gamma, lambda: p.c, lambda: gram_matrix(p, 2),
+                    lambda: density_nevai(0.3, p)):
+            with pytest.raises(DomainError, match="requires real q, a, b and lam"):
+                use()
+
 
 class TestJFraction:
     def test_seed_values_all_families(self):
@@ -232,6 +246,18 @@ class TestMonic:
             for evaluate in (run_jfraction, convergent, backward_convergent):
                 with pytest.raises(DomainError, match="finite"):
                     evaluate(fam, x, 5)
+        # the generating functions and the b = 0 growth asymptotics
+        from qfraclab.asymptotics import asymptotic_Q, asymptotic_Qstar
+        from qfraclab.genfun import KINDS, gf_eval, gf_radius
+
+        for kind in KINDS:
+            with pytest.raises(DomainError, match="finite"):
+                gf_radius(kind, x, P_STD)
+            with pytest.raises(DomainError, match="finite"):
+                gf_eval(kind, 0.1, x, P_STD)
+        for asymptotic in (asymptotic_Q, asymptotic_Qstar):
+            with pytest.raises(DomainError, match="finite"):
+                asymptotic(5, x, Params(0.4, 0.3, 0.0, -0.2))
 
     def test_fraction_and_complex_x(self):
         x = Fraction(2, 7)
