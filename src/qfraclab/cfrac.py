@@ -4,15 +4,18 @@ Two independent routes to the same convergent: the forward three-term
 recurrence (ratio ``N_n / D_n`` from :mod:`qfraclab.recurrence`) and
 backward evaluation of the truncated fraction from its innermost level.
 They must agree to rounding, which is the main cross-check used throughout
-the test suite.
+the test suite.  Both read a family's level triples through the same
+:func:`qfraclab.recurrence._levels`, so a built-in family's stream feeds
+either route without a Python call per level.
 """
 
 from __future__ import annotations
 
 import cmath
+from itertools import islice
 
 from .errors import DomainError, PoleError
-from .recurrence import JFamily, Params, run_jfraction
+from .recurrence import JFamily, Params, _levels, run_jfraction
 
 __all__ = ["eval_backward", "backward_convergent", "convergent", "hirschhorn_cf"]
 
@@ -42,7 +45,7 @@ def eval_backward(partial_numers, partial_denoms, depth: int):
 def _jfraction_levels(family: JFamily, x, m: int):
     """Partial numerators A_0, -C_1, ..., -C_{m-1} and denominators 0, A_k x + B_k, in one pass."""
     nums, dens = [], [0]
-    for A, B, C in map(family.coeffs, range(m)):
+    for A, B, C in islice(_levels(family), m):
         nums.append(-C if nums else A)  # level 0 contributes A_0
         dens.append(A * x + B)
     return nums, dens
@@ -86,6 +89,11 @@ def hirschhorn_cf(p: Params, depth: int):
     """
     if depth < 1:
         raise DomainError("hirschhorn_cf requires depth >= 1")
-    dens = [0] + [1 - p.b + p.a * p.q**k for k in range(depth)]
-    nums = [1] + [p.b + p.lam * p.q**k for k in range(1, depth)]
+    q, a, b, lam = p.q, p.a, p.b, p.lam
+    nums, dens = [1], [0]
+    for k in range(depth):
+        qk = q**k
+        dens.append(1 - b + a * qk)
+        if k:
+            nums.append(b + lam * qk)
     return eval_backward(nums, dens, depth)

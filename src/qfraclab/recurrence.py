@@ -28,7 +28,11 @@ which is a Nevai-class recurrence (alpha_k -> 0, beta_k -> 1/4) whenever
 numerator polynomials P*_k its N solution.
 
 One kernel, :func:`_run`, steps every family: it reads the level triples
-from an iterator and advances N and D together.  Float and complex runs
+from an iterator and advances N and D together.  A family supplies that
+iterator through :func:`_levels`: the built-in families carry a stream that
+reads the parameters once and yields plain ``(A, B, C)`` tuples, with the
+same expressions as their ``coeffs`` functions; any other family is read
+through ``coeffs``, one call per level.  Float and complex runs
 keep one power-of-two exponent ledger for both solutions: once a new value
 passes 2^512, or one step leaves the double range, the step is redone from
 the previous pair scaled below 1/8 by a power of two, which changes no
@@ -40,9 +44,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import islice
+from itertools import count, islice
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError, PoleError, RangeError
 
@@ -86,9 +90,13 @@ class Params:
     ``alpha_k = +c q^k`` monic family (seeds 1, x - c), which needs the
     negative square root.  The opposite sign merely reflects the family,
     ``P_k -> (-1)^k P_k(-x)``.
+
+    ``c`` and a passed :meth:`require_monic` are cached in two private slots
+    on first success, so per-level callers pay for them once; invalid
+    parameters raise DomainError on every access.
     """
 
-    __slots__ = ("q", "a", "b", "lam")
+    __slots__ = ("q", "a", "b", "lam", "_c", "_monic")
 
     def __init__(self, q: float, a: float, b: float, lam: float):
         if not 0 < abs(q) < 1:
@@ -103,7 +111,7 @@ class Params:
         _set(self, "b", b)
         _set(self, "lam", lam)
 
-    _values = property(attrgetter(*__slots__))  # the fields, as a tuple
+    _values = property(attrgetter("q", "a", "b", "lam"))  # the fields, as a tuple
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen Params")
@@ -126,8 +134,7 @@ class Params:
         return Params, self._values
 
     def _require_real(self, what: str) -> None:
-        # the sum is complex exactly when some field is; one check keeps the
-        # per-level calls of ``c`` cheap
+        # the sum is complex exactly when some field is
         if isinstance(self.q + self.a + self.b + self.lam, complex):
             raise DomainError(f"{what} requires real q, a, b and lam, got {self!r}")
 
@@ -140,10 +147,16 @@ class Params:
 
     @property
     def c(self) -> float:
+        try:
+            return self._c
+        except AttributeError:
+            pass
         self._require_real("c")
         if not self.b < 0:
             raise DomainError("c is real only for b < 0")
-        return self.a / (2.0 * math.sqrt(-self.b))
+        c = self.a / (2.0 * math.sqrt(-self.b))
+        _set(self, "_c", c)
+        return c
 
     def require_monic(self) -> "Params":
         """Validate the monic-family hypotheses: b < 0 and beta_k > 0 for all k >= 1.
@@ -152,6 +165,8 @@ class Params:
         beyond which every remaining beta_k is positive automatically.  A
         complex q, a, b or lam raises DomainError.
         """
+        if hasattr(self, "_monic"):
+            return self
         self._require_real("monic family")
         if not self.b < 0:
             raise DomainError("monic family requires b < 0")
@@ -160,6 +175,7 @@ class Params:
             if 1 + ratio <= 0:
                 raise DomainError(f"beta_{k} <= 0: 1 + lam q^{k}/b = {1 + ratio}")
             if abs(ratio) < 1:
+                _set(self, "_monic", True)
                 return self
             ratio *= self.q
         raise DomainError(f"could not certify beta_k > 0 within {_MONIC_CHECK} indices")
@@ -180,11 +196,25 @@ class JFamily(NamedTuple):
     recurrence index (1 for the Rogers-Ramanujan-type family, whose n-th
     convergent ends at the ``lam q^n`` tail term and equals
     ``N_{n+1}/D_{n+1}`` of the recurrence).
+
+    Both convergent routes read the levels k = 0, 1, 2, ... through
+    :func:`_levels`.  ``stream``, when given, makes a fresh iterator of
+    ``(A, B, C)`` tuples equal to ``coeffs(0), coeffs(1), ...``; the built-in
+    families set it, so a deep run makes no Python call per level.  Without
+    it the levels come from ``coeffs``.
     """
 
     name: str
     coeffs: Callable[[int], JCoeffs]
     index_shift: int = 0
+    stream: Optional[Callable[[], Iterator[tuple]]] = None
+
+
+def _levels(family: JFamily) -> Iterator[tuple]:
+    """The level triples of ``family`` for k = 0, 1, 2, ...: its stream, else its ``coeffs``."""
+    if family.stream is not None:
+        return family.stream()
+    return map(family.coeffs, count())
 
 
 def hirschhorn_coeffs(p: Params, k: int) -> JCoeffs:
@@ -205,18 +235,38 @@ def b0_coeffs(p: Params, k: int) -> JCoeffs:
     return JCoeffs(1, p.a * qk, -p.lam * qk)
 
 
+def _hirschhorn_stream(p: Params):
+    """The triples of :func:`hirschhorn_coeffs` for k = 0, 1, 2, ..., by the same expressions."""
+    q, a, b, lam = p.q, p.a, p.b, p.lam
+    A = 1 - b
+    for k in count():
+        qk = q**k
+        yield A, a * qk, -(b + lam * qk)
+
+
+def _b0_stream(p: Params):
+    """The triples of :func:`b0_coeffs` for k = 0, 1, 2, ..., by the same expressions;
+    b != 0 raises DomainError at the first level, as ``b0_coeffs`` does."""
+    if p.b != 0:
+        raise DomainError("b0 family requires b = 0")
+    q, a, lam = p.q, p.a, p.lam
+    for k in count():
+        qk = q**k
+        yield 1, a * qk, -lam * qk
+
+
 def hirschhorn_family(p: Params) -> JFamily:
-    return JFamily("hirschhorn", lambda k: hirschhorn_coeffs(p, k))
+    return JFamily("hirschhorn", lambda k: hirschhorn_coeffs(p, k), stream=lambda: _hirschhorn_stream(p))
 
 
 def b0_family(p: Params) -> JFamily:
-    return JFamily("b0", lambda k: b0_coeffs(p, k))
+    return JFamily("b0", lambda k: b0_coeffs(p, k), stream=lambda: _b0_stream(p))
 
 
 def entry16_family(lam, q) -> JFamily:
     """Rogers-Ramanujan-type family (a = 0, b = 0), used at x = 1."""
     p = Params(q, 0, 0, lam)
-    return JFamily("entry16", lambda k: b0_coeffs(p, k), index_shift=1)
+    return JFamily("entry16", lambda k: b0_coeffs(p, k), index_shift=1, stream=lambda: _b0_stream(p))
 
 
 class ConvergentSeq:
@@ -304,7 +354,7 @@ def run_jfraction(family: JFamily, x, depth: int) -> ConvergentSeq:
     """
     if depth < 1:
         raise DomainError("run_jfraction requires depth >= 1")
-    N, D, E = _run(map(family.coeffs, range(depth)), x, depth)
+    N, D, E = _run(_levels(family), x, depth)
     return ConvergentSeq(_values(N, E), _values(D, E), x)
 
 

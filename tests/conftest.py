@@ -18,3 +18,42 @@ def run_fresh():
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
 
     return run
+
+
+@pytest.fixture(scope="session")
+def family_draws():
+    """Seeded ``(params, family, x, depth)`` draws over the three built-in J-fraction
+    families: float parameters with real or complex x, and Fraction parameters with
+    exact x."""
+    import random
+    from fractions import Fraction
+
+    from qfraclab.recurrence import Params, b0_family, entry16_family, hirschhorn_family
+
+    rng = random.Random(11)
+
+    def twentieths(lo, hi):
+        return Fraction(rng.randint(lo, hi), 20)
+
+    draws = []
+    for i in range(300):
+        if i % 3 == 2:
+            q = twentieths(1, 18) * rng.choice((1, -1))
+            a, b, lam = twentieths(-30, 30), twentieths(-30, 10), twentieths(-20, 20)
+            x, depth = rng.choice((1, Fraction(rng.randint(-40, 40), 7))), rng.randint(1, 10)
+        else:
+            q, a, b, lam = rng.uniform(-0.9, 0.9), rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 0.5), rng.uniform(-1, 1)
+            x = rng.choice((1, rng.uniform(-3, 3), complex(rng.uniform(-3, 3), rng.uniform(-2, 2))))
+            depth = rng.randint(1, 300)
+        kind = (i // 3) % 3  # every family meets every number type
+        if kind == 0:
+            p = Params(q, a, b, lam)
+            family = hirschhorn_family(p)
+        elif kind == 1:
+            p = Params(q, a, 0, lam)
+            family = b0_family(p)
+        else:
+            p = Params(q, 0, 0, lam)
+            family = entry16_family(lam, q)
+        draws.append((p, family, x, depth))
+    return draws

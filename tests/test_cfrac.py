@@ -100,3 +100,25 @@ class TestHirschhornCF:
             assert hirschhorn_cf(P_STD, depth) == pytest.approx(
                 seq.ratio(depth) / (1 - P_STD.b), rel=1e-13
             )
+
+
+def _outcome(f, *args):
+    """The value of ``f(*args)``, or the type of the QFracError it raises."""
+    try:
+        return f(*args)
+    except (DomainError, PoleError) as exc:
+        return type(exc)
+
+
+class TestLevelStreams:
+    def test_routes_equal_the_per_level_reference(self, family_draws):
+        for _, fam, x, depth in family_draws:
+            ref = fam._replace(stream=None)
+            for route in (backward_convergent, convergent):
+                assert _outcome(route, fam, x, depth) == _outcome(route, ref, x, depth), (route, fam, x, depth)
+
+    def test_hirschhorn_cf_equals_the_per_level_lists(self, family_draws):
+        for p, _, _, depth in family_draws:
+            dens = [0] + [1 - p.b + p.a * p.q**k for k in range(depth)]
+            nums = [1] + [p.b + p.lam * p.q**k for k in range(1, depth)]
+            assert _outcome(hirschhorn_cf, p, depth) == _outcome(eval_backward, nums, dens, depth), (p, depth)

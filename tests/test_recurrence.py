@@ -1,12 +1,15 @@
 import cmath
 import math
+import pickle
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfraclab.cfrac import backward_convergent, convergent
 from qfraclab.errors import DomainError, PoleError, QFracError, RangeError
 from qfraclab.qseries import qpochhammer
 from qfraclab.recurrence import (
@@ -67,6 +70,30 @@ class TestParams:
 
     def test_negative_q_allowed(self):
         Params(-0.4, 0.3, -0.25, 0.2).require_monic()
+
+    def test_cached_constants_keep_value_semantics(self):
+        p, fresh = Params(0.4, 0.3, -0.25, 0.2), Params(0.4, 0.3, -0.25, 0.2)
+        c = p.c
+        assert p.require_monic() is p
+        assert p.c is c and c == fresh.c
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert pickle.loads(pickle.dumps(p)) == fresh
+        with pytest.raises(AttributeError):
+            p._c = 1.0
+
+    @pytest.mark.parametrize(
+        "args,c_raises",
+        [((0.4, 0.3, 0.0, 0.2), True), ((0.4, 0.3, 0.25, 0.2), True), ((0.4, 0.3j, -0.25, 0.2), True),
+         ((0.5, 0.1, -0.1, 0.5), False)],  # the last set has a real c but beta_1 < 0
+    )
+    def test_invalid_params_raise_on_every_access(self, args, c_raises):
+        p = Params(*args)
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                p.require_monic()
+            if c_raises:
+                with pytest.raises(DomainError):
+                    p.c
 
     @pytest.mark.parametrize(
         "args",
@@ -281,6 +308,61 @@ class TestB0Norms:
     def test_b0_family_requires_b_zero(self):
         with pytest.raises(DomainError):
             b0_coeffs(P_STD, 1)
+
+
+BUILTIN_FAMILIES = [
+    hirschhorn_family(P_STD),
+    hirschhorn_family(Params(Fraction(2, 5), Fraction(3, 10), Fraction(-1, 4), Fraction(1, 5))),
+    b0_family(Params(0.5, -0.4, 0.0, 0.3)),
+    b0_family(Params(Fraction(1, 2), Fraction(-2, 5), 0, Fraction(3, 10))),
+    entry16_family(0.8, 0.45),
+    entry16_family(Fraction(4, 5), Fraction(9, 20)),
+]
+
+
+def _no_coeffs(k):
+    raise AssertionError(f"coeffs({k}) called")
+
+
+class TestLevelStreams:
+    @pytest.mark.parametrize("fam", BUILTIN_FAMILIES, ids=lambda fam: fam.name)
+    def test_stream_yields_the_coeffs_triples(self, fam):
+        triples = list(islice(fam.stream(), 50))
+        reference = [fam.coeffs(k) for k in range(50)]
+        assert triples == reference
+        assert [list(map(type, t)) for t in triples] == [list(map(type, t)) for t in reference]
+
+    def test_run_jfraction_equals_the_per_level_reference(self, family_draws):
+        for _, fam, x, depth in family_draws:
+            seq, ref = run_jfraction(fam, x, depth), run_jfraction(fam._replace(stream=None), x, depth)
+            assert (seq.N, seq.D) == (ref.N, ref.D), (fam, x, depth)
+
+    @pytest.mark.parametrize("fam", BUILTIN_FAMILIES, ids=lambda fam: fam.name)
+    def test_both_routes_read_the_stream(self, fam):
+        guarded = fam._replace(coeffs=_no_coeffs)
+        assert run_jfraction(guarded, 0.7, 60).D == run_jfraction(fam, 0.7, 60).D
+        assert backward_convergent(guarded, 0.7, 60) == backward_convergent(fam, 0.7, 60)
+        assert convergent(guarded, 0.7, 60) == convergent(fam, 0.7, 60)
+
+    def test_family_without_a_stream_reads_coeffs(self):
+        calls = []
+
+        def coeffs(k):
+            calls.append(k)
+            return hirschhorn_coeffs(P_STD, k)
+
+        fam, builtin = JFamily("per-level", coeffs), hirschhorn_family(P_STD)
+        assert run_jfraction(fam, 0.7, 40).N == run_jfraction(builtin, 0.7, 40).N
+        assert calls == list(range(40))
+        assert backward_convergent(fam, 0.7, 40) == backward_convergent(builtin, 0.7, 40)
+        assert convergent(fam, 0.7, 40) == convergent(builtin, 0.7, 40)
+
+    def test_b0_family_with_nonzero_b_builds_and_raises_at_first_use(self):
+        fam = b0_family(P_STD)  # the eval CLI builds every family before choosing one
+        with pytest.raises(DomainError, match="b0 family requires b = 0"):
+            run_jfraction(fam, 1.0, 5)
+        with pytest.raises(DomainError, match="b0 family requires b = 0"):
+            backward_convergent(fam, 1.0, 5)
 
 
 class TestScaledRun:

@@ -84,14 +84,19 @@ def _coeffs(k):
     return JCoeffs(1, 0.5, 0.25)
 
 
+def _stream():
+    return iter(lambda: (1, 0.5, 0.25), None)
+
+
 @pytest.mark.parametrize(
     "positional,keyword",
     [
         (lambda: JFamily("f", _coeffs), lambda: JFamily(name="f", coeffs=_coeffs, index_shift=0)),
         (lambda: JFamily("f", _coeffs, 1), lambda: JFamily(coeffs=_coeffs, name="f", index_shift=1)),
+        (lambda: JFamily("f", _coeffs, 0, _stream), lambda: JFamily(stream=_stream, coeffs=_coeffs, name="f")),
         (lambda: CheckResult("c", True, "d"), lambda: CheckResult(name="c", passed=True, detail="d")),
     ],
-    ids=["JFamily", "JFamily-shifted", "CheckResult"],
+    ids=["JFamily", "JFamily-shifted", "JFamily-streamed", "CheckResult"],
 )
 def test_named_tuples_build_positionally_or_by_keyword(positional, keyword):
     u, v = positional(), keyword()
@@ -101,6 +106,6 @@ def test_named_tuples_build_positionally_or_by_keyword(positional, keyword):
 
 def test_named_tuple_fields():
     fam = JFamily("f", _coeffs)
-    assert (fam.name, fam.coeffs, fam.index_shift) == ("f", _coeffs, 0)
+    assert (fam.name, fam.coeffs, fam.index_shift, fam.stream) == ("f", _coeffs, 0, None)
     res = CheckResult("c", False, "d")
     assert (res.name, res.passed, res.detail) == ("c", False, "d")
