@@ -104,8 +104,10 @@ def _weight(w, p: Params):
         f(t) = (2q w t, 2q t/w, -lam q/(4bct); q)_inf / (4ct, q/(4ct); q)_inf,
 
     symmetric under w -> 1/w.  Returns ``nodes(e)``, an iterator over
-    f(e), f(eq), f(eq^2), ...  Only f(e) evaluates the products; each later
-    node follows from the one before by (a; q)_inf = (1 - a)(aq; q)_inf:
+    f(e), f(eq), f(eq^2), ...  Only f(e) evaluates the products; a caller
+    that already holds (2qwe, 2qe/w; q)_inf or (4ce; q)_inf passes them as
+    ``num`` or ``den``.  Each later node follows from the one before by
+    (a; q)_inf = (1 - a)(aq; q)_inf:
 
         f(tq) = f(t) (1 - r/tq)(1 - Bt) / ((1 - ut)(1 - vt)(1 - 1/Bt))
 
@@ -119,12 +121,16 @@ def _weight(w, p: Params):
     r = -p.lam * q / (4 * p.b * c)
     B = 4 * c
 
-    def nodes(e):
+    def nodes(e, num=None, den=None):
         t = e
-        den = qpochhammer_inf(B * t, q) * qpochhammer_inf(q / (B * t), q)
+        if den is None:
+            den = qpochhammer_inf(B * t, q)
+        den *= qpochhammer_inf(q / (B * t), q)
         if den == 0:
             raise DomainError(f"weight denominator (4ct, q/4ct; q)_inf vanishes at t = {t}")
-        f = qpochhammer_inf(u * t, q) * qpochhammer_inf(v * t, q) * qpochhammer_inf(r / t, q) / den
+        if num is None:
+            num = qpochhammer_inf(u * t, q) * qpochhammer_inf(v * t, q)
+        f = num * qpochhammer_inf(r / t, q) / den
         while True:
             yield f
             den = (1 - u * t) * (1 - v * t) * (1 - 1 / (B * t))
@@ -147,8 +153,8 @@ def weight_f(t, theta: float, p: Params):
 def moment_pk_integral(k: int, x, p: Params) -> complex:
     """Moment solution p_k(x) as the prefactored q-integral of t^k against the weight.
 
-    The weight's products are evaluated once per endpoint and stepped from
-    node to node (see :func:`_weight`).  Requires |lam q / b| < 1 in
+    The weight's products are evaluated once per endpoint, sharing those
+    the prefactor forms, and stepped from node to node (see :func:`_weight`).  Requires |lam q / b| < 1 in
     addition to the monic hypotheses.
     """
     if k < 0:
@@ -160,13 +166,22 @@ def moment_pk_integral(k: int, x, p: Params) -> complex:
     w = rho_select(x)
     W = 1 / w  # e^{-i theta}, e^{i theta} for Im x >= 0
     sin_t = (W - w) / 2j
-    den = qpochhammer_inf(q, q) * qpochhammer_inf(W * W, q) * qpochhammer_inf(w * w, q)
+    # nine distinct products: at the endpoints W/2 and w/2 the weight's
+    # (2qwt, 2qt/w; q)_inf are (q, qW^2; q)_inf and (qw^2, q; q)_inf, and
+    # (qW^2; q)_inf = (W^2; q)_inf / (1 - W^2); its (4ct; q)_inf are the
+    # prefactor's (2cW; q)_inf and (2cw; q)_inf
+    qq, pW, pw = qpochhammer_inf(q, q), qpochhammer_inf(W * W, q), qpochhammer_inf(w * w, q)
+    den = qq * pW * pw
     if den == 0:  # w^2 = 1
         raise DomainError("q-integral moments require x != +-1")
-    pre = 4 * (-1j * sin_t) / (1 - q) * qpochhammer_inf(2 * c * W, q) * qpochhammer_inf(2 * c * w, q) / den
+    cW, cw = qpochhammer_inf(2 * c * W, q), qpochhammer_inf(2 * c * w, q)
+    pre = 4 * (-1j * sin_t) / (1 - q) * cW * cw / den
     nodes = _weight(w, p)
     upper, lower = W / 2, w / 2
-    value = pre * (_jackson(upper, q, nodes(upper), k) - _jackson(lower, q, nodes(lower), k))
+    value = pre * (
+        _jackson(upper, q, nodes(upper, qq * pW / (1 - W * W), cW), k)
+        - _jackson(lower, q, nodes(lower, qq * pw / (1 - w * w), cw), k)
+    )
     if not cmath.isfinite(value):  # far off the cut the products and t^k leave the double range
         raise RangeError(f"q-integral moment p_{k}({x}) is not finite in double precision")
     return value

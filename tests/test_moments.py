@@ -6,7 +6,7 @@ import pytest
 
 from qfraclab.errors import DomainError, QFracError
 from qfraclab.measure import rho_select
-from qfraclab.moments import _pk_closed_at, _weight, moment_pk_closed, moment_pk_integral, qintegral, weight_f
+from qfraclab.moments import _jackson, _pk_closed_at, _weight, moment_pk_closed, moment_pk_integral, qintegral, weight_f
 from qfraclab.qseries import qpochhammer_inf, theta
 from qfraclab.recurrence import Params, monic_alpha, monic_beta, run_monic
 
@@ -147,6 +147,28 @@ class TestWeight:
                         direct = next(nodes(e * p.q**n))
                         assert cmath.isfinite(direct)
                         assert abs(stepped - direct) <= 1e-12 * abs(direct), (p, x, e, n)
+
+    def test_shared_products_match_fifteen_formed_afresh(self):
+        # the prefactor's five products and each endpoint's five, none shared
+        rng = random.Random(12)
+        worst = 0.0
+        for _ in range(60):
+            p = _moment_draw(rng, 0.0, 0.9)
+            x = rng.choice((rng.uniform(-0.95, 0.95), complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1))))
+            k = rng.randint(0, 12)
+            w = rho_select(x)
+            W = 1 / w
+            q, c = p.q, p.c
+            pre = (
+                4 * (-1j * (W - w) / 2j) / (1 - q)
+                * qpochhammer_inf(2 * c * W, q) * qpochhammer_inf(2 * c * w, q)
+                / (qpochhammer_inf(q, q) * qpochhammer_inf(W * W, q) * qpochhammer_inf(w * w, q))
+            )
+            nodes = _weight(w, p)
+            upper, lower = _jackson(W / 2, q, nodes(W / 2), k), _jackson(w / 2, q, nodes(w / 2), k)
+            scale = abs(pre) * (abs(upper) + abs(lower))
+            worst = max(worst, abs(moment_pk_integral(k, x, p) - pre * (upper - lower)) / scale)
+        assert worst <= 1e-14
 
     def test_vanishing_step_denominator_is_a_domain_error(self):
         # u = 2qw = 1 at q = 1/2, w = 1: from e = 2 the second node t = 1 has 1 - ut = 0

@@ -1,6 +1,12 @@
 """The extended-precision oracles of the acceptance suite: tail-certified
 sums against fixed-length reference sums, and caps that raise."""
 
+import os
+import re
+import signal
+import threading
+import time
+
 import pytest
 from mpmath import mp
 
@@ -104,3 +110,169 @@ def test_moment_solutions_reports_the_slow_tail_point():
     assert result.passed
     assert "|lam q/b| = 0.45, k = 0" in result.detail
     assert float(result.detail.rsplit(": ", 1)[1]) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the forked sweep: one child per criterion, results in CRITERIA order
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the calls to os.fork."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(verify, "_worker_count", lambda: n)
+
+
+def _criteria(monkeypatch, *fns):
+    monkeypatch.setattr(verify, "CRITERIA", tuple((fn.__name__, "qseries", fn) for fn in fns))
+
+
+def _passes():
+    return verify.CheckResult("passes", True, f"ran in {os.getpid()}")
+
+
+def _divides_by_zero():
+    return 1 / 0
+
+
+def _exits_three():
+    os._exit(3)
+
+
+def _big_detail():
+    return verify.CheckResult("big", True, "".join(chr(97 + i % 26) for i in range(1 << 20)))
+
+
+def _sleeps():
+    time.sleep(30)
+    return verify.CheckResult("sleeps", True, "woke")
+
+
+def _interrupts_parent():
+    time.sleep(0.2)
+    os.kill(os.getppid(), signal.SIGINT)
+    return _sleeps()
+
+
+class _NeedsTwoArgs(Exception):
+    """Pickles as _NeedsTwoArgs(a), which cannot be called again to unpickle."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _raises_unloadable():
+    raise _NeedsTwoArgs("left", "right")
+
+
+def _masked(results):
+    return [(r.name, r.passed, re.sub(r"\d+\.\d+ s\b", "<t> s", r.detail)) for r in results]
+
+
+def test_forked_sweep_matches_the_sequential_one(monkeypatch, forks, no_child_left):
+    _workers(monkeypatch, 2)
+    forked = verify.run_suite("all")
+    assert len(forks) == len(verify.CRITERIA)
+    _workers(monkeypatch, 1)
+    sequential = verify.run_suite("all")
+    assert len(forks) == len(verify.CRITERIA)
+    assert [r.name for r in forked] == [name for name, _, _ in verify.CRITERIA]
+    assert _masked(forked) == _masked(sequential)
+
+
+def test_criteria_run_in_children(monkeypatch, forks, no_child_left):
+    _workers(monkeypatch, 2)
+    _criteria(monkeypatch, _passes, _passes, _passes)
+    results = verify.run_suite("qseries")
+    assert len(forks) == 3
+    pids = {r.detail for r in results}
+    assert len(pids) == 3 and f"ran in {os.getpid()}" not in pids
+
+
+def test_one_worker_or_a_live_thread_keeps_the_sweep_in_process(monkeypatch, forks, no_child_left):
+    _criteria(monkeypatch, _passes, _passes)
+    _workers(monkeypatch, 1)
+    assert {r.detail for r in verify.run_suite("qseries")} == {f"ran in {os.getpid()}"}
+    _workers(monkeypatch, 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert {r.detail for r in verify.run_suite("qseries")} == {f"ran in {os.getpid()}"}
+    finally:
+        release.set()
+        waiter.join()
+    assert not forks
+
+
+def test_criterion_exception_is_reraised(monkeypatch, no_child_left):
+    _workers(monkeypatch, 2)
+    _criteria(monkeypatch, _passes, _divides_by_zero, _passes)
+    with pytest.raises(ZeroDivisionError):
+        verify.run_suite("qseries")
+
+
+def test_unloadable_exception_carries_the_child_traceback(monkeypatch, no_child_left):
+    _workers(monkeypatch, 2)
+    _criteria(monkeypatch, _raises_unloadable, _passes)
+    with pytest.raises(RuntimeError, match="_raises_unloadable") as info:
+        verify.run_suite("qseries")
+    assert "_NeedsTwoArgs: left" in str(info.value)
+
+
+def test_crashed_child_is_a_failure(monkeypatch, no_child_left):
+    _workers(monkeypatch, 2)
+    _criteria(monkeypatch, _exits_three, _passes)
+    crashed, passed = verify.run_suite("qseries")
+    assert crashed.name == "_exits_three" and not crashed.passed
+    assert "status 3" in crashed.detail
+    assert passed.passed
+
+
+def test_megabyte_detail_comes_back_whole(monkeypatch, no_child_left):
+    _workers(monkeypatch, 2)
+    _criteria(monkeypatch, _big_detail, _big_detail)
+    for result in verify.run_suite("qseries"):
+        assert result == _big_detail()
+
+
+def test_running_children_are_killed_when_one_raises(monkeypatch, no_child_left):
+    _workers(monkeypatch, 2)
+    _criteria(monkeypatch, _sleeps, _divides_by_zero, _sleeps)
+    t0 = time.perf_counter()
+    with pytest.raises(ZeroDivisionError):
+        verify.run_suite("qseries")
+    assert time.perf_counter() - t0 < 10
+
+
+def test_interrupt_kills_and_reaps_the_children(monkeypatch, no_child_left):
+    _workers(monkeypatch, 2)
+    _criteria(monkeypatch, _sleeps, _interrupts_parent)
+    # a shell may start the test run with SIGINT ignored; raise on it here
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            verify.run_suite("qseries")
+        assert time.perf_counter() - t0 < 10
+    finally:
+        signal.signal(signal.SIGINT, previous)
