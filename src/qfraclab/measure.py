@@ -9,8 +9,11 @@ orthogonality measure on (-1, 1) is
 and the same density is recovered independently by inverting the Stieltjes
 transform X(x) = 2 rho F(rho)/G(rho) across the cut.  Agreement of the two
 routes is the central cross-check of the package.  X is written once, as a
-function of rho: :func:`stieltjes_transform` returns it at rho(x), and
-:func:`density_inversion` is its jump (X(e^{i theta}) - X(e^{-i theta}))/(2 pi i).
+function of rho, from one pass that sums F and G together:
+:func:`stieltjes_transform` returns it at rho(x), and :func:`density_inversion`
+is its jump (X(e^{i theta}) - X(e^{-i theta}))/(2 pi i) across the cut.  The
+parameters are real, so X(conj rho) = conj X(rho) and that jump is
+Im X(e^{i theta})/pi, which needs X at one point only.
 
 Root selection: rho(x) is the root of t^2 - 2xt + 1 = 0 with |rho| <= 1,
 computed stably as 1/(x + sqrt(x-1) sqrt(x+1)).  On the cut x in (-1, 1)
@@ -39,7 +42,7 @@ import cmath
 import math
 
 from .errors import DomainError, PoleError, TruncationError
-from .qseries import qpochhammer, qpochhammer_inf, sum_series
+from .qseries import _MAX_TERMS, _REL_TOL, _SMALL_RUN, qpochhammer, qpochhammer_inf
 from .recurrence import Params, run_monic
 
 __all__ = [
@@ -69,43 +72,67 @@ def rho_select(x) -> complex:
     return 1 / (xc + cmath.sqrt(xc - 1) * cmath.sqrt(xc + 1))
 
 
-def _fg_terms(rho: complex, p: Params, qpow_shift: int):
-    """Terms of the F (qpow_shift=1) or G (qpow_shift=0) series at rho.
+def _fg_sums(rho: complex, p: Params, want_f: bool, want_g: bool) -> tuple[complex, complex]:
+    """F(rho) and G(rho) from one term recursion; a sum not wanted is left at its m = 0 term.
 
-    The m-th term is the regrouped product
+    G's m-th term is the regrouped product
     prod_{j=1}^{m} (-2 c rho - (lam/b) q^j rho^2) times
-    q^(binom(m + qpow_shift, 2)) / ((q; q)_m (q rho^2; q)_m).
+    q^(binom(m, 2)) / ((q; q)_m (q rho^2; q)_m), and F's is that times q^m,
+    because binom(m + 1, 2) - binom(m, 2) = m.  Each wanted sum stops on its
+    own under the truncation rule of :func:`qfraclab.qseries.sum_series`; the
+    recursion runs until every wanted sum has stopped.
     """
-    q, b, lam, c = p.q, p.b, p.lam, p.c
+    one = 1.0 + 0j
+    if p.a == 0:
+        return one, one  # only the m = 0 term survives the (-2 c rho)^m factor
+    q = p.q
     rho2 = rho * rho
-    t = 1.0 + 0j
+    u = -2 * p.c * rho
+    v = -(p.lam / p.b) * rho2
+    g = F = G = one  # g: G's current term
+    f_small = g_small = 0
+    f_done, g_done = not want_f, not want_g
     qm = 1.0  # q^m
-    m = 0
-    while True:
-        yield t
-        qn = qm * q  # q^(m+1)
+    for m in range(1, _MAX_TERMS):
+        qn = qm * q
         d2 = 1 - qn * rho2
         if abs(d2) < 1e-14:
-            raise DomainError(f"(q rho^2; q) factor vanishes at m = {m + 1}: rho^2 = q^-{m + 1}")
-        t *= (-2 * c * rho - (lam / b) * qn * rho2) * (qn if qpow_shift else qm) / ((1 - qn) * d2)
+            raise DomainError(f"(q rho^2; q) factor vanishes at m = {m}: rho^2 = q^-{m}")
+        g *= (u + v * qn) * qm / ((1 - qn) * d2)
         qm = qn
-        m += 1
+        ag = abs(g)
+        if ag != ag or ag == math.inf:  # overflow masquerades as convergence otherwise
+            raise TruncationError(f"{'G' if f_done else 'F'} series diverged (nonfinite term at index {m})")
+        if not g_done:
+            G += g
+            if ag <= _REL_TOL * (1.0 + abs(G)):
+                g_small += 1
+                g_done = g_small >= _SMALL_RUN
+            else:
+                g_small = 0
+        if not f_done:
+            f = g * qm
+            F += f
+            if abs(f) <= _REL_TOL * (1.0 + abs(F)):
+                f_small += 1
+                f_done = f_small >= _SMALL_RUN
+            else:
+                f_small = 0
+        if f_done and g_done:
+            return F, G
+    raise TruncationError(f"{'G' if f_done else 'F'} series did not converge within {_MAX_TERMS} terms")
 
 
 def series_F(rho, p: Params) -> complex:
     """F(rho): the q^(binom(m+1,2)) member of the series pair behind X(x)."""
     p.require_monic()
-    if p.a == 0:
-        return 1.0 + 0j  # only the m = 0 term survives the (-2 c rho)^m factor
-    return sum_series(_fg_terms(complex(rho), p, 1), "F series")
+    return _fg_sums(complex(rho), p, True, False)[0]
 
 
 def series_G(rho, p: Params) -> complex:
     """G(rho): the q^(binom(m,2)) member; its zeros are the candidate poles of X."""
     p.require_monic()
-    if p.a == 0:
-        return 1.0 + 0j
-    return sum_series(_fg_terms(complex(rho), p, 0), "G series")
+    return _fg_sums(complex(rho), p, False, True)[1]
 
 
 def series_R(theta: float, p: Params) -> complex:
@@ -139,8 +166,7 @@ def density_nevai(x: float, p: Params) -> float:
 
 def _X(rho: complex, p: Params) -> complex:
     """X = 2 rho F(rho)/G(rho) at x = (rho + 1/rho)/2; PoleError where G(rho) ~ 0."""
-    f = series_F(rho, p)
-    g = series_G(rho, p)
+    f, g = _fg_sums(rho, p, True, True)
     if abs(g) <= 1e-14 * max(1.0, abs(f)):
         raise PoleError(f"G(rho) ~ 0 at x = {(rho + 1 / rho) / 2}: candidate discrete mass point")
     return 2 * rho * f / g
@@ -150,15 +176,13 @@ def density_inversion(x: float, p: Params) -> float:
     """Density on (-1, 1) via Stieltjes inversion: the jump
     (X(e^{i theta}) - X(e^{-i theta})) / (2 pi i) of X across the cut at x = cos theta.
 
-    The value is real up to rounding (conjugate-symmetric series); the real
-    part is returned.
+    The parameters are real, so X(conj rho) = conj X(rho) and the jump is
+    Im X(e^{i theta}) / pi: one evaluation of X per point.
     """
     if not -1 < x < 1:
         raise DomainError("density is defined for x in (-1, 1)")
     p.require_monic()
-    theta = math.acos(x)
-    jump = _X(cmath.exp(1j * theta), p) - _X(cmath.exp(-1j * theta), p)
-    return (jump / (2 * math.pi * 1j)).real
+    return _X(cmath.exp(1j * math.acos(x)), p).imag / math.pi
 
 
 def stieltjes_transform(x, p: Params) -> complex:

@@ -21,7 +21,7 @@ from qfraclab.measure import (
 )
 from qfraclab.qseries import qpochhammer, qpochhammer_inf
 from qfraclab.recurrence import Params, monic_beta, monic_ratio, run_monic
-from qfraclab.verify import _mp_markov_errors, _mp_series_R
+from qfraclab.verify import _mp_fg, _mp_markov_errors, _mp_rho, _mp_series_R
 
 P_STD = Params(0.4, 0.3, -0.25, 0.2)
 
@@ -85,6 +85,35 @@ def _fg_verbatim(rho, p, nterms, shift):
     return total
 
 
+def _abs_term_sum(rho, p, shift):
+    """sum_m |t_m| of the F (shift=1) or G (shift=0) series, from the product form."""
+    q, r, c = p.q, p.lam / p.b, p.c
+    rho2 = rho * rho
+    t = s = qm = 1.0
+    for _ in range(400):
+        qn = qm * q
+        t *= abs(-2 * c * rho - r * qn * rho2) * abs(qn if shift else qm) / abs((1 - qn) * (1 - qn * rho2))
+        s += t
+        qm = qn
+    return s
+
+
+def _monic_draws(rng, n):
+    """n monic Params with q in +-[0.1, 0.85]; every other one has |c| in [1, 2], the point-mass class."""
+    draws = 0
+    while draws < n:
+        q = rng.choice((-1, 1)) * rng.uniform(0.1, 0.85)
+        b = rng.uniform(-0.8, -0.1)
+        c = rng.choice((-1, 1)) * (rng.uniform(1, 2) if draws % 2 else rng.uniform(0.05, 1))
+        p = Params(q, 2 * c * math.sqrt(-b), b, rng.uniform(-0.5, 0.5))
+        try:
+            p.require_monic()
+        except DomainError:
+            continue
+        draws += 1
+        yield p
+
+
 class TestSeriesFG:
     def test_c_zero_convention(self):
         p = Params(0.4, 0.0, -0.25, 0.2)
@@ -107,6 +136,40 @@ class TestSeriesFG:
         rho = P_STD.q**-0.5
         with pytest.raises(DomainError):
             series_F(rho, P_STD)
+        with pytest.raises(DomainError):
+            series_G(rho, P_STD)
+
+    def test_matches_the_oracle_over_wide_draws(self):
+        # F, G and X = 2 rho F/G against the 40-digit oracle, on the unit
+        # circle and inside the disc (rho of real |x| > 1 and of complex x),
+        # over negative q, |q| up to 0.85 and the point-mass class |c| in [1, 2].
+        # The gate is 1e-12 relative, or 1e-14 * sum_m |t_m| where the terms
+        # cancel: no double-precision sum of the terms can beat a few eps
+        # times that (at |c| near 2 and |q| > 0.7 the terms reach 1e7 |G|).
+        from mpmath import mp
+
+        rng = random.Random(31)
+        for p in _monic_draws(rng, 120):
+            theta = rng.uniform(0.05, math.pi - 0.05)
+            xr = rng.choice((-1, 1)) * rng.uniform(1.05, 3)
+            xc = complex(rng.uniform(-2, 2), rng.choice((-1, 1)) * rng.uniform(0.1, 1.5))
+            with mp.workdps(40):
+                mq, mb, mlam = mp.mpf(p.q), mp.mpf(p.b), mp.mpf(p.lam)
+                mc = mp.mpf(p.a) / (2 * mp.sqrt(-mb))
+                points = (
+                    (cmath.exp(1j * theta), mp.expj(mp.mpf(theta))),
+                    (rho_select(xr), _mp_rho(mp.mpf(xr))),
+                    (rho_select(xc), _mp_rho(mp.mpc(xc))),
+                )
+                for rho, mrho in points:
+                    F, G = _mp_fg(mrho, mq, mb, mlam, mc, 1), _mp_fg(mrho, mq, mb, mlam, mc, 0)
+                    X = complex(2 * mrho * F / G)
+                    F, G = complex(F), complex(G)
+                    tol_f = max(1e-12, 1e-14 * _abs_term_sum(rho, p, 1) / abs(F))
+                    tol_g = max(1e-12, 1e-14 * _abs_term_sum(rho, p, 0) / abs(G))
+                    assert abs(series_F(rho, p) - F) <= tol_f * abs(F), (p, rho)
+                    assert abs(series_G(rho, p) - G) <= tol_g * abs(G), (p, rho)
+                    assert abs(_X(rho, p) - X) <= (tol_f + tol_g) * abs(X), (p, rho)
 
 
 class TestSeriesR:
@@ -200,11 +263,22 @@ class TestDensities:
             assert abs(dn - di) < 1e-8
 
     def test_imaginary_residual_small(self):
-        # the jump of X across the cut, before density_inversion keeps its real part
+        # the two-sided jump of X across the cut is real, because the parameters
+        # are real and so X(conj rho) = conj X(rho); density_inversion rests on
+        # that and evaluates X above the cut only, as Im X(e^{i theta}) / pi
         for x in (-0.8, -0.2, 0.1, 0.6, 0.9):
             theta = math.acos(x)
             jump = _X(cmath.exp(1j * theta), P_STD) - _X(cmath.exp(-1j * theta), P_STD)
             assert abs((jump / (2 * math.pi * 1j)).imag) < 1e-12
+        rng = random.Random(37)
+        for p in _monic_draws(rng, 200):
+            x = rng.uniform(-0.99, 0.99)
+            theta = math.acos(x)
+            above, below = _X(cmath.exp(1j * theta), p), _X(cmath.exp(-1j * theta), p)
+            # IEEE complex arithmetic commutes with conjugation term by term, so exactly
+            assert below == above.conjugate(), (p, x)
+            two_sided = ((above - below) / (2 * math.pi * 1j)).real
+            assert abs(density_inversion(x, p) - two_sided) <= 1e-15 * abs(two_sided), (p, x)
 
     def test_density_nonnegative(self):
         for x in np.linspace(-0.99, 0.99, 40):
