@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # Home module of every lazily exported name; the keys are also exported, as
 # the submodules themselves.
 _EXPORTS = {
-    "qseries": ("phi", "qbinomial", "qmultinomial", "qpochhammer", "qpochhammer_inf", "theta"),
+    "qseries": ("phi", "qpochhammer", "qpochhammer_inf", "theta"),
     "recurrence": (
         "ConvergentSeq",
         "JCoeffs",

@@ -82,9 +82,12 @@ def stieltjes_b0(x: float, p: Params) -> float:
 
         (1/(x+a)) 0phi1[-; -aq/x; q, lam q^2/x^2] / 0phi1[-; -a/x; q, lam q/x^2].
 
-    The off-support condition is enforced via :func:`b0_support_bound`.
+    The off-support condition is enforced via :func:`b0_support_bound`;
+    a non-finite x raises DomainError.
     """
     q, a, lam = _b0_params(p)
+    if not cmath.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     bound = b0_support_bound(p)
     if abs(x) < bound:
         raise DomainError(f"|x| = {abs(x):.6g} is inside the support exclusion radius {bound:.6g}")

@@ -207,6 +207,8 @@ def _cmd_orthogonality(args) -> int:
 def _cmd_moments(args) -> int:
     from . import moments
 
+    if args.kmax < 0:
+        raise QFracError("--kmax must be >= 0")
     p = _params_from(args)
     print("k,p_k_closed,p_k_qintegral,abs_diff")
     for k in range(args.kmax + 1):

@@ -20,7 +20,7 @@ computed stably as 1/(x + sqrt(x-1) sqrt(x+1)).  On the cut x in (-1, 1)
 this returns the upper-half-plane limit e^{-i theta}.
 
 R is G on the unit circle, R(theta) = -G(e^{i theta}) / (i sin theta) term
-by term, and is evaluated so; the oracle ``verify._mp_series_R`` sums R itself.
+by term, and is evaluated so, as is the oracle ``verify._mp_series_R``.
 
 Convention at c = 0 (a = 0): F and G are read verbatim, i.e. the
 ``(-2 c rho)^m`` factor kills every m >= 1 term, so F = G = 1 and R follows
@@ -67,8 +67,11 @@ def rho_select(x) -> complex:
     The reciprocal form 1/(x + s) avoids cancellation for large |x|.  A
     negative-zero imaginary part counts as +0, so that x - 1 and x + 1 lie on
     the same side of the square root's cut (else x < -1 would get 1/rho).
+    A non-finite x raises DomainError.
     """
     xc = complex(x) + 0j  # -0.0 + 0.0 is +0.0
+    if not cmath.isfinite(xc):
+        raise DomainError(f"x must be finite, got {x}")
     return 1 / (xc + cmath.sqrt(xc - 1) * cmath.sqrt(xc + 1))
 
 
@@ -193,8 +196,6 @@ def stieltjes_transform(x, p: Params) -> complex:
     candidate mass points of the discrete part of the measure.
     """
     xc = complex(x)
-    if not cmath.isfinite(xc):
-        raise DomainError(f"x must be finite, got {x}")
     if xc.imag == 0 and -1 < xc.real < 1:
         raise DomainError("x lies inside (-1, 1); use the density routines there")
     p.require_monic()

@@ -147,6 +147,8 @@ def weight_f(t, theta: float, p: Params):
     _require_moment_params(p)
     if t == 0:
         raise DomainError("weight_f requires t != 0")
+    if not (cmath.isfinite(t) and cmath.isfinite(theta)):
+        raise DomainError(f"t and theta must be finite, got t = {t}, theta = {theta}")
     return next(_weight(cmath.exp(1j * theta), p)(t))
 
 

@@ -1,5 +1,5 @@
-"""q-calculus kernel: Pochhammer symbols, q-binomial/multinomial coefficients,
-theta products, and basic hypergeometric partial sums.
+"""q-calculus kernel: Pochhammer symbols, theta products, and basic
+hypergeometric partial sums.
 
 Everything here is scalar and polymorphic over the numeric type of its
 inputs: float/complex for the usual double-precision paths, and
@@ -14,9 +14,6 @@ Conventions:
 
 * ``(a; q)_n`` is the n-factor product ``prod_{j=0}^{n-1} (1 - a q^j)``,
   with the empty product equal to 1.
-* Gaussian binomials vanish whenever ``k < 0`` or ``n < k`` (hence for all
-  negative ``n``), multinomials whenever some part is negative or the parts
-  exceed ``n``.
 * Negative real bases ``q`` are permitted wherever ``0 < |q| < 1`` is; all
   convergence bounds use ``|q|``.
 """
@@ -31,8 +28,6 @@ __all__ = [
     "sum_series",
     "qpochhammer",
     "qpochhammer_inf",
-    "qbinomial",
-    "qmultinomial",
     "theta",
     "phi",
 ]
@@ -112,46 +107,6 @@ def qpochhammer_inf(a, q):
             small = 0
         term *= q
     raise TruncationError(f"(a; q)_inf did not converge within {_MAX_TERMS} factors")
-
-
-def qbinomial(n: int, k: int, q):
-    """Gaussian binomial coefficient in cancellation-safe product form.
-
-    Computes ``prod_{j=1}^{k} (1 - q^(n-k+j)) / (1 - q^j)``, never a ratio
-    of precomputed factorials, so it stays accurate for complex ``q``.
-    Returns 0 when ``k < 0`` or ``n < k`` (hence for all negative ``n``).
-    If ``q`` is a root of unity that zeroes a denominator factor the value
-    is undefined and a DomainError is raised.
-    """
-    if k < 0 or n < k:
-        return 0
-    inexact = isinstance(q, (float, complex))
-    out = 1
-    for j in range(1, k + 1):
-        den = 1 - q**j
-        if den == 0 or (inexact and abs(den) < 1e-13):
-            raise DomainError(f"q-binomial undefined: q^{j} = 1 zeroes a denominator factor")
-        out = out * (1 - q ** (n - k + j)) / den
-    return out
-
-
-def qmultinomial(n: int, ks: Sequence[int], q):
-    """q-multinomial coefficient ``[n; k_1, ..., k_r]_q``.
-
-    Vanishes when any part is negative or ``n < sum(ks)``; reduces to the
-    q-binomial for a single part.  Evaluated as a telescoping product of
-    q-binomials so every factor stays in product form.
-    """
-    if any(k < 0 for k in ks):
-        return 0
-    if n < sum(ks):
-        return 0
-    out = 1
-    rem = n
-    for k in ks:
-        out *= qbinomial(rem, k, q)
-        rem -= k
-    return out
 
 
 def theta(z, q):

@@ -12,7 +12,7 @@ import qfraclab
 # The exported names, frozen: home module -> names defined there.
 EXPORTS = {
     "errors": ("DomainError", "PoleError", "QFracError", "RangeError", "TruncationError"),
-    "qseries": ("phi", "qbinomial", "qmultinomial", "qpochhammer", "qpochhammer_inf", "theta"),
+    "qseries": ("phi", "qpochhammer", "qpochhammer_inf", "theta"),
     "recurrence": (
         "ConvergentSeq", "JCoeffs", "JFamily", "Params", "b0_coeffs", "b0_family", "entry16_family",
         "hirschhorn_coeffs", "hirschhorn_family", "monic_alpha", "monic_beta", "monic_ratio",

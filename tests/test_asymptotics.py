@@ -105,6 +105,11 @@ class TestStieltjesB0:
         with pytest.raises(DomainError):
             stieltjes_b0(1.0, P_B0)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite(self, x):
+        with pytest.raises(DomainError, match="finite"):
+            stieltjes_b0(x, P_B0)
+
     def test_requires_negative_lambda_and_positive_q(self):
         with pytest.raises(DomainError):
             stieltjes_b0(3.0, Params(0.4, 0.3, 0.0, 0.5))

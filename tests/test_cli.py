@@ -44,6 +44,13 @@ def test_eval_depth_must_be_positive(capsys):
     assert "--depth must be >= 1" in capsys.readouterr().err
 
 
+def test_moments_kmax_must_be_nonnegative(capsys):
+    assert main(["moments", *ACCEPT_FLAGS, "--kmax", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert "--kmax must be >= 0" in err
+    assert out == ""
+
+
 def test_eval_b0_family(capsys):
     rc = main(["eval", "--family", "b0", "--q", "0.4", "--a", "0.3", "--lambda", "-0.5",
                "--x", "3.0", "--depth", "150"])

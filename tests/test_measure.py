@@ -71,6 +71,11 @@ class TestRhoSelect:
         # rho = 1/(x + sqrt(x^2-1)) ~ 1/(2x): no cancellation
         assert rho_select(1e6) == pytest.approx(1 / (1e6 + math.sqrt(1e12 - 1)), rel=1e-15)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, complex(math.nan, math.nan), complex(2.0, math.nan)])
+    def test_rejects_nonfinite(self, x):
+        with pytest.raises(DomainError, match="finite"):
+            rho_select(x)
+
 
 def _fg_verbatim(rho, p, nterms, shift):
     """Direct partial sum of the F/G series straight from the definition."""

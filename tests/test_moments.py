@@ -185,8 +185,19 @@ class TestWeight:
         with pytest.raises(DomainError):
             weight_f(0.0, THETA, P_STD)
 
+    @pytest.mark.parametrize("t,th", [(0.3, math.nan), (0.3, math.inf), (math.nan, THETA), (complex(math.nan, 1), THETA)])
+    def test_rejects_nonfinite_t_or_theta(self, t, th):
+        with pytest.raises(DomainError, match="finite"):
+            weight_f(t, th, P_STD)
+
 
 class TestMomentSolutions:
+    @pytest.mark.parametrize("moment", [moment_pk_closed, moment_pk_integral])
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, complex(math.nan, math.nan), complex(2.0, math.nan)])
+    def test_rejects_nonfinite_x(self, moment, x):
+        with pytest.raises(DomainError, match="finite"):
+            moment(2, x, P_STD)
+
     def test_integral_form_recurrence_residual(self):
         x = 0.3
         pk = [moment_pk_integral(k, x, P_STD) for k in range(17)]

@@ -10,7 +10,7 @@ import time
 import pytest
 from mpmath import mp
 
-from qfraclab import verify
+from qfraclab import qseries, verify
 from qfraclab.errors import TruncationError
 from qfraclab.recurrence import Params
 
@@ -98,10 +98,23 @@ def test_fg_cap_below_need_raises(monkeypatch):
 
 
 def test_r_cap_below_need_raises(monkeypatch):
-    monkeypatch.setattr(verify, "_R_TERMS", 10)
+    # R is G's oracle on the unit circle, so G's cap binds it
+    monkeypatch.setattr(verify, "_FG_TERMS", 10)
     with pytest.raises(TruncationError):
         verify._mp_asym_residuals(P, 0.3, (25,))
     assert "TruncationError" in _failed_detail("asymptotics", "asymptotics")
+
+
+def test_qseries_kernel_fails_when_phi_is_off_by_1e_10(monkeypatch):
+    real_phi = qseries.phi
+    monkeypatch.setattr(qseries, "phi", lambda *args: real_phi(*args) * (1 + 1e-10))
+    result = verify.check_qseries_kernel()
+    assert not result.passed
+    # every part reports its worst error next to its gate; only phi's two fail
+    parts = re.findall(r"([a-zA-Z][a-zA-Z -]*) (\d\.\d+e[-+]\d+) / 1e-12", result.detail)
+    errs = {name: float(err) for name, err in parts}
+    assert set(errs) == {"splitting", "theta quasiperiodicity", "by-parts", "q-binomial theorem", "q-Gauss sum"}
+    assert sorted(name for name, err in errs.items() if err >= 1e-12) == ["q-Gauss sum", "q-binomial theorem"]
 
 
 def test_moment_solutions_reports_the_slow_tail_point():
