@@ -21,26 +21,24 @@ __version__ = "0.1.0"
 # Home module of every lazily exported name; the keys are also exported, as
 # the submodules themselves.
 _EXPORTS = {
-    "qseries": ("phi", "qpochhammer", "qpochhammer_inf", "theta"),
+    "qseries": ("phi", "qpochhammer", "qpochhammer_inf", "sum_series", "theta"),
     "recurrence": (
         "ConvergentSeq",
         "JCoeffs",
         "JFamily",
         "Params",
-        "b0_coeffs",
         "b0_family",
         "entry16_family",
-        "hirschhorn_coeffs",
         "hirschhorn_family",
         "monic_alpha",
         "monic_beta",
+        "monic_family",
         "monic_ratio",
         "run_jfraction",
         "run_monic",
-        "run_monic_scaled",
     ),
     "cfrac": ("backward_convergent", "convergent", "eval_backward", "hirschhorn_cf"),
-    "genfun": ("gf_eval", "gf_radius"),
+    "genfun": ("KINDS", "gf_eval", "gf_radius"),
     "measure": (
         "density_inversion",
         "density_nevai",

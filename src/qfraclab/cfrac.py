@@ -6,7 +6,9 @@ backward evaluation of the truncated fraction from its innermost level.
 They must agree to rounding, which is the main cross-check used throughout
 the test suite.  Both read a family's level triples through the same
 :func:`qfraclab.recurrence._levels`, so a built-in family's stream feeds
-either route without a Python call per level.
+either route without a Python call per level.  The base fraction
+:func:`hirschhorn_cf` is the backward route on the base family; it has no
+level loop of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import cmath
 from itertools import islice
 
 from .errors import DomainError, PoleError
-from .recurrence import JFamily, Params, _levels, run_jfraction
+from .recurrence import JFamily, Params, _levels, hirschhorn_family, run_jfraction
 
 __all__ = ["eval_backward", "backward_convergent", "convergent", "hirschhorn_cf"]
 
@@ -44,9 +46,11 @@ def eval_backward(partial_numers, partial_denoms, depth: int):
 
 def _jfraction_levels(family: JFamily, x, m: int):
     """Partial numerators A_0, -C_1, ..., -C_{m-1} and denominators 0, A_k x + B_k, in one pass."""
-    nums, dens = [], [0]
-    for A, B, C in islice(_levels(family), m):
-        nums.append(-C if nums else A)  # level 0 contributes A_0
+    levels = _levels(family)
+    A, B, _ = next(levels)  # level 0 contributes A_0
+    nums, dens = [A], [0, A * x + B]
+    for A, B, C in islice(levels, m - 1):
+        nums.append(-C)
         dens.append(A * x + B)
     return nums, dens
 
@@ -77,23 +81,15 @@ def convergent(family: JFamily, x, n: int):
 
 
 def hirschhorn_cf(p: Params, depth: int):
-    """Base continued fraction, truncated at ``depth`` levels.
-
-    This is the x = 1 J-fraction divided by ``1 - b``:
+    """Base continued fraction, truncated at ``depth`` levels:
 
         1/(1-b+a) + (b+lam q)/(1-b+aq) + (b+lam q^2)/(1-b+aq^2) + ...
 
-    read with an implicit leading term 0.  At ``b = 0`` it reduces to the
-    x = 1 value of the fraction R(x) of the b = 0 family.  Pole errors from
-    vanishing intermediate denominators propagate.
+    read with an implicit leading term 0.  This is the x = 1 convergent of
+    the base family divided by ``1 - b``, evaluated backward.  At ``b = 0``
+    it reduces to the x = 1 value of the fraction R(x) of the b = 0 family.
+    Pole errors from vanishing intermediate denominators propagate.
     """
     if depth < 1:
         raise DomainError("hirschhorn_cf requires depth >= 1")
-    q, a, b, lam = p.q, p.a, p.b, p.lam
-    nums, dens = [1], [0]
-    for k in range(depth):
-        qk = q**k
-        dens.append(1 - b + a * qk)
-        if k:
-            nums.append(b + lam * qk)
-    return eval_backward(nums, dens, depth)
+    return backward_convergent(hirschhorn_family(p), 1, depth) / (1 - p.b)

@@ -24,7 +24,7 @@ under the numerator shift (a, lam) -> (aq, lam q).
 from __future__ import annotations
 
 from .errors import DomainError
-from .qseries import phi
+from .qseries import _require_finite, phi
 
 __all__ = [
     "entry16",
@@ -91,6 +91,7 @@ def entry16(n: int, lam, q):
     """
     if n < 0:
         raise DomainError("entry16 requires n >= 0")
+    _require_finite("entry16", lam, q)
     tab = _qfac_table(q, n + 1)
     inv = _qfac_inverses(tab, n + 1)
     top = (n + 1) // 2
@@ -117,6 +118,7 @@ def hirschhorn_closed(n: int, q, a, b, lam):
     """
     if n < 0:
         raise DomainError("hirschhorn_closed requires n >= 0")
+    _require_finite("hirschhorn_closed", q, a, b, lam)
     tab = _qfac_table(q, n)
     inv = _qfac_inverses(tab, n)
     mb_pw, lam_pw = _powers(-b, n), _powers(lam, n)
@@ -154,6 +156,7 @@ def a0_closed(n: int, b, lam, q):
     """
     if n < 0:
         raise DomainError("a0_closed requires n >= 0")
+    _require_finite("a0_closed", b, lam, q)
     tab = _qfac_table(q, n + 1)
     inv = _qfac_inverses(tab, n + 1)
     b_inv = [i * p for i, p in zip(inv, _powers(-b, n + 1))]  # (-b)^j / (q; q)_j
@@ -184,6 +187,7 @@ def ram_Q(n: int, x, a, lam, q):
     """
     if n < 0:
         raise DomainError("ram_Q requires n >= 0")
+    _require_finite("ram_Q", x, a, lam, q)
     tab = _qfac_table(q, n)
     inv = _qfac_inverses(tab, n)
     f = [x + a * t for t in _powers(q, n)]  # x + a q^i
@@ -202,6 +206,7 @@ def ram_Qstar(n: int, x, a, lam, q):
     """
     if n < 0:
         raise DomainError("ram_Qstar requires n >= 0")
+    _require_finite("ram_Qstar", x, a, lam, q)
     if n == 0:
         return 0
     return ram_Q(n - 1, x, a * q, lam * q, q)
@@ -221,6 +226,7 @@ def entry15(n: int, a, lam, q):
     """
     if n < 1:
         raise DomainError("entry15 requires n >= 1")
+    _require_finite("entry15", a, lam, q)
     if 1 + a == 0:
         raise DomainError("a = -1 zeroes the (-a; q)_j factors")
     tab = _qfac_table(q, n + 1)

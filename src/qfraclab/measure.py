@@ -249,7 +249,7 @@ def gram_matrix(p: Params, nmax: int) -> list[list[float]]:
         for phi in phis:
             theta = phi - math.sin(2 * phi) / 2
             w = 2 * math.sin(phi) ** 2 / abs(series_R(theta, p)) ** 2
-            pv = run_monic(p, math.cos(theta), depth, "P")
+            pv = run_monic(p, math.cos(theta), depth)
             for k, (n, m) in enumerate(pairs):
                 acc[k] += w * pv[n] * pv[m]
         return acc

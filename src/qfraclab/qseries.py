@@ -16,10 +16,14 @@ Conventions:
   with the empty product equal to 1.
 * Negative real bases ``q`` are permitted wherever ``0 < |q| < 1`` is; all
   convergence bounds use ``|q|``.
+* A NaN or infinite argument raises :class:`~qfraclab.errors.DomainError`
+  on entry, here and in :mod:`qfraclab.convergents`, instead of coming back
+  as NaN or exhausting the term budget.
 """
 
 from __future__ import annotations
 
+import cmath
 from typing import Iterator, Sequence
 
 from .errors import DomainError, TruncationError
@@ -42,6 +46,17 @@ __all__ = [
 _REL_TOL = 1e-15
 _SMALL_RUN = 3
 _MAX_TERMS = 10_000
+
+
+def _require_finite(what: str, *values) -> None:
+    """Raise DomainError unless every value is finite.
+
+    Rationals (int, Fraction: anything with a ``denominator``) are finite by
+    construction and skipped, since converting a huge one to float overflows.
+    """
+    for v in values:
+        if not hasattr(v, "denominator") and not cmath.isfinite(v):
+            raise DomainError(f"{what} requires finite arguments, got {v!r}")
 
 
 def sum_series(terms: Iterator, what: str = "series"):
@@ -78,6 +93,7 @@ def qpochhammer(a, q, n: int):
     """
     if n < 0:
         raise DomainError("qpochhammer requires n >= 0")
+    _require_finite("qpochhammer", a, q)
     out = 1
     pw = 1  # q^j
     for _ in range(n):
@@ -92,6 +108,7 @@ def qpochhammer_inf(a, q):
     The partial product is truncated once ``|a q^k| < _REL_TOL`` for
     ``_SMALL_RUN`` successive ``k``.
     """
+    _require_finite("qpochhammer_inf", a, q)
     if not 0 < abs(q) < 1:
         raise DomainError("qpochhammer_inf requires 0 < |q| < 1")
     out = 1
@@ -114,6 +131,7 @@ def theta(z, q):
 
     Satisfies the quasiperiodicity ``<z; q> / <zq; q> = -z``.
     """
+    _require_finite("theta", z, q)
     if z == 0:
         raise DomainError("theta requires z != 0")
     if not 0 < abs(q) < 1:
@@ -155,6 +173,7 @@ def phi(upper: Sequence, lower: Sequence, q, z):
     converge under the truncation policy, which covers ``r <= s`` always and
     ``r = s + 1`` for ``|z| < 1``.
     """
+    _require_finite("phi", *upper, *lower, q, z)
     if not 0 < abs(q) < 1:
         raise DomainError("phi requires 0 < |q| < 1")
     for b in lower:

@@ -6,15 +6,16 @@ A J-fraction
 
 has numerator and denominator polynomials ``N_k(x)``, ``D_k(x)`` that both
 satisfy ``y_{k+1} = (A_k x + B_k) y_k - C_k y_{k-1}`` with seeds
-``D_0 = 1, D_1 = A_0 x + B_0`` and ``N_0 = 0, N_1 = A_0``.  Three families
-live here:
+``D_0 = 1, D_1 = A_0 x + B_0`` and ``N_0 = 0, N_1 = A_0``.  Every built-in
+family has levels of one shape, ``(A, B q^k, C0 + C1 q^k)``:
 
 * the base family ``A_k = 1 - b, B_k = a q^k, C_k = -(b + lam q^k)``,
 * its ``b = 0`` specialization ``A_k = 1, B_k = a q^k, C_k = -lam q^k``
-  (denominators Q_k, numerators Q*_k), and
+  (denominators Q_k, numerators Q*_k),
 * the Rogers-Ramanujan-type family (``a = 0`` inside the b = 0 one), whose
   conventional convergent index counts tail terms and is one less than the
-  recurrence index.
+  recurrence index, and
+* the monic family below.
 
 The monic rescaling ``P_k(x) = D_k(gamma x) / (gamma^k (1 - b)^k)`` with
 ``gamma^2 = -4b / (1 - b)^2`` turns the base family into
@@ -24,20 +25,20 @@ The monic rescaling ``P_k(x) = D_k(gamma x) / (gamma^k (1 - b)^k)`` with
 
 which is a Nevai-class recurrence (alpha_k -> 0, beta_k -> 1/4) whenever
 ``b < 0`` and every ``beta_k`` is positive.  It is the J-fraction with
-``A_k = 1, B_k = -alpha_k, C_k = beta_k``: P_k is its D solution and the
-numerator polynomials P*_k its N solution.
+``A_k = 1, B_k = -alpha_k, C_k = beta_k`` (:func:`monic_family`): P_k is its
+D solution and the numerator polynomials P*_k its N solution.
 
-One kernel, :func:`_run`, steps every family: it reads the level triples
-from an iterator and advances N and D together.  A family supplies that
-iterator through :func:`_levels`: the built-in families carry a stream that
-reads the parameters once and yields plain ``(A, B, C)`` tuples, with the
-same expressions as their ``coeffs`` functions; any other family is read
-through ``coeffs``, one call per level.  Float and complex runs
-keep one power-of-two exponent ledger for both solutions: once a new value
-passes 2^512, or one step leaves the double range, the step is redone from
-the previous pair scaled below 1/8 by a power of two, which changes no
-value short of underflow.  Fraction and int runs (the type of ``D_1``
-decides) are exact and never rescaled.
+Each built-in family is written once, as the arguments of the one level
+generator :func:`_affine`, which steps q^k by a running product; its
+``coeffs(k)`` is the k-th triple of a fresh stream.  One kernel,
+:func:`_run`, steps every family: it reads the level triples from an
+iterator (:func:`_levels`: the family's stream, or ``coeffs`` once per level
+for a family built from ``coeffs`` alone) and advances N and D together.
+Float and complex runs keep one power-of-two exponent ledger for both
+solutions: once a new value passes 2^512, or one step leaves the double
+range, the step is redone from the previous pair scaled below 1/8 by a
+power of two, which changes no value short of underflow.  Fraction and int
+runs (the type of ``D_1`` decides) are exact and never rescaled.
 """
 
 from __future__ import annotations
@@ -55,16 +56,14 @@ __all__ = [
     "JCoeffs",
     "JFamily",
     "ConvergentSeq",
-    "hirschhorn_coeffs",
-    "b0_coeffs",
     "hirschhorn_family",
     "b0_family",
     "entry16_family",
     "run_jfraction",
+    "monic_family",
     "monic_alpha",
     "monic_beta",
     "run_monic",
-    "run_monic_scaled",
     "monic_ratio",
 ]
 
@@ -190,18 +189,18 @@ class JCoeffs(NamedTuple):
 
 
 class JFamily(NamedTuple):
-    """A J-fraction family given by its level-coefficient function.
+    """A J-fraction family: its level triples ``(A_k, B_k, C_k)`` for k = 0, 1, 2, ...
+
+    ``coeffs(k)`` gives level k.  ``stream``, when given, makes a fresh
+    iterator of the same triples, which both convergent routes read (through
+    :func:`_levels`) without a Python call per level; the built-in families
+    set both, from one generator.  A family built from ``coeffs`` alone is
+    read one call per level.
 
     ``index_shift`` maps the family's conventional convergent index onto the
     recurrence index (1 for the Rogers-Ramanujan-type family, whose n-th
     convergent ends at the ``lam q^n`` tail term and equals
     ``N_{n+1}/D_{n+1}`` of the recurrence).
-
-    Both convergent routes read the levels k = 0, 1, 2, ... through
-    :func:`_levels`.  ``stream``, when given, makes a fresh iterator of
-    ``(A, B, C)`` tuples equal to ``coeffs(0), coeffs(1), ...``; the built-in
-    families set it, so a deep run makes no Python call per level.  Without
-    it the levels come from ``coeffs``.
     """
 
     name: str
@@ -217,56 +216,56 @@ def _levels(family: JFamily) -> Iterator[tuple]:
     return map(family.coeffs, count())
 
 
-def hirschhorn_coeffs(p: Params, k: int) -> JCoeffs:
-    """Base-family coefficients A_k = 1-b, B_k = a q^k, C_k = -(b + lam q^k)."""
-    qk = p.q**k
-    return JCoeffs(1 - p.b, p.a * qk, -(p.b + p.lam * qk))
+def _affine(A, B, C0, C1, q):
+    """The level triples ``(A, B q^k, C0 + C1 q^k)`` for k = 0, 1, 2, ...; q^k is a
+    running product from ``q**0``, which keeps level 0 in the type of every later level."""
+    qk = q**0
+    while True:
+        yield A, B * qk, C0 + C1 * qk
+        qk *= q
 
 
-def b0_coeffs(p: Params, k: int) -> JCoeffs:
-    """b = 0 family: A_k = 1, B_k = a q^k, C_k = -lam q^k.
-
-    Seeds follow the J-fraction convention: denominators Q_0 = 1,
-    Q_1 = x + a; numerators Q*_0 = 0, Q*_1 = 1.
-    """
-    if p.b != 0:
-        raise DomainError("b0 family requires b = 0")
-    qk = p.q**k
-    return JCoeffs(1, p.a * qk, -p.lam * qk)
-
-
-def _hirschhorn_stream(p: Params):
-    """The triples of :func:`hirschhorn_coeffs` for k = 0, 1, 2, ..., by the same expressions."""
-    q, a, b, lam = p.q, p.a, p.b, p.lam
-    A = 1 - b
-    for k in count():
-        qk = q**k
-        yield A, a * qk, -(b + lam * qk)
-
-
-def _b0_stream(p: Params):
-    """The triples of :func:`b0_coeffs` for k = 0, 1, 2, ..., by the same expressions;
-    b != 0 raises DomainError at the first level, as ``b0_coeffs`` does."""
-    if p.b != 0:
-        raise DomainError("b0 family requires b = 0")
-    q, a, lam = p.q, p.a, p.lam
-    for k in count():
-        qk = q**k
-        yield 1, a * qk, -lam * qk
+def _family(name: str, stream) -> JFamily:
+    """A built-in family: its ``coeffs(k)`` is the k-th triple of a fresh ``stream()``."""
+    return JFamily(name, lambda k: JCoeffs(*next(islice(stream(), k, None))), stream=stream)
 
 
 def hirschhorn_family(p: Params) -> JFamily:
-    return JFamily("hirschhorn", lambda k: hirschhorn_coeffs(p, k), stream=lambda: _hirschhorn_stream(p))
+    """Base family: A_k = 1 - b, B_k = a q^k, C_k = -(b + lam q^k)."""
+    return _family("hirschhorn", lambda: _affine(1 - p.b, p.a, -p.b, -p.lam, p.q))
 
 
 def b0_family(p: Params) -> JFamily:
-    return JFamily("b0", lambda k: b0_coeffs(p, k), stream=lambda: _b0_stream(p))
+    """b = 0 family: A_k = 1, B_k = a q^k, C_k = -lam q^k; denominators Q_k
+    (Q_0 = 1, Q_1 = x + a), numerators Q*_k (Q*_0 = 0, Q*_1 = 1).
+
+    It builds for any ``p``; b != 0 raises DomainError at the first use.
+    """
+
+    def stream():
+        if p.b != 0:
+            raise DomainError("b0 family requires b = 0")
+        return _affine(1, p.a, 0, -p.lam, p.q)
+
+    return _family("b0", stream)
 
 
 def entry16_family(lam, q) -> JFamily:
     """Rogers-Ramanujan-type family (a = 0, b = 0), used at x = 1."""
-    p = Params(q, 0, 0, lam)
-    return JFamily("entry16", lambda k: b0_coeffs(p, k), index_shift=1, stream=lambda: _b0_stream(p))
+    return b0_family(Params(q, 0, 0, lam))._replace(name="entry16", index_shift=1)
+
+
+def _monic_stream(p: Params):
+    """The level triples of :func:`monic_family`, after :meth:`Params.require_monic`."""
+    p.require_monic()
+    return _affine(1, -p.c, 0.25, p.lam / p.b / 4, p.q)
+
+
+def monic_family(p: Params) -> JFamily:
+    """Monic family: A_k = 1, B_k = -alpha_k = -c q^k, C_k = beta_k = 1/4 + (lam/b)/4 q^k;
+    P_k is its D solution and P*_k its N solution.  The parameters must pass
+    :meth:`Params.require_monic`, checked at the first use."""
+    return _family("monic", lambda: _monic_stream(p))
 
 
 class ConvergentSeq:
@@ -301,6 +300,8 @@ def _run(levels, x, depth: int):
     """The one recurrence loop: N and D of the J-fraction whose level triples
     ``levels`` yields, to ``depth``, as mantissa lists and their shared
     exponent list ``E`` (all zero for Fraction and int runs)."""
+    if depth < 1:
+        raise DomainError(f"a recurrence run requires depth >= 1, got {depth}")
     if not cmath.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
     A, B, _ = next(levels)
@@ -352,67 +353,38 @@ def run_jfraction(family: JFamily, x, depth: int) -> ConvergentSeq:
     Exact for Fraction-valued coefficients and evaluation points; float
     values past the double range come back infinite.
     """
-    if depth < 1:
-        raise DomainError("run_jfraction requires depth >= 1")
     N, D, E = _run(_levels(family), x, depth)
     return ConvergentSeq(_values(N, E), _values(D, E), x)
 
 
 def monic_alpha(p: Params, k: int) -> float:
+    """alpha_k = c q^k in closed form, O(1) for any k."""
     return p.c * p.q**k
 
 
 def monic_beta(p: Params, k: int) -> float:
+    """beta_k = (1 + lam q^k / b) / 4 in closed form, O(1) for any k."""
     return (1 + p.lam * p.q**k / p.b) / 4
 
 
-def _monic_triples(c, q, r):
-    """Level triples (1, -alpha_k, beta_k) = (1, -c q^k, (1 + r q^k)/4) with r = lam/b."""
-    qk = 1
-    while True:
-        yield 1, -c * qk, (1 + r * qk) / 4
-        qk *= q
+def run_monic(p: Params, x, depth: int) -> list:
+    """The monic orthogonal polynomials P_0 = 1, P_1 = x - c, ..., P_depth at ``x``,
+    from ``x P_k = P_{k+1} + alpha_k P_k + beta_k P_{k-1}``.
 
-
-def _monic_run(p: Params, x, depth: int, seed: str, name: str):
-    """Validate a monic run and step it: ``(N, D, E)`` of :func:`_run`."""
-    if depth < 1:
-        raise DomainError(f"{name} requires depth >= 1")
-    if seed not in ("P", "Pstar"):
-        raise DomainError(f"unknown seed {seed!r}; use 'P' or 'Pstar'")
-    p.require_monic()
-    return _run(_monic_triples(p.c, p.q, p.lam / p.b), x, depth)
-
-
-def run_monic(p: Params, x, depth: int, seed: str = "P") -> list:
-    """Unroll ``x y_k = y_{k+1} + alpha_k y_k + beta_k y_{k-1}`` to ``depth``.
-
-    ``seed="P"`` gives the monic orthogonal polynomials (P_0 = 1,
-    P_1 = x - c); ``seed="Pstar"`` the numerator solution (0, 1).
-    A run with a value past the double range raises RangeError; use
-    :func:`run_monic_scaled` there.
+    A run with a value past the double range raises RangeError; the numerator
+    solution P*_k is ``run_jfraction(monic_family(p), x, depth).N``.
     """
-    N, D, E = _monic_run(p, x, depth, seed, "run_monic")
-    vals = _values(D if seed == "P" else N, E)
+    _, D, E = _run(_monic_stream(p), x, depth)
+    vals = _values(D, E)
     if not all(map(cmath.isfinite, vals)):
-        raise RangeError(f"{seed}({x}) leaves the double range by depth {depth}; use run_monic_scaled")
+        raise RangeError(f"P({x}) leaves the double range by depth {depth}")
     return vals
-
-
-def run_monic_scaled(p: Params, x, depth: int, seed: str = "P"):
-    """Like :func:`run_monic` but returns the kernel's exponent ledger.
-
-    Returns ``(mantissas, exponents)`` with ``y_k = mantissas[k] * 2.0**exponents[k]``,
-    so depths well past the double-precision overflow point stay finite.
-    """
-    N, D, E = _monic_run(p, x, depth, seed, "run_monic_scaled")
-    return (D if seed == "P" else N), E
 
 
 def monic_ratio(p: Params, x, depth: int):
     """Markov-limit ratio ``Pstar_depth(x) / P_depth(x)`` from one scaled run;
     both solutions share the exponent ledger, so their mantissas give the ratio."""
-    N, D, _ = _monic_run(p, x, depth, "P", "monic_ratio")
+    N, D, _ = _run(_monic_stream(p), x, depth)
     if D[depth] == 0:
         raise PoleError(f"P_{depth}(x) = 0 at x = {x}", level=depth)
     ratio = N[depth] / D[depth]

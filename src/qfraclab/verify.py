@@ -330,7 +330,7 @@ def check_moment_solutions() -> CheckResult:
         worst_agree = max(worst_agree, abs(pkc[k] - moments.moment_pk_integral(k, x, p)))
     p2 = Params(0.4, 0.3, -0.2, 0.2)  # b = -lam specialization
     pk2 = [moments.moment_pk_closed(k, x, p2) for k in range(11)]
-    Pk2 = recurrence.run_monic(p2, x, 10, "P")
+    Pk2 = recurrence.run_monic(p2, x, 10)
     worst_spec = max(abs(pk2[k] / pk2[0] - Pk2[k]) for k in range(11))
     # |lam q / b| = 0.45: the sum needs nodes past the 35th, where the weight's
     # q/4ct and -lam q/4bct products overflow if formed at the node itself
@@ -353,7 +353,7 @@ def check_asymptotics() -> CheckResult:
     for x in grid:
         r25, r100 = _mp_asym_residuals(p, x, (25, 100), dps=80)
         decrease_ok = decrease_ok and r100 < r25
-        e25_pkg = abs(2**25 * recurrence.run_monic(p, x, 25, "P")[25] - 2**25 * asymptotics.asymptotic_P(25, x, p))
+        e25_pkg = abs(2**25 * recurrence.run_monic(p, x, 25)[25] - 2**25 * asymptotics.asymptotic_P(25, x, p))
         match_ok = match_ok and abs(e25_pkg - r25) < 1e-11
     pb = Params(0.4, 0.3, 0.0, -0.5)
     seq = recurrence.run_jfraction(recurrence.b0_family(pb), 3.0, 100)
@@ -459,9 +459,6 @@ def check_qseries_kernel() -> CheckResult:
         lhs = qpochhammer(a, q, m + n)
         rhs = qpochhammer(a, q, m) * qpochhammer(a * q**m, q, n)
         worst["splitting"] = max(worst["splitting"], abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-        # two draws that no part uses: they hold the later parts on their
-        # recorded draws, whose by-parts sums set most of this criterion's time
-        rng.randint(1, rng.randint(2, 20) - 1)
 
         qq = rng.uniform(0.05, 0.7)
         z = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.1, 2))

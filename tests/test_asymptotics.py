@@ -24,7 +24,7 @@ class TestAsymptoticP:
 
     def test_residual_already_small_at_k25(self):
         x = 0.3
-        e25 = abs(run_monic(P_STD, x, 25, "P")[25] - asymptotic_P(25, x, P_STD)) * 2**25
+        e25 = abs(run_monic(P_STD, x, 25)[25] - asymptotic_P(25, x, P_STD)) * 2**25
         assert e25 < 1e-8
 
     def test_residual_smaller_at_100_than_50(self):
@@ -41,7 +41,7 @@ class TestAsymptoticP:
         assert val == pytest.approx(math.sin((k + 1) * math.pi / 2) / 2**k, abs=1e-15)
         # parity: P_k(0) vanishes for odd k, and the approximation does too
         assert asymptotic_P(5, 0.0, p) == pytest.approx(0.0, abs=1e-15)
-        assert run_monic(p, 0.0, 5, "P")[5] == 0
+        assert run_monic(p, 0.0, 5)[5] == 0
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -118,7 +119,15 @@ class TestLevelStreams:
                 assert _outcome(route, fam, x, depth) == _outcome(route, ref, x, depth), (route, fam, x, depth)
 
     def test_hirschhorn_cf_equals_the_per_level_lists(self, family_draws):
+        # the base fraction's levels written out, q^k as a running product, at
+        # x = 1 with the leading numerator 1 - b divided out at the end
         for p, _, _, depth in family_draws:
-            dens = [0] + [1 - p.b + p.a * p.q**k for k in range(depth)]
-            nums = [1] + [p.b + p.lam * p.q**k for k in range(1, depth)]
-            assert _outcome(hirschhorn_cf, p, depth) == _outcome(eval_backward, nums, dens, depth), (p, depth)
+            qk = [p.q**0]
+            for _ in range(depth):
+                qk.append(qk[-1] * p.q)
+            dens = [0] + [1 - p.b + p.a * qk[k] for k in range(depth)]
+            nums = [1 - p.b] + [p.b + p.lam * qk[k] for k in range(1, depth)]
+            expected = _outcome(lambda: eval_backward(nums, dens, depth) / (1 - p.b))
+            assert _outcome(hirschhorn_cf, p, depth) == expected, (p, depth)
+            if isinstance(p.q, Fraction):  # and exactly the fraction with numerator 1
+                assert expected == _outcome(eval_backward, [1] + nums[1:], dens, depth), (p, depth)

@@ -286,3 +286,33 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     # missing required parameter
     assert main(["eval", "--family", "entry16", "--lambda", "0.2"]) == 2
+
+
+def _readme_commands():
+    """Every ``qfraclab ...`` line of README.md's ``sh`` blocks, comments stripped."""
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = "\n".join(re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)).splitlines()
+    return [line.split("#", 1)[0].strip() for line in lines if line.startswith("qfraclab ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands(), ids=lambda line: line.split()[1])
+def test_readme_example_runs(line, tmp_path, capsys):
+    import shlex
+
+    argv = shlex.split(line)[1:]
+    target = None
+    if ">" in argv:  # the shell redirect, pointed into tmp_path
+        argv, target = argv[: argv.index(">")], argv[argv.index(">") + 1]
+    assert main(argv) == 0, capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert out
+    if target is not None:
+        (tmp_path / target).write_text(out, encoding="utf-8")
+
+
+def test_readme_examples_are_found():
+    subcommands = {line.split()[1] for line in _readme_commands()}
+    assert subcommands == {"eval", "convergents", "density", "orthogonality", "moments", "verify"}

@@ -6,7 +6,7 @@ import pytest
 
 from qfraclab.errors import DomainError
 from qfraclab.genfun import _base_roots, gf_eval, gf_radius
-from qfraclab.recurrence import Params, b0_family, hirschhorn_family, run_jfraction, run_monic
+from qfraclab.recurrence import Params, b0_family, hirschhorn_family, monic_family, run_jfraction, run_monic
 
 P_STD = Params(0.4, 0.3, -0.25, 0.2)
 P_B0 = Params(0.4, 0.3, 0.0, -0.2)
@@ -43,7 +43,7 @@ def test_q_kind_coefficient_oracle():
 def test_p_kind_coefficient_oracle():
     p = P_STD
     x = math.cos(1.0)
-    Pv = run_monic(p, x, 82, "P")
+    Pv = run_monic(p, x, 82)
     t = 0.2
     oracle = sum(Pv[k] * t**k for k in range(81))
     assert gf_eval("P", t, x, p) == pytest.approx(oracle, abs=1e-12)
@@ -67,11 +67,11 @@ def test_coefficient_agreement_inside_third_of_radius(kind, p):
         radius = gf_radius(kind, x, p)
         t = cmath.rect(0.3 * radius * rng.uniform(0.3, 1.0), rng.uniform(0, 2 * math.pi))
         if kind in ("P", "Pstar"):
-            vals = run_monic(p, x, 130, kind)
+            family = monic_family(p)
         else:
             family = b0_family(p) if p.b == 0 else hirschhorn_family(p)
-            seq = run_jfraction(family, x, 130)
-            vals = seq.D if kind == "D" else seq.N
+        seq = run_jfraction(family, x, 130)
+        vals = seq.D if kind in ("P", "D") else seq.N
         oracle = sum(vals[k] * t**k for k in range(126))
         assert abs(gf_eval(kind, t, x, p) - oracle) <= 1e-11 * (1 + abs(oracle))
 
@@ -130,7 +130,7 @@ def test_a_zero_limit_of_p_kind():
     # regrouped factors keep the c -> 0 limit of the generating function exact
     p = Params(0.4, 0.0, -0.25, 0.2)
     x = math.cos(1.0)
-    Pv = run_monic(p, x, 82, "P")
+    Pv = run_monic(p, x, 82)
     t = 0.2
     oracle = sum(Pv[k] * t**k for k in range(81))
     assert gf_eval("P", t, x, p) == pytest.approx(oracle, abs=1e-12)

@@ -238,7 +238,7 @@ class TestMomentSolutions:
         p1 = moment_pk_closed(1, x, p)
         assert p0 == pytest.approx(1.0, rel=1e-13)
         assert p1 / p0 == pytest.approx(x - p.c, rel=1e-12)
-        Pk = run_monic(p, x, 10, "P")
+        Pk = run_monic(p, x, 10)
         for k in range(11):
             assert abs(moment_pk_closed(k, x, p) / p0 - Pk[k]) < 1e-10
         # the q-integral route satisfies the same specialization

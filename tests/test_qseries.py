@@ -1,12 +1,14 @@
 import cmath
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfraclab.errors import DomainError, TruncationError
-from qfraclab import qseries, verify
+from qfraclab import convergents, qseries, verify
 from qfraclab.qseries import phi, qpochhammer, qpochhammer_inf, sum_series, theta
 
 # strategies kept away from the singular sets: |q| in [0.05, 0.9], and the
@@ -191,3 +193,43 @@ def test_theta_quasiperiodicity_property(z, q):
 def test_pochhammer_inf_ratio(a, q):
     lhs = qpochhammer_inf(a, q) / qpochhammer_inf(a * q, q)
     assert abs(lhs - (1 - a)) <= 1e-12 * max(1.0, abs(1 - a))
+
+
+# every q-series kernel and closed form, its finite reference arguments, and the
+# positions of the arguments that may be non-finite (the integer orders never are)
+FINITE_CALLS = {
+    "qpochhammer": (qpochhammer, (0.3, 0.4, 5), (0, 1)),
+    "qpochhammer_inf": (qpochhammer_inf, (0.3, 0.4), (0, 1)),
+    "theta": (theta, (0.7, 0.4), (0, 1)),
+    "phi": (lambda a, b, q, z: phi((a,), (b,), q, z), (0.3, 0.2, 0.4, 0.5), (0, 1, 2, 3)),
+    "hirschhorn_closed": (convergents.hirschhorn_closed, (6, 0.4, 0.3, -0.25, 0.2), (1, 2, 3, 4)),
+    "entry16": (convergents.entry16, (6, 0.2, 0.4), (1, 2)),
+    "a0_closed": (convergents.a0_closed, (6, -0.25, 0.2, 0.4), (1, 2, 3)),
+    "entry15": (convergents.entry15, (6, 0.3, 0.2, 0.4), (1, 2, 3)),
+    "ram_Q": (convergents.ram_Q, (6, 0.7, 0.3, 0.2, 0.4), (1, 2, 3, 4)),
+    "ram_Qstar": (convergents.ram_Qstar, (0, 0.7, 0.3, 0.2, 0.4), (1, 2, 3, 4)),  # n = 0 returns early
+    "g_function": (convergents.g_function, (-0.25, 0.2, 0.4), (0, 1, 2)),
+}
+
+
+def _scalars(value):
+    """The scalars of a value or of a pair of values."""
+    return value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.inf)], ids=["nan", "inf", "complex-inf"])
+@pytest.mark.parametrize("name", FINITE_CALLS)
+def test_nonfinite_argument_is_a_domain_error(name, bad):
+    fn, args, positions = FINITE_CALLS[name]
+    assert all(map(cmath.isfinite, _scalars(fn(*args))))
+    for i in positions:
+        poisoned = args[:i] + (bad,) + args[i + 1:]
+        with pytest.raises(DomainError, match="requires finite arguments"):
+            fn(*poisoned)
+
+
+def test_rationals_past_the_double_range_skip_the_finiteness_check():
+    huge = Fraction(10**400, 3)
+    assert qpochhammer(huge, Fraction(1, 2), 2) == (1 - huge) * (1 - huge / 2)
+    N, D = convergents.entry16(3, 10**400, Fraction(1, 2))
+    assert type(D) is Fraction and D > 10**400

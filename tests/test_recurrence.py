@@ -16,17 +16,17 @@ from qfraclab.recurrence import (
     JCoeffs,
     JFamily,
     Params,
-    b0_coeffs,
+    _levels,
+    _run,
     b0_family,
     entry16_family,
-    hirschhorn_coeffs,
     hirschhorn_family,
     monic_alpha,
     monic_beta,
+    monic_family,
     monic_ratio,
     run_jfraction,
     run_monic,
-    run_monic_scaled,
 )
 
 P_STD = Params(0.4, 0.3, -0.25, 0.2)
@@ -122,17 +122,18 @@ class TestJFraction:
 
     def test_hirschhorn_coeff_values(self):
         p = P_STD
-        c0 = hirschhorn_coeffs(p, 0)
+        fam = hirschhorn_family(p)
+        c0 = fam.coeffs(0)
         assert (c0.A, c0.B) == (1 - p.b, p.a)
-        assert hirschhorn_coeffs(p, 1).C == pytest.approx(-(p.b + p.lam * p.q))
+        assert fam.coeffs(1).C == pytest.approx(-(p.b + p.lam * p.q))
 
     def test_b0_reduction_of_hirschhorn(self):
         p = Params(0.4, 0.3, 0.0, 0.2)
-        c2 = b0_coeffs(p, 2)
+        c2 = b0_family(p).coeffs(2)
         assert c2.A == 1
         assert c2.B == pytest.approx(p.a * p.q**2)
         assert c2.C == pytest.approx(-p.lam * p.q**2)
-        h2 = hirschhorn_coeffs(p, 2)
+        h2 = hirschhorn_family(p).coeffs(2)
         assert (h2.A, h2.B, h2.C) == (c2.A, c2.B, c2.C)
 
     def test_hirschhorn_d2_hand_unrolled(self):
@@ -183,7 +184,8 @@ class TestJFraction:
     def test_ratio_pole_reported(self):
         # D_1(x) = 0 at x = -B_0 / A_0
         p = P_STD
-        x = -hirschhorn_coeffs(p, 0).B / hirschhorn_coeffs(p, 0).A
+        c0 = hirschhorn_family(p).coeffs(0)
+        x = -c0.B / c0.A
         seq = run_jfraction(hirschhorn_family(p), x, 1)
         with pytest.raises(PoleError):
             seq.ratio(1)
@@ -197,18 +199,18 @@ class TestMonic:
     def test_p2_hand_unrolled(self):
         p = P_STD
         x = 0.41
-        vals = run_monic(p, x, 2, "P")
+        vals = run_monic(p, x, 2)
         expected = (x - p.c * p.q) * (x - p.c) - (1 + p.lam * p.q / p.b) / 4
         assert vals[2] == pytest.approx(expected, rel=1e-14)
 
     def test_pstar_seeds(self):
-        vals = run_monic(P_STD, 0.3, 2, "Pstar")
+        vals = run_jfraction(monic_family(P_STD), 0.3, 2).N
         assert vals[0] == 0 and vals[1] == 1
         assert vals[2] == pytest.approx(0.3 - P_STD.c * P_STD.q)
 
     def test_monic_leading_coefficient_is_one(self):
         for k in (3, 5, 7):
-            vals = [run_monic(P_STD, float(i), k, "P")[k] for i in range(k + 1)]
+            vals = [run_monic(P_STD, float(i), k)[k] for i in range(k + 1)]
             assert finite_diff_leading(vals, k) == pytest.approx(1.0, rel=1e-8)
 
     def test_rescaling_relation(self):
@@ -224,7 +226,7 @@ class TestMonic:
             except DomainError:
                 continue
             x = rng.uniform(-1.5, 1.5)
-            Pv = run_monic(p, x, 10, "P")
+            Pv = run_monic(p, x, 10)
             seq = run_jfraction(hirschhorn_family(p), p.gamma * x, 10)
             for k in range(11):
                 scaled = seq.D[k] / (p.gamma**k * (1 - p.b) ** k)
@@ -233,8 +235,8 @@ class TestMonic:
     def test_parity_when_a_zero(self):
         p = Params(0.4, 0.0, -0.25, 0.2)
         x = 0.63
-        plus = run_monic(p, x, 10, "P")
-        minus = run_monic(p, -x, 10, "P")
+        plus = run_monic(p, x, 10)
+        minus = run_monic(p, -x, 10)
         for k in range(11):
             assert minus[k] == pytest.approx((-1) ** k * plus[k], rel=1e-13, abs=1e-15)
 
@@ -246,30 +248,25 @@ class TestMonic:
             closed = qpochhammer(-p.lam * p.q / p.b, p.q, n) / 4**n
             assert abs(prod - closed) <= 1e-12 * abs(closed)
 
-    def test_invalid_seed_rejected(self):
-        with pytest.raises(DomainError):
-            run_monic(P_STD, 0.3, 5, "Q")
-
     def test_overflow_raises_instead_of_nan(self):
         # P_k(2) grows like 1.87^k and leaves the double range near k = 1130
         with pytest.raises(RangeError) as info:
             run_monic(P_STD, 2.0, 1200)
         assert isinstance(info.value, QFracError)
-        with pytest.raises(RangeError):
-            run_monic(P_STD, 2.0, 1200, "Pstar")
         assert math.isfinite(run_monic(P_STD, 2.0, 1100)[-1])
+        # the ratio of the two solutions divides mantissas, so it stays finite past the range
+        assert math.isfinite(monic_ratio(P_STD, 2.0, 1200))
 
     @pytest.mark.parametrize("x", [math.inf, math.nan, complex(0.3, math.inf)])
     def test_nonfinite_x_rejected(self, x):
-        for run in (run_monic, run_monic_scaled):
+        for run in (run_monic, monic_ratio):
             with pytest.raises(DomainError, match="finite"):
                 run(P_STD, x, 5)
-        with pytest.raises(DomainError, match="finite"):
-            monic_ratio(P_STD, x, 5)
         # the J-fraction entries, forward and backward
         from qfraclab.cfrac import backward_convergent, convergent
 
-        for fam in (hirschhorn_family(P_STD), b0_family(Params(0.4, 0.3, 0, 0.2)), entry16_family(0.2, 0.4)):
+        for fam in (hirschhorn_family(P_STD), b0_family(Params(0.4, 0.3, 0, 0.2)), entry16_family(0.2, 0.4),
+                    monic_family(P_STD)):
             for evaluate in (run_jfraction, convergent, backward_convergent):
                 with pytest.raises(DomainError, match="finite"):
                     evaluate(fam, x, 5)
@@ -291,8 +288,8 @@ class TestMonic:
         vals = run_monic(P_STD, x, 6)
         assert vals == pytest.approx(run_monic(P_STD, float(x), 6), rel=1e-14)
         z = complex(0.4, 0.7)
-        vals = run_monic(P_STD, z, 6, "Pstar")
-        conj = run_monic(P_STD, z.conjugate(), 6, "Pstar")
+        vals = run_jfraction(monic_family(P_STD), z, 6).N
+        conj = run_jfraction(monic_family(P_STD), z.conjugate(), 6).N
         assert all(isinstance(v, complex) for v in vals[2:])
         assert [v.conjugate() for v in vals[2:]] == pytest.approx(conj[2:], rel=1e-14)
 
@@ -307,17 +304,37 @@ class TestB0Norms:
 
     def test_b0_family_requires_b_zero(self):
         with pytest.raises(DomainError):
-            b0_coeffs(P_STD, 1)
+            b0_family(P_STD).coeffs(1)
 
 
-BUILTIN_FAMILIES = [
-    hirschhorn_family(P_STD),
-    hirschhorn_family(Params(Fraction(2, 5), Fraction(3, 10), Fraction(-1, 4), Fraction(1, 5))),
-    b0_family(Params(0.5, -0.4, 0.0, 0.3)),
-    b0_family(Params(Fraction(1, 2), Fraction(-2, 5), 0, Fraction(3, 10))),
-    entry16_family(0.8, 0.45),
-    entry16_family(Fraction(4, 5), Fraction(9, 20)),
+BUILTIN_CASES = [
+    ("hirschhorn", P_STD),
+    ("hirschhorn", Params(Fraction(2, 5), Fraction(3, 10), Fraction(-1, 4), Fraction(1, 5))),
+    ("b0", Params(0.5, -0.4, 0.0, 0.3)),
+    ("b0", Params(Fraction(1, 2), Fraction(-2, 5), 0, Fraction(3, 10))),
+    ("entry16", Params(0.45, 0, 0, 0.8)),
+    ("entry16", Params(Fraction(9, 20), 0, 0, Fraction(4, 5))),
+    ("monic", P_STD),
+    ("monic", Params(-0.7, -0.8, -0.5, 0.4)),
 ]
+FAMILY_OF = {
+    "hirschhorn": hirschhorn_family,
+    "b0": b0_family,
+    "entry16": lambda p: entry16_family(p.lam, p.q),
+    "monic": monic_family,
+}
+BUILTIN_FAMILIES = [FAMILY_OF[name](p) for name, p in BUILTIN_CASES]
+
+
+def _paper_levels(name, p, k):
+    """Level k of a built-in family as the module docstring writes it, with q^k by one ``**``,
+    and the size each entry is compared at."""
+    qk = p.q**k
+    if name == "hirschhorn":
+        return (1 - p.b, p.a * qk, -(p.b + p.lam * qk)), abs(p.b) + abs(p.lam * qk)
+    if name in ("b0", "entry16"):
+        return (1, p.a * qk, -p.lam * qk), abs(p.lam * qk)
+    return (1, -monic_alpha(p, k), monic_beta(p, k)), (1 + abs(p.lam * qk / p.b)) / 4
 
 
 def _no_coeffs(k):
@@ -331,6 +348,20 @@ class TestLevelStreams:
         reference = [fam.coeffs(k) for k in range(50)]
         assert triples == reference
         assert [list(map(type, t)) for t in triples] == [list(map(type, t)) for t in reference]
+
+    @pytest.mark.parametrize("name,p", BUILTIN_CASES, ids=[name for name, _ in BUILTIN_CASES])
+    def test_levels_are_the_papers_coefficients(self, name, p):
+        # exact for Fraction parameters; for floats the running q^k of the stream
+        # and the ``**`` of the reference each round, k + 2 roundings at most
+        for k, (A, B, C) in enumerate(islice(FAMILY_OF[name](p).stream(), 80)):
+            (a, b, c), c_size = _paper_levels(name, p, k)
+            if isinstance(p.q, Fraction):
+                assert (A, B, C) == (a, b, c)
+            else:
+                tol = (k + 2) * 2.0**-52
+                assert A == a
+                assert abs(B - b) <= tol * abs(b)
+                assert abs(C - c) <= tol * c_size
 
     def test_run_jfraction_equals_the_per_level_reference(self, family_draws):
         for _, fam, x, depth in family_draws:
@@ -349,7 +380,7 @@ class TestLevelStreams:
 
         def coeffs(k):
             calls.append(k)
-            return hirschhorn_coeffs(P_STD, k)
+            return builtin.coeffs(k)
 
         fam, builtin = JFamily("per-level", coeffs), hirschhorn_family(P_STD)
         assert run_jfraction(fam, 0.7, 40).N == run_jfraction(builtin, 0.7, 40).N
@@ -365,21 +396,27 @@ class TestLevelStreams:
             backward_convergent(fam, 1.0, 5)
 
 
+def _monic_kernel(p, x, depth):
+    """``(N, D, E)`` of the one recurrence kernel on the monic stream: the P*
+    and P mantissas and their shared exponent ledger."""
+    return _run(_levels(monic_family(p)), x, depth)
+
+
 class TestScaledRun:
     def test_matches_plain_run(self):
-        mant, exps = run_monic_scaled(P_STD, 2.0, 300, "P")
-        plain = run_monic(P_STD, 2.0, 300, "P")
+        _, mant, exps = _monic_kernel(P_STD, 2.0, 300)
+        plain = run_monic(P_STD, 2.0, 300)
         for k in (10, 100, 250, 300):
             assert mant[k] * 2.0 ** exps[k] == pytest.approx(plain[k], rel=1e-12)
 
     def test_survives_depth_past_overflow(self):
         # plain doubles overflow near depth ~1100 at x = 2
-        mant, exps = run_monic_scaled(P_STD, 2.0, 2000, "P")
+        _, mant, exps = _monic_kernel(P_STD, 2.0, 2000)
         assert math.isfinite(mant[2000])
         assert exps[2000] > 0
 
     def test_monic_ratio_matches_direct(self):
-        direct = run_monic(P_STD, 2.0, 200, "Pstar")[200] / run_monic(P_STD, 2.0, 200, "P")[200]
+        direct = run_jfraction(monic_family(P_STD), 2.0, 200).N[200] / run_monic(P_STD, 2.0, 200)[200]
         assert monic_ratio(P_STD, 2.0, 200) == pytest.approx(direct, rel=1e-13)
 
 
@@ -398,12 +435,13 @@ def test_forward_prefix_independent_of_depth():
 def test_exact_rational_recurrence():
     q, a, b, lam = Fraction(2, 5), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 7)
     p = Params(q, a, b, lam)
-    seq = run_jfraction(hirschhorn_family(p), Fraction(1), 6)
+    fam = hirschhorn_family(p)
+    seq = run_jfraction(fam, Fraction(1), 6)
     # Casoratian holds exactly
     prod = 1 - b
     for k in range(0, 5):
         assert seq.N[k + 1] * seq.D[k] - seq.N[k] * seq.D[k + 1] == prod
-        prod *= hirschhorn_coeffs(p, k + 1).C
+        prod *= fam.coeffs(k + 1).C
 
 
 def _monic_or_none(q, a, b, lam):
@@ -458,22 +496,24 @@ def _same(u, v):
 
 
 @settings(max_examples=150, deadline=None)
-@given(monic_params, finite_x, st.integers(1, 1500), st.sampled_from(["P", "Pstar"]))
-def test_monic_runs_are_finite_or_raise(p, x, depth, seed):
-    plain = _plain_monic(p, x, depth, seed)
-    mant, exps = run_monic_scaled(p, x, depth, seed)
-    assert len(mant) == len(exps) == depth + 1
-    assert all(map(cmath.isfinite, mant))
-    for m, e, v in zip(mant, exps, plain):
-        if cmath.isfinite(v):
-            assert _same(_ldexp(m, e), v)
-    try:
-        vals = run_monic(p, x, depth, seed)
-    except RangeError:
-        assert not all(map(cmath.isfinite, plain))
-    else:
-        assert vals == [_ldexp(m, e) for m, e in zip(mant, exps)]
-        assert all(map(cmath.isfinite, vals))
+@given(monic_params, finite_x, st.integers(1, 1500))
+def test_monic_runs_are_finite_or_raise(p, x, depth):
+    N, D, E = _monic_kernel(p, x, depth)
+    assert len(N) == len(D) == len(E) == depth + 1
+    for seed, mant in (("P", D), ("Pstar", N)):
+        plain = _plain_monic(p, x, depth, seed)
+        assert all(map(cmath.isfinite, mant))
+        for m, e, v in zip(mant, E, plain):
+            if cmath.isfinite(v):
+                assert _same(_ldexp(m, e), v)
+        if seed == "P":
+            try:
+                vals = run_monic(p, x, depth)
+            except RangeError:
+                assert not all(map(cmath.isfinite, plain))
+            else:
+                assert vals == [_ldexp(m, e) for m, e in zip(mant, E)]
+                assert all(map(cmath.isfinite, vals))
     try:
         ratio = monic_ratio(p, x, depth)
     except QFracError:
@@ -490,22 +530,23 @@ def test_jfraction_of_monic_triples_is_run_monic(x):
     p = P_STD
     c, r, q = p.c, p.lam / p.b, p.q
     triples, qk = [], 1
-    for _ in range(400):  # alpha_k and beta_k with q^k built up as run_monic does
+    for _ in range(400):  # alpha_k and beta_k with q^k built up as a running product
         triples.append(JCoeffs(1, -c * qk, (1 + r * qk) / 4))
         qk *= q
     seq = run_jfraction(JFamily("monic", triples.__getitem__), x, 400)
-    for seed, values in (("P", seq.D), ("Pstar", seq.N)):
-        mant, exps = run_monic_scaled(p, x, 400, seed)
-        assert values == [_ldexp(m, e) for m, e in zip(mant, exps)]
+    N, D, E = _monic_kernel(p, x, 400)
+    assert seq.D == [_ldexp(m, e) for m, e in zip(D, E)]
+    assert seq.N == [_ldexp(m, e) for m, e in zip(N, E)]
     if x != 1e200:
-        assert seq.D == run_monic(p, x, 400, "P")
-        assert seq.N == run_monic(p, x, 400, "Pstar")
+        assert seq.D == run_monic(p, x, 400)
+    else:
+        with pytest.raises(RangeError):
+            run_monic(p, x, 400)
     # the coefficient functions as the benchmark's monic family spells them
     bench_fam = JFamily("monic", lambda k: JCoeffs(1, -monic_alpha(p, k), monic_beta(p, k)))
-    mant, exps = run_monic_scaled(p, x, 400, "P")
     seq = run_jfraction(bench_fam, x, 400)
     for k in (1, 2, 50, 400):
-        value = _ldexp(mant[k], exps[k])
+        value = _ldexp(D[k], E[k])
         assert seq.D[k] == value or abs(seq.D[k] / value - 1) <= 1e-12
 
 
@@ -513,11 +554,12 @@ def test_fraction_runs_stay_exact_past_the_double_range():
     q, a, b, lam = Fraction(2, 5), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 7)
     p = Params(q, a, b, lam)
     x = Fraction(10**300, 3)
-    seq = run_jfraction(hirschhorn_family(p), x, 8)
+    fam = hirschhorn_family(p)
+    seq = run_jfraction(fam, x, 8)
     assert (seq.N[0], seq.D[0]) == (0, 1)
     assert all(type(v) is Fraction for v in seq.N[1:] + seq.D[1:])
     assert seq.D[8] > Fraction(10) ** 2000
     prod = 1 - b
     for k in range(7):
         assert seq.N[k + 1] * seq.D[k] - seq.N[k] * seq.D[k + 1] == prod
-        prod *= hirschhorn_coeffs(p, k + 1).C
+        prod *= fam.coeffs(k + 1).C
