@@ -15,7 +15,9 @@ a = 0.
 
 Supported kinds:
 
-* ``D`` / ``N``: base-family denominators/numerators at a general x.
+* ``D`` / ``N``: base-family denominators/numerators at a general x.  Only
+  the D series is summed: N(t; a, lam) = t (1 - b) D(t; a q, lam q), as
+  the numerator polynomials are the denominators one level in.
 * ``P`` / ``Pstar``: monic family denominators/numerators at the spectral
   variable x, which are ``D`` / ``N`` rescaled: with s = gamma (1 - b),
   P_k(x) = D_k(gamma x) / s^k and Pstar_k(x) = gamma N_k(gamma x) / s^k,
@@ -83,26 +85,27 @@ def gf_eval(kind: str, t, x, p: Params):
             f"|t| = {abs(tc):.6g} is at or beyond {_RADIUS_SAFETY} * radius = "
             f"{_RADIUS_SAFETY * radius:.6g} for kind {kind!r}"
         )
-    scale = 1
     if kind in ("P", "Pstar"):
         p.require_monic()
         g = p.gamma
         tc, x = tc / (g * (1 - p.b)), g * x
-        if kind == "Pstar":
-            scale = g
     q, a, lam = p.q, p.a, p.lam
+    if kind in ("N", "Pstar"):
+        a, lam = a * q, lam * q  # the numerator series is the D series at (a q, lam q)
     alpha, beta = _base_roots(x, p.b)
-    shift = 0 if kind in ("P", "D") else 1
 
     def terms():
         tk = 1 / ((1 - alpha * tc) * (1 - beta * tc))
         k = 0
         while True:
             yield tk
-            tk *= (a * tc + lam * tc * tc * q ** (k + 1)) * q ** (k + shift) / (
+            tk *= (a * tc + lam * tc * tc * q ** (k + 1)) * q**k / (
                 (1 - alpha * tc * q ** (k + 1)) * (1 - beta * tc * q ** (k + 1))
             )
             k += 1
 
     total = sum_series(terms(), f"{kind} generating function")
-    return scale * (total if shift == 0 else tc * (1 - p.b) * total)
+    if kind in ("P", "D"):
+        return total
+    numerator = tc * (1 - p.b) * total
+    return g * numerator if kind == "Pstar" else numerator

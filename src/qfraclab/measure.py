@@ -8,8 +8,9 @@ orthogonality measure on (-1, 1) is
 
 and the same density is recovered independently by inverting the Stieltjes
 transform X(x) = 2 rho F(rho)/G(rho) across the cut.  Agreement of the two
-routes is the central cross-check of the package.  X is written once, as a
-function of rho, from one pass that sums F and G together:
+routes is the central cross-check of the package.  F is G with (c, lam)
+replaced by (c q, lam q): its m-th term is G's times q^m.  X is written once,
+as a function of rho, from one pass that sums F and G together:
 :func:`stieltjes_transform` returns it at rho(x), and :func:`density_inversion`
 is its jump (X(e^{i theta}) - X(e^{-i theta}))/(2 pi i) across the cut.  The
 parameters are real, so X(conj rho) = conj X(rho) and that jump is
@@ -75,15 +76,17 @@ def rho_select(x) -> complex:
     return 1 / (xc + cmath.sqrt(xc - 1) * cmath.sqrt(xc + 1))
 
 
-def _fg_sums(rho: complex, p: Params, want_f: bool, want_g: bool) -> tuple[complex, complex]:
-    """F(rho) and G(rho) from one term recursion; a sum not wanted is left at its m = 0 term.
+def _fg_sums(rho: complex, p: Params) -> tuple[complex, complex]:
+    """F(rho) and G(rho), summed together from one term recursion.
 
     G's m-th term is the regrouped product
     prod_{j=1}^{m} (-2 c rho - (lam/b) q^j rho^2) times
     q^(binom(m, 2)) / ((q; q)_m (q rho^2; q)_m), and F's is that times q^m,
-    because binom(m + 1, 2) - binom(m, 2) = m.  Each wanted sum stops on its
-    own under the truncation rule of :func:`qfraclab.qseries.sum_series`; the
-    recursion runs until every wanted sum has stopped.
+    because binom(m + 1, 2) - binom(m, 2) = m.  Both sums take every term.
+    The pair stops under the truncation rule of
+    :func:`qfraclab.qseries.sum_series`, counted once for both: after
+    ``_SMALL_RUN`` consecutive indices at which each term is small against
+    its own partial sum.
     """
     one = 1.0 + 0j
     if p.a == 0:
@@ -93,8 +96,7 @@ def _fg_sums(rho: complex, p: Params, want_f: bool, want_g: bool) -> tuple[compl
     u = -2 * p.c * rho
     v = -(p.lam / p.b) * rho2
     g = F = G = one  # g: G's current term
-    f_small = g_small = 0
-    f_done, g_done = not want_f, not want_g
+    small = 0
     qm = 1.0  # q^m
     for m in range(1, _MAX_TERMS):
         qn = qm * q
@@ -105,37 +107,30 @@ def _fg_sums(rho: complex, p: Params, want_f: bool, want_g: bool) -> tuple[compl
         qm = qn
         ag = abs(g)
         if ag != ag or ag == math.inf:  # overflow masquerades as convergence otherwise
-            raise TruncationError(f"{'G' if f_done else 'F'} series diverged (nonfinite term at index {m})")
-        if not g_done:
-            G += g
-            if ag <= _REL_TOL * (1.0 + abs(G)):
-                g_small += 1
-                g_done = g_small >= _SMALL_RUN
-            else:
-                g_small = 0
-        if not f_done:
-            f = g * qm
-            F += f
-            if abs(f) <= _REL_TOL * (1.0 + abs(F)):
-                f_small += 1
-                f_done = f_small >= _SMALL_RUN
-            else:
-                f_small = 0
-        if f_done and g_done:
-            return F, G
-    raise TruncationError(f"{'G' if f_done else 'F'} series did not converge within {_MAX_TERMS} terms")
+            raise TruncationError(f"F/G series diverged (nonfinite term at index {m})")
+        f = g * qm
+        G += g
+        F += f
+        if ag <= _REL_TOL * (1.0 + abs(G)) and abs(f) <= _REL_TOL * (1.0 + abs(F)):
+            small += 1
+            if small >= _SMALL_RUN:
+                return F, G
+        else:
+            small = 0
+    raise TruncationError(f"F/G series did not converge within {_MAX_TERMS} terms")
 
 
 def series_F(rho, p: Params) -> complex:
-    """F(rho): the q^(binom(m+1,2)) member of the series pair behind X(x)."""
+    """F(rho): the q^(binom(m+1,2)) member of the series pair behind X(x),
+    which is G(rho) with (c, lam) replaced by (c q, lam q)."""
     p.require_monic()
-    return _fg_sums(complex(rho), p, True, False)[0]
+    return _fg_sums(complex(rho), p)[0]
 
 
 def series_G(rho, p: Params) -> complex:
     """G(rho): the q^(binom(m,2)) member; its zeros are the candidate poles of X."""
     p.require_monic()
-    return _fg_sums(complex(rho), p, False, True)[1]
+    return _fg_sums(complex(rho), p)[1]
 
 
 def series_R(theta: float, p: Params) -> complex:
@@ -169,7 +164,7 @@ def density_nevai(x: float, p: Params) -> float:
 
 def _X(rho: complex, p: Params) -> complex:
     """X = 2 rho F(rho)/G(rho) at x = (rho + 1/rho)/2; PoleError where G(rho) ~ 0."""
-    f, g = _fg_sums(rho, p, True, True)
+    f, g = _fg_sums(rho, p)
     if abs(g) <= 1e-14 * max(1.0, abs(f)):
         raise PoleError(f"G(rho) ~ 0 at x = {(rho + 1 / rho) / 2}: candidate discrete mass point")
     return 2 * rho * f / g

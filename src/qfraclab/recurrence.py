@@ -70,9 +70,6 @@ __all__ = [
 
 _set = object.__setattr__
 
-# require_monic checks beta_k > 0 index by index up to this k at most.
-_MONIC_CHECK = 10_000
-
 
 class Params:
     """Parameter quadruple (q, a, b, lam) plus the derived constants.
@@ -160,24 +157,23 @@ class Params:
     def require_monic(self) -> "Params":
         """Validate the monic-family hypotheses: b < 0 and beta_k > 0 for all k >= 1.
 
-        Positivity is checked index by index until ``|lam q^k / b| < 1``,
-        beyond which every remaining beta_k is positive automatically.  A
-        complex q, a, b or lam raises DomainError.
+        beta_k = (1 + r q^(k-1)) / 4 with r = lam q / b, and |r q^(k-1)|
+        falls strictly with k, so the least beta_k is beta_1 or beta_2 (the
+        latter when q < 0 flips the sign of the term); those two are
+        checked.  A complex q, a, b or lam raises DomainError.
         """
         if hasattr(self, "_monic"):
             return self
         self._require_real("monic family")
         if not self.b < 0:
             raise DomainError("monic family requires b < 0")
-        ratio = self.lam * self.q / self.b
-        for k in range(1, _MONIC_CHECK + 1):
-            if 1 + ratio <= 0:
-                raise DomainError(f"beta_{k} <= 0: 1 + lam q^{k}/b = {1 + ratio}")
-            if abs(ratio) < 1:
-                _set(self, "_monic", True)
-                return self
-            ratio *= self.q
-        raise DomainError(f"could not certify beta_k > 0 within {_MONIC_CHECK} indices")
+        r = self.lam * self.q / self.b
+        if not 1 + r > 0:
+            raise DomainError(f"beta_1 <= 0: 1 + lam q^1/b = {1 + r}")
+        if not 1 + r * self.q > 0:
+            raise DomainError(f"beta_2 <= 0: 1 + lam q^2/b = {1 + r * self.q}")
+        _set(self, "_monic", True)
+        return self
 
 
 class JCoeffs(NamedTuple):

@@ -15,11 +15,12 @@ precision via mpmath oracles that re-derive the quantities independently,
 while the package's own double-precision values are cross-checked against
 the oracles where they are resolvable.
 
-The one oracle series is F or G of the Stieltjes transform, at any
-|rho| <= 1; the phase-amplitude series R of the asymptotics is
--G(e^{i theta}) / (i sin theta), G summed on the unit circle, as in the
-package.  The series is q-hypergeometric: the ratio of consecutive terms
-is bounded by B |q|^m / (1 - |q|)^2 with B = 2|c| + |lam/b|.  A sum stops
+The one oracle series is G of the Stieltjes transform, at any |rho| <= 1.
+F is G with (c, lam) replaced by (c q, lam q), and the phase-amplitude
+series R of the asymptotics is -G(e^{i theta}) / (i sin theta), G summed
+on the unit circle, as in the package.  The series is q-hypergeometric:
+the ratio of consecutive terms is bounded by B |q|^m / (1 - |q|)^2 with
+B = 2|c| + |lam/b|, taken at the parameters the sum runs at.  A sum stops
 once that bound is at most 1/2 and the last term is at most ``mp.eps``
 times the partial sum; the remaining tail is then no larger than the last
 term.  A sum that reaches its cap of 160 terms before the rule holds
@@ -39,6 +40,7 @@ import signal
 import threading
 import time
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from mpmath import mp
@@ -84,19 +86,18 @@ def _mp_rho(x):
     return 1 / (x + s)
 
 
-def _mp_fg(rho, q, b, lam, c, shift: int):
-    """F (shift=1) or G (shift=0) series at high precision, with |rho| <= 1."""
+def _mp_g(rho, q, c, r):
+    """G series at high precision, with r = lam/b and |rho| <= 1; F is ``_mp_g(rho, q, c q, r q)``."""
     rho2 = rho * rho
-    r = lam / b
     eps = +mp.eps
-    # |term_{m+1} / term_m| <= (2|c| + |lam/b|) |q|^m / (1 - |q|)^2 for |rho| <= 1
+    # |term_{m+1} / term_m| <= (2|c| + |r|) |q|^m / (1 - |q|)^2 for |rho| <= 1
     bound = (2 * abs(c) + abs(r)) / (1 - abs(q)) ** 2
     total = term = mp.mpf(1)
     qm = mp.mpf(1)  # q^m
     for _ in range(1, _FG_TERMS):
         qprev = qm
         qm *= q
-        term *= (-2 * c * rho - r * qm * rho2) * (qm if shift else qprev) / ((1 - qm) * (1 - qm * rho2))
+        term *= (-2 * c * rho - r * qm * rho2) * qprev / ((1 - qm) * (1 - qm * rho2))
         total += term
         # every later term ratio at most 1/2 and the last term below eps |total|:
         # the tail is then at most the last term, below the working precision
@@ -128,14 +129,15 @@ def _mp_markov_errors(p: Params, x, ks, dps: int):
         c = mp.mpf(p.a) / (2 * mp.sqrt(-b))
         xm = mp.mpf(x.real) if complex(x).imag == 0 and abs(x) > 1 else mp.mpc(x)
         rho = _mp_rho(xm)
-        X = 2 * rho * _mp_fg(rho, q, b, lam, c, 1) / _mp_fg(rho, q, b, lam, c, 0)
+        r = lam / b
+        X = 2 * rho * _mp_g(rho, q, c * q, r * q) / _mp_g(rho, q, c, r)
         P, Ps = _mp_monic(q, b, lam, c, xm, max(ks))
         return [abs(Ps[k] / P[k] - X) for k in ks], complex(X)
 
 
 def _mp_series_R(theta_mp, q, b, lam, c):
     """R(theta) = -G(e^{i theta}) / (i sin theta)."""
-    return -_mp_fg(mp.expj(theta_mp), q, b, lam, c, 0) / (mp.mpc(0, 1) * mp.sin(theta_mp))
+    return -_mp_g(mp.expj(theta_mp), q, c, lam / b) / (mp.mpc(0, 1) * mp.sin(theta_mp))
 
 
 def _mp_asym_residuals(p: Params, x: float, ks, dps: int = 80):
@@ -320,10 +322,11 @@ def check_moment_solutions() -> CheckResult:
     p = ACCEPT_PARAMS
     x = 0.3
     pkc = [moments.moment_pk_closed(k, x, p) for k in range(17)]
+    levels = list(islice(recurrence.monic_family(p).stream(), 16))
     worst_res = 0.0
     for k in range(1, 16):
-        beta = recurrence.monic_beta(p, k)
-        res = abs(x * pkc[k] - pkc[k + 1] - recurrence.monic_alpha(p, k) * pkc[k] - beta * pkc[k - 1])
+        _, B, beta = levels[k]  # B = -alpha_k
+        res = abs(x * pkc[k] - pkc[k + 1] + B * pkc[k] - beta * pkc[k - 1])
         worst_res = max(worst_res, res)
     worst_agree = 0.0
     for k in range(0, 16):

@@ -76,6 +76,30 @@ def test_coefficient_agreement_inside_third_of_radius(kind, p):
         assert abs(gf_eval(kind, t, x, p) - oracle) <= 1e-11 * (1 + abs(oracle))
 
 
+def test_numerator_kinds_are_denominator_kinds_at_the_shifted_parameters():
+    # N(t; a, lam) = t (1 - b) D(t; a q, lam q), and Pstar(t; a, lam) = t P(t; a q, lam q):
+    # the monic numerators are the monic denominators one level up
+    rng = random.Random(7)
+    draws = 0
+    while draws < 100:
+        q = rng.choice((-1, 1)) * rng.uniform(0.05, 0.85)
+        p = Params(q, rng.uniform(-1.5, 1.5), rng.uniform(-0.9, -0.05), rng.uniform(-1, 1))
+        try:
+            p.require_monic()
+        except DomainError:
+            continue
+        draws += 1
+        shifted = Params(q, p.a * q, p.b, p.lam * q)
+        for kind, den, x, factor in (
+            ("N", "D", rng.uniform(0.6, 1.4), 1 - p.b),
+            ("Pstar", "P", rng.uniform(-0.9, 0.9), 1),
+        ):
+            t = cmath.rect(0.8 * gf_radius(kind, x, p) * rng.uniform(0.1, 1.0), rng.uniform(0, 2 * math.pi))
+            lhs = gf_eval(kind, t, x, p)
+            rhs = t * factor * gf_eval(den, t, x, shifted)
+            assert abs(lhs - rhs) <= 1e-14 * abs(lhs), (kind, p, x, t)
+
+
 def test_p_q_difference_equation():
     p = P_STD
     theta = 1.0

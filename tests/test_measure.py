@@ -21,7 +21,7 @@ from qfraclab.measure import (
 )
 from qfraclab.qseries import qpochhammer, qpochhammer_inf
 from qfraclab.recurrence import Params, monic_beta, monic_ratio, run_monic
-from qfraclab.verify import _mp_fg, _mp_markov_errors, _mp_rho, _mp_series_R
+from qfraclab.verify import _mp_g, _mp_markov_errors, _mp_rho, _mp_series_R
 
 P_STD = Params(0.4, 0.3, -0.25, 0.2)
 
@@ -160,14 +160,14 @@ class TestSeriesFG:
             xc = complex(rng.uniform(-2, 2), rng.choice((-1, 1)) * rng.uniform(0.1, 1.5))
             with mp.workdps(40):
                 mq, mb, mlam = mp.mpf(p.q), mp.mpf(p.b), mp.mpf(p.lam)
-                mc = mp.mpf(p.a) / (2 * mp.sqrt(-mb))
+                mc, mr = mp.mpf(p.a) / (2 * mp.sqrt(-mb)), mlam / mb
                 points = (
                     (cmath.exp(1j * theta), mp.expj(mp.mpf(theta))),
                     (rho_select(xr), _mp_rho(mp.mpf(xr))),
                     (rho_select(xc), _mp_rho(mp.mpc(xc))),
                 )
                 for rho, mrho in points:
-                    F, G = _mp_fg(mrho, mq, mb, mlam, mc, 1), _mp_fg(mrho, mq, mb, mlam, mc, 0)
+                    F, G = _mp_g(mrho, mq, mc * mq, mr * mq), _mp_g(mrho, mq, mc, mr)
                     X = complex(2 * mrho * F / G)
                     F, G = complex(F), complex(G)
                     tol_f = max(1e-12, 1e-14 * _abs_term_sum(rho, p, 1) / abs(F))
@@ -175,6 +175,20 @@ class TestSeriesFG:
                     assert abs(series_F(rho, p) - F) <= tol_f * abs(F), (p, rho)
                     assert abs(series_G(rho, p) - G) <= tol_g * abs(G), (p, rho)
                     assert abs(_X(rho, p) - X) <= (tol_f + tol_g) * abs(X), (p, rho)
+
+    def test_f_is_g_at_the_shifted_parameters(self):
+        # F(rho; c, lam) = G(rho; c q, lam q): F's m-th term is G's times q^m.
+        # On the unit circle and inside the disc, with the gate of the oracle test.
+        rng = random.Random(43)
+        for p in _monic_draws(rng, 200):
+            shifted = Params(p.q, p.a * p.q, p.b, p.lam * p.q)
+            theta = rng.uniform(0.05, math.pi - 0.05)
+            xr = rng.choice((-1, 1)) * rng.uniform(1.05, 3)
+            xc = complex(rng.uniform(-2, 2), rng.choice((-1, 1)) * rng.uniform(0.1, 1.5))
+            for rho in (cmath.exp(1j * theta), rho_select(xr), rho_select(xc)):
+                F = series_F(rho, p)
+                tol = max(1e-12, 1e-14 * _abs_term_sum(rho, p, 1) / abs(F))
+                assert abs(series_G(rho, shifted) - F) <= tol * abs(F), (p, rho)
 
 
 class TestSeriesR:

@@ -71,6 +71,44 @@ class TestParams:
     def test_negative_q_allowed(self):
         Params(-0.4, 0.3, -0.25, 0.2).require_monic()
 
+    def test_require_monic_accepts_a_slowly_falling_ratio(self):
+        # every beta_k = (1 + 1000 * 0.99999^k) / 4 > 0, while |lam q^k / b| stays
+        # above 1 for about 690 000 indices
+        p = Params(0.99999, 0.3, -0.25, -250.0)
+        assert p.require_monic() is p
+
+    def test_require_monic_equals_the_per_index_reference(self):
+        def reference(p):
+            """The first beta_k <= 0 as require_monic words it, checked index by
+            index until |lam q^k / b| < 1; None if there is none."""
+            ratio, k = p.lam * p.q / p.b, 1
+            while 1 + ratio > 0:
+                if abs(ratio) < 1:
+                    return None
+                ratio *= p.q
+                k += 1
+            return f"beta_{k} <= 0: 1 + lam q^{k}/b = {1 + ratio}"
+
+        def outcome(p):
+            try:
+                p.require_monic()
+            except DomainError as exc:
+                return str(exc)
+            return None
+
+        rng = random.Random(41)
+        seen = []
+        for _ in range(3000):
+            q = rng.choice((-1, 1)) * rng.uniform(0.05, 0.999)
+            b = -(10 ** rng.uniform(-2, 1))
+            r = rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 3)  # lam q / b
+            p = Params(q, rng.uniform(-2, 2), b, r * b / q)
+            expected = reference(p)
+            assert outcome(p) == expected, p
+            seen.append(expected[:6] if expected else None)
+        # both outcomes, and a failure at each of the two indices, are drawn
+        assert min(seen.count(s) for s in (None, "beta_1", "beta_2")) > 300
+
     def test_cached_constants_keep_value_semantics(self):
         p, fresh = Params(0.4, 0.3, -0.25, 0.2), Params(0.4, 0.3, -0.25, 0.2)
         c = p.c
@@ -365,7 +403,10 @@ class TestLevelStreams:
 
     def test_run_jfraction_equals_the_per_level_reference(self, family_draws):
         for _, fam, x, depth in family_draws:
-            seq, ref = run_jfraction(fam, x, depth), run_jfraction(fam._replace(stream=None), x, depth)
+            # a coeffs-only family, read one call per level, over one read of the stream
+            levels = list(islice(fam.stream(), depth + 2))
+            per_level = JFamily(fam.name, levels.__getitem__, fam.index_shift)
+            seq, ref = run_jfraction(fam, x, depth), run_jfraction(per_level, x, depth)
             assert (seq.N, seq.D) == (ref.N, ref.D), (fam, x, depth)
 
     @pytest.mark.parametrize("fam", BUILTIN_FAMILIES, ids=lambda fam: fam.name)

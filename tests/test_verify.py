@@ -63,7 +63,9 @@ def test_fg_oracle_matches_fixed_length_sum(x, shift):
         rho = 1 / (xm + mp.sqrt(xm - 1) * mp.sqrt(xm + 1))
         ref = _fg_fixed(rho, q, b, lam, c, shift)
         xr = mp.mpf(x.real) if isinstance(x, float) else xm
-        assert _ulps(verify._mp_fg(verify._mp_rho(xr), q, b, lam, c, shift), ref) < 8
+        # F is the oracle's G at (c q, r q): the reference sums F with its own q^m factor
+        cs, rs = (c * q, lam / b * q) if shift else (c, lam / b)
+        assert _ulps(verify._mp_g(verify._mp_rho(xr), q, cs, rs), ref) < 8
 
 
 @pytest.mark.parametrize("x", ASYM_GRID)
