@@ -55,6 +55,14 @@ def _jfraction_levels(family: JFamily, x, m: int):
     return nums, dens
 
 
+def _level_count(family: JFamily, n: int) -> int:
+    """Fraction levels of the n-th convergent: ``n + index_shift``, never negative."""
+    m = n + family.index_shift
+    if m < 0:
+        raise DomainError(f"{family.name} convergents start at n = {-family.index_shift}, got n = {n}")
+    return m
+
+
 def backward_convergent(family: JFamily, x, n: int):
     """n-th convergent of ``family`` at ``x`` by backward evaluation.
 
@@ -62,7 +70,7 @@ def backward_convergent(family: JFamily, x, n: int):
     ``index_shift`` maps its conventional convergent index onto the number
     of fraction levels.
     """
-    m = n + family.index_shift
+    m = _level_count(family, n)
     if m == 0:
         return 0
     if not cmath.isfinite(x):
@@ -73,7 +81,7 @@ def backward_convergent(family: JFamily, x, n: int):
 
 def convergent(family: JFamily, x, n: int):
     """n-th convergent of ``family`` at ``x`` via the recurrence: N_m(x)/D_m(x)."""
-    m = n + family.index_shift
+    m = _level_count(family, n)
     if m == 0:
         return 0
     seq = run_jfraction(family, x, m)

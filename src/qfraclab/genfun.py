@@ -33,7 +33,7 @@ import cmath
 
 from .errors import DomainError
 from .measure import rho_select
-from .qseries import sum_series
+from .qseries import _require_finite, sum_series
 from .recurrence import Params
 
 __all__ = ["KINDS", "gf_radius", "gf_eval"]
@@ -78,6 +78,7 @@ def gf_eval(kind: str, t, x, p: Params):
     """
     if kind not in KINDS:
         raise DomainError(f"unknown generating-function kind {kind!r}")
+    _require_finite("gf_eval", t, x)
     radius = gf_radius(kind, x, p)
     tc = complex(t)
     if abs(tc) >= _RADIUS_SAFETY * radius:

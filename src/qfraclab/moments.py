@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 
 from .errors import DomainError, RangeError
-from .qseries import phi, qpochhammer, qpochhammer_inf, sum_series
+from .qseries import _require_finite, phi, qpochhammer, qpochhammer_inf, sum_series
 from .measure import rho_select
 from .recurrence import Params
 
@@ -84,6 +84,7 @@ def qintegral(f, lower, upper, q: float):
     calls: it evaluates the weight's products once per endpoint and steps
     the nodes by (a; q)_inf = (1 - a)(aq; q)_inf.
     """
+    _require_finite("qintegral", lower, upper, q)
     if not 0 < abs(q) < 1:
         raise DomainError("qintegral requires 0 < |q| < 1")
     return _jackson(upper, q, map(f, _nodes(upper, q))) - _jackson(lower, q, map(f, _nodes(lower, q)))

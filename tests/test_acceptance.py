@@ -32,3 +32,10 @@ def test_full_suite_under_time_budget():
     _run_all_once()
     print(f"full acceptance sweep: {_ELAPSED:.2f} s")
     assert _ELAPSED < 60.0
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in CRITERIA])
+def test_criterion_passes_by_its_rows(name):
+    res = _run_all_once()[name]
+    assert res.rows
+    assert res.passed == all(value < gate for _, value, gate in res.rows)

@@ -6,7 +6,15 @@ import pytest
 
 from qfraclab.cfrac import backward_convergent, convergent, eval_backward, hirschhorn_cf
 from qfraclab.errors import DomainError, PoleError
-from qfraclab.recurrence import JFamily, Params, b0_family, entry16_family, hirschhorn_family, run_jfraction
+from qfraclab.recurrence import (
+    JFamily,
+    Params,
+    b0_family,
+    entry16_family,
+    hirschhorn_family,
+    monic_family,
+    run_jfraction,
+)
 
 P_STD = Params(0.4, 0.3, -0.25, 0.2)
 
@@ -48,6 +56,18 @@ class TestConvergent:
         x = -p.a / (1 - p.b)  # D_1(x) = 0
         with pytest.raises(PoleError):
             convergent(fam, x, 1)
+
+    @pytest.mark.parametrize("route", [convergent, backward_convergent])
+    @pytest.mark.parametrize(
+        "family",
+        [hirschhorn_family(P_STD), b0_family(Params(0.4, 0.3, 0, 0.2)), entry16_family(0.2, 0.4), monic_family(P_STD)],
+        ids=lambda fam: fam.name,
+    )
+    def test_index_below_the_first_convergent_is_a_domain_error(self, route, family):
+        first = -family.index_shift  # the convergent of no levels
+        assert route(family, 1.0, first) == 0
+        with pytest.raises(DomainError, match=f"{family.name} convergents start at n = {first}, got n = {first - 1}"):
+            route(family, 1.0, first - 1)
 
     @pytest.mark.parametrize("depth", [1, 2, 5, 20, 100, 200])
     def test_backward_equals_recurrence_every_family(self, depth):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfraclab.errors import DomainError, TruncationError
-from qfraclab import convergents, qseries, verify
+from qfraclab import convergents, genfun, moments, qseries, verify
 from qfraclab.qseries import phi, qpochhammer, qpochhammer_inf, sum_series, theta
+from qfraclab.recurrence import Params
 
 # strategies kept away from the singular sets: |q| in [0.05, 0.9], and the
 # Pochhammer argument inside the unit disk so no factor 1 - a q^j can come
@@ -138,9 +139,9 @@ def test_phi_summation_formulas_over_a_wide_sweep():
     # draws per formula in place of the criterion's 25; errors are scaled by
     # sum |t_k|, which phi's cancelling sums are good to (relative to |phi|
     # these draws reach 6e-7)
-    worst_binomial, worst_gauss = verify._phi_sum_errors(random.Random(14), 1000)
-    assert worst_binomial < 1e-12
-    assert worst_gauss < 1e-12
+    binomial, gauss = verify._phi_sum_errors(random.Random(14), 1000)
+    assert len(binomial) == len(gauss) == 1000
+    assert all(err < 1e-12 for err in binomial + gauss)
 
 
 def test_truncation_policy_is_the_documented_one():
@@ -209,6 +210,8 @@ FINITE_CALLS = {
     "ram_Q": (convergents.ram_Q, (6, 0.7, 0.3, 0.2, 0.4), (1, 2, 3, 4)),
     "ram_Qstar": (convergents.ram_Qstar, (0, 0.7, 0.3, 0.2, 0.4), (1, 2, 3, 4)),  # n = 0 returns early
     "g_function": (convergents.g_function, (-0.25, 0.2, 0.4), (0, 1, 2)),
+    "qintegral": (lambda lo, hi, q: moments.qintegral(lambda t: 1.0, lo, hi, q), (0.0, 0.7, 0.5), (0, 1, 2)),
+    "gf_eval": (lambda t, x: genfun.gf_eval("D", t, x, Params(0.4, 0.3, -0.25, 0.2)), (0.1, 0.3), (0, 1)),
 }
 
 

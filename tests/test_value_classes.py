@@ -108,4 +108,4 @@ def test_named_tuple_fields():
     fam = JFamily("f", _coeffs)
     assert (fam.name, fam.coeffs, fam.index_shift, fam.stream) == ("f", _coeffs, 0, None)
     res = CheckResult("c", False, "d")
-    assert (res.name, res.passed, res.detail) == ("c", False, "d")
+    assert (res.name, res.passed, res.detail, res.rows) == ("c", False, "d", ())

@@ -1,8 +1,9 @@
-"""The extended-precision oracles of the acceptance suite: tail-certified
-sums against fixed-length reference sums, and caps that raise."""
+"""The acceptance suite's machinery: the extended-precision oracles
+(tail-certified sums against fixed-length reference sums, and caps that
+raise), the one pass rule of ``_result``, and the forked sweep."""
 
+import math
 import os
-import re
 import signal
 import threading
 import time
@@ -10,7 +11,7 @@ import time
 import pytest
 from mpmath import mp
 
-from qfraclab import qseries, verify
+from qfraclab import convergents, measure, moments, qseries, verify
 from qfraclab.errors import TruncationError
 from qfraclab.recurrence import Params
 
@@ -113,18 +114,74 @@ def test_qseries_kernel_fails_when_phi_is_off_by_1e_10(monkeypatch):
     result = verify.check_qseries_kernel()
     assert not result.passed
     # every part reports its worst error next to its gate; only phi's two fail
-    parts = re.findall(r"([a-zA-Z][a-zA-Z -]*) (\d\.\d+e[-+]\d+) / 1e-12", result.detail)
-    errs = {name: float(err) for name, err in parts}
-    assert set(errs) == {"splitting", "theta quasiperiodicity", "by-parts", "q-binomial theorem", "q-Gauss sum"}
-    assert sorted(name for name, err in errs.items() if err >= 1e-12) == ["q-Gauss sum", "q-binomial theorem"]
+    parts = ["splitting", "theta quasiperiodicity", "by-parts", "q-binomial theorem", "q-Gauss sum"]
+    assert [(label, gate) for label, _, gate in result.rows] == [(part, 1e-12) for part in parts]
+    assert [label for label, err, gate in result.rows if not err < gate] == ["q-binomial theorem", "q-Gauss sum"]
 
 
 def test_moment_solutions_reports_the_slow_tail_point():
-    # the last figure of the detail is the |lam q/b| = 0.45, k = 0 error
     result = verify.check_moment_solutions()
     assert result.passed
-    assert "|lam q/b| = 0.45, k = 0" in result.detail
-    assert float(result.detail.rsplit(": ", 1)[1]) < 1e-10
+    (row,) = [row for row in result.rows if "|lam q/b| = 0.45" in row[0]]
+    assert row[1] < row[2] == 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the pass rule: a row passes only strictly below its gate, and NaN fails
+# ---------------------------------------------------------------------------
+
+
+def test_result_reduces_each_row_to_its_largest_value():
+    res = verify._result("c", ("one", 2e-13, 1e-12), ("list", [3e-13, 5e-13, 4e-13], 1e-12))
+    assert res == ("c", True, "one 2e-13 / 1e-12; list 5e-13 / 1e-12", (("one", 2e-13, 1e-12), ("list", 5e-13, 1e-12)))
+
+
+def test_result_fails_a_value_equal_to_its_gate():
+    assert not verify._result("c", ("count", 1, 1)).passed
+    assert not verify._result("c", ("err", [0.0, 1e-12], 1e-12)).passed
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_result_fails_a_nan_anywhere_in_a_list(at):
+    values = [1e-16, 2e-16, 3e-16]
+    values[at] = math.nan
+    res = verify._result("c", ("seconds", 0.5, 2.0), ("errs", values, math.inf))
+    assert not res.passed
+    assert math.isnan(res.rows[1][1])
+    assert res.detail == "seconds 0.5 / 2; errs nan / inf"
+
+
+def _poisoned(real, bad, value):
+    """``real``, except that it returns ``value`` wherever ``bad(*args)`` holds."""
+    return lambda *args: value if bad(*args) else real(*args)
+
+
+NAN_ROUTES = {
+    "density_inversion on |x| < 0.5": (
+        measure, "density_inversion", lambda x, p: abs(x) < 0.5, math.nan, verify.check_density_cross
+    ),
+    "hirschhorn_closed at n = 5": (
+        convergents, "hirschhorn_closed", lambda n, *_: n == 5, (math.nan, 1.0), verify.check_hirschhorn_formula
+    ),
+    "moment_pk_integral at k = 3": (
+        moments, "moment_pk_integral", lambda k, *_: k == 3, math.nan, verify.check_moment_solutions
+    ),
+    "float entry15 at n = 4": (
+        convergents, "entry15", lambda n, a, *_: n == 4 and isinstance(a, float), (math.nan, 1.0), verify.check_entry15_a0
+    ),
+    "all-NaN gram_matrix": (
+        measure, "gram_matrix", lambda p, nmax: True, [[math.nan] * 6] * 6, verify.check_orthogonality_gram
+    ),
+}
+
+
+@pytest.mark.parametrize("route", NAN_ROUTES)
+def test_a_nan_route_fails_its_criterion(monkeypatch, route):
+    module, name, bad, value, check = NAN_ROUTES[route]
+    monkeypatch.setattr(module, name, _poisoned(getattr(module, name), bad, value))
+    result = check()
+    assert not result.passed
+    assert any(math.isnan(value) for _, value, _ in result.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +257,11 @@ def _raises_unloadable():
 
 
 def _masked(results):
-    return [(r.name, r.passed, re.sub(r"\d+\.\d+ s\b", "<t> s", r.detail)) for r in results]
+    """Name, verdict and rows of each result, with the values of its ``seconds`` rows masked."""
+    return [
+        (r.name, r.passed, [(label, None if label == "seconds" else value, gate) for label, value, gate in r.rows])
+        for r in results
+    ]
 
 
 def test_forked_sweep_matches_the_sequential_one(monkeypatch, forks, no_child_left):
