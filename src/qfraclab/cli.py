@@ -7,7 +7,7 @@ Subcommands:
 * ``density``      emit the spectral density over an x-grid as CSV or JSON
 * ``orthogonality``print the Gram matrix of weighted inner products
 * ``moments``      compare the q-integral and closed moment solutions
-* ``verify``       run the acceptance suites
+* ``verify``       run the acceptance suites (``--json``: one object per criterion)
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 Numbers are printed with ``repr``, the shortest round-trip decimal form,
@@ -218,17 +218,29 @@ def _cmd_moments(args) -> int:
     return 0
 
 
+def _json_number(v):
+    """A row's value or gate as strict JSON: a finite int or double as a number;
+    inf, nan and an mpf (which may lie below the double range) as text."""
+    if isinstance(v, (int, float)) and abs(v) < float("inf"):
+        return v
+    return str(v)
+
+
 def _cmd_verify(args) -> int:
     from . import verify  # loads mpmath, which no other subcommand needs
 
     results = verify.run_suite(args.suite)
-    failed = 0
-    for res in results:
-        tag = "PASS" if res.passed else "FAIL"
-        if not res.passed:
-            failed += 1
-        print(f"{tag} {res.name}: {res.detail}")
-    print(f"{len(results) - failed}/{len(results)} criteria passed")
+    failed = sum(not res.passed for res in results)
+    if args.json:
+        import json
+
+        for res in results:
+            rows = [[label, _json_number(v), _json_number(gate)] for label, v, gate in res.rows]
+            print(json.dumps({"name": res.name, "passed": bool(res.passed), "rows": rows}, allow_nan=False))
+    else:
+        for res in results:
+            print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
+        print(f"{len(results) - failed}/{len(results)} criteria passed")
     return 0 if failed == 0 else 1
 
 
@@ -274,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run acceptance suites")
     pv.add_argument("--suite", choices=SUITE_NAMES, default="all")
+    pv.add_argument("--json", action="store_true",
+                    help="print one JSON object per criterion: name, passed and its [label, value, gate] rows")
     pv.set_defaults(func=_cmd_verify)
 
     return parser

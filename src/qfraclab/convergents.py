@@ -10,15 +10,33 @@ backend).
 Summation bounds always come from the vanishing conventions of the
 q-binomials, never from guessed cutoffs.  Every sum reads its q-binomials
 [n choose k]_q = (q; q)_n / ((q; q)_k (q; q)_{n-k}) from two tables built
-once per call: the prefix products (q; q)_m and their inverses.  The double
-and triple sums of :func:`hirschhorn_closed` and :func:`a0_closed` also
-build the powers of their arguments and of q (with q^C(k,2)), and pull
-every factor that does not depend on the innermost index out of the
-innermost sum, so that loop only multiplies table entries.  The finite
-products over i in [j, n - j] of :func:`entry15` and :func:`ram_Q` are grown
-outward from the innermost range (largest j), two factors per step, from
-one table of 1 + a q^i (or x + a q^i); :func:`ram_Qstar` is :func:`ram_Q`
-under the numerator shift (a, lam) -> (aq, lam q).
+once per call: the prefix products (q; q)_m and their inverses.  Each sum
+also reads the powers of its arguments and of q (q^k, q^(k^2), q^C(k,2))
+from tables, and the double and triple sums of :func:`hirschhorn_closed` and
+:func:`a0_closed` pull every factor that does not depend on the innermost
+index out of the innermost sum, so that loop only multiplies table entries.
+The finite products over i in [j, n - j] of :func:`entry15` and
+:func:`ram_Q` are grown outward from the innermost range (largest j), two
+factors per step, from one table of 1 + a q^i (or x + a q^i);
+:func:`ram_Qstar` is :func:`ram_Q` under the numerator shift
+(a, lam) -> (aq, lam q).
+
+Each table comes with a denominator, and one sum runs on either kind.  When
+every argument is rational (an int or a Fraction), the tables hold integer
+numerators over one denominator each, built from the numerators and
+denominators of the arguments (see :func:`_qfac_tables` and
+:func:`_powers`).  Every term of a sum draws a fixed number of entries from
+each table, and a term that draws fewer (the centred products, and a
+q-binomial whose lower factor is (q; q)_0) is padded with powers of that
+table's denominator.  So the sum runs on ints, and each result is one
+Fraction, reduced once, instead of one Fraction per product.  Nothing is
+reduced along the way: with q = u/v the common denominator grows like
+v^(c n^2), c from about 2 (entry16) to 5 (hirschhorn_closed), so past n of
+about 25 (hirschhorn_closed, a0_closed) to 35 (entry16, ram_Q, entry15)
+reducing every product is faster; the exact checks of the package stay at
+n <= 16.  Float, complex and mixed float/Fraction arguments get tables of
+the values themselves, with denominator 1, and so the same operations in
+the same order as summing the values directly.
 """
 
 from __future__ import annotations
@@ -37,39 +55,98 @@ __all__ = [
 ]
 
 
-def _qfac_table(q, n: int) -> list:
-    """Prefix products (q; q)_m for m = 0..n; exact for Fraction q."""
-    out = [q**0] * (n + 1)  # q**0 keeps the scalar type (Fraction stays Fraction)
-    pw = q
-    for m in range(1, n + 1):
-        out[m] = out[m - 1] * (1 - pw)
-        pw *= q
-    return out
+def _rational(*values) -> bool:
+    """Whether every value is an int or a Fraction (anything with a ``denominator``)."""
+    for v in values:
+        if not hasattr(v, "denominator"):
+            return False
+    return True
 
 
-def _qfac_inverses(tab, top: int) -> list:
-    """Inverses 1/(q; q)_m for m = 0..top of a prefix table.
+def _num_den(x) -> tuple:
+    return int(x.numerator), int(x.denominator)
 
-    The products are zero from the first vanishing factor on, so (q; q)_top
-    vanishes exactly when some q-binomial of a sum reaching index ``top``
-    would divide by zero; that raises DomainError.  Every q-binomial of the
-    module is read as tab[n] * inv[k] * inv[n - k] from these two tables.
+
+def _qfac_tables(q, n: int, exact: bool) -> tuple:
+    """(tab, inv, tab_den, inv_den): (q; q)_m and 1/(q; q)_m for m = 0..n.
+
+    The products are zero from the first vanishing factor on, so (q; q)_n
+    vanishes exactly when some q-binomial of a sum reaching index n would
+    divide by zero; that raises DomainError.  Every q-binomial of the module
+    is read as tab[n] * inv[k] * inv[n - k] from these two tables.
+
+    On the scalar path the entries are the values and both denominators 1.
+    On the integer path, with q = u/v and f_i = v^i - u^i = v^i (1 - q^i),
+    entry m of ``tab`` is f_1 ... f_m v^(T_n - T_m) over v^(T_n), and of
+    ``inv`` it is v^(T_m) f_(m+1) ... f_n over f_1 ... f_n, with
+    T_m = m(m + 1)/2.
     """
-    if tab[top] == 0:
+    if not exact:
+        tab = [q**0] * (n + 1)  # q**0 keeps the scalar type (Fraction stays Fraction)
+        pw = q
+        for m in range(1, n + 1):
+            tab[m] = tab[m - 1] * (1 - pw)
+            pw *= q
+        if tab[n] == 0:
+            raise DomainError("q-binomial undefined: (q; q) factor vanished")
+        return tab, [1 / t for t in tab], 1, 1
+    u, v = _num_den(q)
+    f = [v**i - u**i for i in range(n + 1)]  # f[0] is never read
+    tab = [1] * (n + 1)
+    for m in range(1, n + 1):
+        tab[m] = tab[m - 1] * f[m]
+    if tab[n] == 0:
         raise DomainError("q-binomial undefined: (q; q) factor vanished")
-    return [1 / t for t in tab[: top + 1]]
+    inv = [1] * (n + 1)
+    inv_den = tab[n]
+    suffix = 1  # f_(m+1) ... f_n
+    pad = 1  # v^(T_n - T_m)
+    for m in range(n, 0, -1):
+        inv[m] = suffix
+        tab[m] *= pad
+        suffix *= f[m]
+        pad *= v**m
+    inv[0], tab[0] = suffix, pad
+    tri = 1  # v^(T_m)
+    for m in range(1, n + 1):
+        tri *= v**m
+        inv[m] *= tri
+    return tab, inv, tri, inv_den
 
 
-def _powers(x, n: int) -> list:
-    """x^0, ..., x^n, each by one ``**`` so no rounding accumulates along the table."""
-    return [x**i for i in range(n + 1)]
+def _powers(x, exponents, exact: bool) -> tuple:
+    """(x^e for each e, denominator).
+
+    On the scalar path each entry is one ``**``, so no rounding accumulates
+    along the table.  On the integer path, with x = s/t and E the largest
+    exponent, the entry is s^e t^(E - e) over t^E.
+    """
+    if not exact:
+        return [x**e for e in exponents], 1
+    s, t = _num_den(x)
+    top = max(exponents)
+    return [s**e * t ** (top - e) for e in exponents], t**top
 
 
-def _centred_products(f, lo: int, hi: int, count: int) -> list:
-    """prod(f[lo + j : hi - j + 1]) for j = 0..count-1.
+def _affine(x, a, q, n: int, exact: bool) -> tuple:
+    """(x + a q^i for i = 0..n, denominator); over t d v^n for x = s/t, a = c/d, q = u/v."""
+    q_pw, q_den = _powers(q, range(n + 1), exact)
+    if not exact:
+        return [x + a * p for p in q_pw], 1
+    s, t = _num_den(x)
+    c, d = _num_den(a)
+    base, scale = s * d * q_den, c * t
+    return [base + scale * p for p in q_pw], t * d * q_den
+
+
+def _centred_products(f, den, lo: int, hi: int, count: int) -> tuple:
+    """(prod(f[lo + j : hi - j + 1]) for j = 0..count-1, denominator).
 
     Grown outward from the innermost range (zero or one factor), two factors
-    per step; there is no division, so a zero factor is harmless.
+    per step; there is no division, so a zero factor is harmless.  Entry j
+    has 2j fewer factors than entry 0, so on the integer path it is padded
+    by den^(2j) to share entry 0's denominator den^(hi - lo + 1); a scalar
+    table has den 1 and its entries are left as they are.
     """
     out = [1] * count
     prod = 1
@@ -79,7 +156,21 @@ def _centred_products(f, lo: int, hi: int, count: int) -> list:
     for j in range(count - 2, -1, -1):
         prod *= f[lo + j] * f[hi - j]
         out[j] = prod
-    return out
+    if den != 1:
+        pad = den * den
+        out = [p * pad**j for j, p in enumerate(out)]
+    return out, den ** (hi - lo + 1)
+
+
+def _value(total, den, exact: bool):
+    """A finished sum: the integer path's numerator over its denominator, reduced once."""
+    if not exact:
+        return total
+    # imported here, so that float callers such as the CLI do not load
+    # fractions and decimal (about 4 ms at start-up)
+    from fractions import Fraction
+
+    return Fraction(total, den)
 
 
 def entry16(n: int, lam, q):
@@ -92,18 +183,21 @@ def entry16(n: int, lam, q):
     if n < 0:
         raise DomainError("entry16 requires n >= 0")
     _require_finite("entry16", lam, q)
-    tab = _qfac_table(q, n + 1)
-    inv = _qfac_inverses(tab, n + 1)
+    exact = _rational(lam, q)
+    tab, inv, dt, di = _qfac_tables(q, n + 1, exact)
     top = (n + 1) // 2
-    q_pw, lam_pw = _powers(q, top), _powers(lam, top)
+    q_pw, dq = _powers(q, range(top + 1), exact)
+    lam_pw, dl = _powers(lam, range(top + 1), exact)
+    q_sq, ds = _powers(q, [k * k for k in range(top + 1)], exact)
     N = 0
     D = 0
     for k in range(0, top + 1):
-        w = q ** (k * k) * lam_pw[k] * inv[k]
+        w = q_sq[k] * lam_pw[k] * inv[k]
         if 2 * k <= n:
             N += w * q_pw[k] * tab[n - k] * inv[n - 2 * k]
         D += w * tab[n - k + 1] * inv[n - 2 * k + 1]
-    return N, D
+    den = ds * dl * di * dt * di
+    return _value(N, den * dq, exact), _value(D, den, exact)
 
 
 def hirschhorn_closed(n: int, q, a, b, lam):
@@ -119,13 +213,18 @@ def hirschhorn_closed(n: int, q, a, b, lam):
     if n < 0:
         raise DomainError("hirschhorn_closed requires n >= 0")
     _require_finite("hirschhorn_closed", q, a, b, lam)
-    tab = _qfac_table(q, n)
-    inv = _qfac_inverses(tab, n)
-    mb_pw, lam_pw = _powers(-b, n), _powers(lam, n)
-    qc2 = [q ** (k * (k - 1) // 2) for k in range(n + 2)]
-    a_inv = [i * p for i, p in zip(inv, _powers(a, n))]  # a^i / (q; q)_i
+    exact = _rational(q, a, b, lam)
+    tab, inv, dt, di = _qfac_tables(q, n, exact)
+    mb_pw, dmb = _powers(-b, range(n + 1), exact)
+    lam_pw, dl = _powers(lam, range(n + 1), exact)
+    a_pw, da = _powers(a, range(n + 1), exact)
+    qc2, dc = _powers(q, [k * (k - 1) // 2 for k in range(n + 2)], exact)
+    a_inv = [i * p for i, p in zip(inv, a_pw)]  # a^i / (q; q)_i
     d_k = [i * t for i, t in zip(inv, qc2)]  # q^C(k,2) / (q; q)_k
     n_k = [i * t for i, t in zip(inv, qc2[1:])]  # q^(C(k,2)+k) / (q; q)_k
+    # the k = m term below lacks the loop's factor inv[m - k] = 1/(q; q)_0,
+    # which is di over di on the integer path: pad it by di
+    d_m = d_k if di == 1 else [t * di for t in d_k]
     N = 0
     D = 0
     for l in range(0, n + 1):
@@ -134,7 +233,7 @@ def hirschhorn_closed(n: int, q, a, b, lam):
             m = n - j - l
             # the k-sums hold the k-dependent factors of [k+l; j, l]_q [m choose k]_q
             # a^(k-j) q^C(k,2) (and [m-1 choose k]_q q^k for N); w holds the rest
-            sD = tab[m + l] * a_inv[m - j] * d_k[m]  # k = m, where [m-1 choose k] = 0
+            sD = tab[m + l] * a_inv[m - j] * d_m[m]  # k = m, where [m-1 choose k] = 0
             sN = 0
             for k in range(j, m):
                 u = tab[k + l] * a_inv[k - j]
@@ -144,7 +243,8 @@ def hirschhorn_closed(n: int, q, a, b, lam):
             D += w * tab[m] * sD
             if m > j:
                 N += w * tab[m - 1] * sN
-    return (1 - b) * N, D
+    den = (dt * di * dc) ** 2 * di**3 * dmb * dl * da
+    return (1 - b) * _value(N, den, exact), _value(D, den, exact)
 
 
 def a0_closed(n: int, b, lam, q):
@@ -157,23 +257,32 @@ def a0_closed(n: int, b, lam, q):
     if n < 0:
         raise DomainError("a0_closed requires n >= 0")
     _require_finite("a0_closed", b, lam, q)
-    tab = _qfac_table(q, n + 1)
-    inv = _qfac_inverses(tab, n + 1)
-    b_inv = [i * p for i, p in zip(inv, _powers(-b, n + 1))]  # (-b)^j / (q; q)_j
+    exact = _rational(b, lam, q)
+    tab, inv, dt, di = _qfac_tables(q, n + 1, exact)
+    kmax = (n + 1) // 2
+    mb_pw, db = _powers(-b, range(n + 2), exact)
+    q_pw, dq = _powers(q, range(kmax + 1), exact)
+    lam_pw, dl = _powers(lam, range(kmax + 1), exact)
+    q_sq, ds = _powers(q, [k * k for k in range(kmax + 1)], exact)
+    b_inv = [i * p for i, p in zip(inv, mb_pw)]  # (-b)^j / (q; q)_j
+    # the j = top term below lacks the loop's factor inv[top - j] = 1/(q; q)_0,
+    # which is di over di on the integer path: pad it by di
+    b_top = b_inv if di == 1 else [t * di for t in b_inv]
     N = 0
     D = 0
-    for k in range(0, (n + 1) // 2 + 1):
+    for k in range(0, kmax + 1):
         top = n + 1 - 2 * k  # j runs over 0..top for D', 0..top-1 for N'
-        sD = tab[n + 1 - k] * b_inv[top] * tab[k]  # j = top, where [n-k-j choose k] = 0
+        sD = tab[n + 1 - k] * b_top[top] * tab[k]  # j = top, where [n-k-j choose k] = 0
         sN = 0
         for j in range(0, top):
             u = tab[k + j] * b_inv[j]
             sD += u * tab[n + 1 - k - j] * inv[top - j]
             sN += u * tab[n - k - j] * inv[top - 1 - j]
-        w = q ** (k * k) * lam**k * inv[k] * inv[k]
-        N += w * q**k * sN
+        w = q_sq[k] * lam_pw[k] * inv[k] * inv[k]
+        N += w * q_pw[k] * sN
         D += w * sD
-    return N, D
+    den = ds * dl * (di * dt) ** 2 * di * db * di
+    return _value(N, den * dq, exact), _value(D, den, exact)
 
 
 def ram_Q(n: int, x, a, lam, q):
@@ -188,13 +297,17 @@ def ram_Q(n: int, x, a, lam, q):
     if n < 0:
         raise DomainError("ram_Q requires n >= 0")
     _require_finite("ram_Q", x, a, lam, q)
-    tab = _qfac_table(q, n)
-    inv = _qfac_inverses(tab, n)
-    f = [x + a * t for t in _powers(q, n)]  # x + a q^i
+    exact = _rational(x, a, lam, q)
+    tab, inv, dt, di = _qfac_tables(q, n, exact)
+    top = n // 2
+    lam_pw, dl = _powers(lam, range(top + 1), exact)
+    q_sq, ds = _powers(q, [j * j for j in range(top + 1)], exact)
+    f, df = _affine(x, a, q, n, exact)  # x + a q^i
+    prods, dp = _centred_products(f, df, 0, n - 1, top + 1)
     total = 0
-    for j, prod in enumerate(_centred_products(f, 0, n - 1, n // 2 + 1)):
-        total += tab[n - j] * inv[j] * inv[n - 2 * j] * lam**j * q ** (j * j) * prod
-    return total
+    for j, prod in enumerate(prods):
+        total += tab[n - j] * inv[j] * inv[n - 2 * j] * lam_pw[j] * q_sq[j] * prod
+    return _value(total, dt * di * di * dl * ds * dp, exact)
 
 
 def ram_Qstar(n: int, x, a, lam, q):
@@ -222,23 +335,32 @@ def entry15(n: int, a, lam, q):
 
     The Pochhammer quotients are reduced to bare products before dividing,
     so only the single factor (1 + a) is ever divided by; a = -1 is the one
-    genuinely singular point and raises DomainError.
+    genuinely singular point and raises DomainError.  The scalar path
+    divides each term of Nhat_n by it, the integer path the finished sum.
     """
     if n < 1:
         raise DomainError("entry15 requires n >= 1")
     _require_finite("entry15", a, lam, q)
     if 1 + a == 0:
         raise DomainError("a = -1 zeroes the (-a; q)_j factors")
-    tab = _qfac_table(q, n + 1)
-    inv = _qfac_inverses(tab, n + 1)
-    f = [1 + a * t for t in _powers(q, n)]  # 1 + a q^i
+    exact = _rational(a, lam, q)
+    tab, inv, dt, di = _qfac_tables(q, n + 1, exact)
+    top = (n + 1) // 2
+    lam_pw, dl = _powers(lam, range(top + 1), exact)
+    q_sq, ds = _powers(q, [j * j for j in range(top + 1)], exact)
+    q_sqj, dsj = _powers(q, [j * j + j for j in range(top + 1)], exact)
+    f, df = _affine(1, a, q, n, exact)  # 1 + a q^i
+    prods, dp = _centred_products(f, df, 0, n, top + 1)
     Nh = 0
-    for j, prod in enumerate(_centred_products(f, 0, n, (n + 1) // 2 + 1)):
-        Nh += q ** (j * j) * lam**j * tab[n + 1 - j] * inv[j] * inv[n + 1 - 2 * j] * prod / (1 + a)
+    for j, prod in enumerate(prods):
+        t = q_sq[j] * lam_pw[j] * tab[n + 1 - j] * inv[j] * inv[n + 1 - 2 * j] * prod
+        Nh += t if exact else t / (1 + a)
+    prods, dpj = _centred_products(f, df, 1, n, n // 2 + 1)
     Dh = 0
-    for j, prod in enumerate(_centred_products(f, 1, n, n // 2 + 1)):
-        Dh += q ** (j * j + j) * lam**j * tab[n - j] * inv[j] * inv[n - 2 * j] * prod
-    return Nh, Dh
+    for j, prod in enumerate(prods):
+        Dh += q_sqj[j] * lam_pw[j] * tab[n - j] * inv[j] * inv[n - 2 * j] * prod
+    den = dl * dt * di * di
+    return _value(Nh, den * ds * dp * (1 + a), exact), _value(Dh, den * dsj * dpj, exact)
 
 
 def g_function(b, lam, q):

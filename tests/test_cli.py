@@ -181,6 +181,67 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert out.startswith("FAIL stub")
 
 
+def _strict_json(line: str):
+    """Parse one line of JSON, refusing the non-standard NaN and Infinity constants."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def test_verify_json_prints_one_strict_object_per_criterion(capsys, monkeypatch):
+    import math
+
+    from mpmath import mp
+
+    from qfraclab import verify
+
+    rows = (
+        ("mismatches", 0, 1),
+        ("max rel err", 1.5e-16, 1e-12),
+        ("a NaN route", math.nan, 1e-12),
+        ("smallest error", mp.mpf("1e-344"), math.inf),
+    )
+    monkeypatch.setattr(
+        verify,
+        "run_suite",
+        lambda suite: [verify.CheckResult("stub", False, "", rows), verify.CheckResult("raised", False, "raised")],
+    )
+    rc = main(["verify", "--json"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert [_strict_json(line) for line in lines] == [
+        {
+            "name": "stub",
+            "passed": False,
+            "rows": [
+                ["mismatches", 0, 1],
+                ["max rel err", 1.5e-16, 1e-12],
+                ["a NaN route", "nan", 1e-12],
+                ["smallest error", "1.0e-344", "inf"],
+            ],
+        },
+        {"name": "raised", "passed": False, "rows": []},
+    ]
+
+
+def test_verify_json_rows_are_the_criteria_rows(capsys):
+    from mpmath import mp
+
+    from qfraclab import verify
+
+    rc = main(["verify", "--suite", "measure", "--json"])
+    records = [_strict_json(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0
+    assert [r["name"] for r in records] == [name for name, suite, _ in verify.CRITERIA if suite == "measure"]
+    assert all(r["passed"] is True and r["rows"] for r in records)
+    # markov-limit's smallest error lies below the double range and has no gate
+    label, value, gate = next(r for r in records if r["name"] == "markov-limit")["rows"][-1]
+    assert (label, gate) == ("smallest error", "inf")
+    assert 0 < mp.mpf(value) < 1e-300
+
+
 def test_suite_choices_match_verify():
     from qfraclab import cli, verify
 
@@ -223,7 +284,7 @@ def test_light_subcommands_add_no_heavy_module(run_fresh):
         f"for argv in {LIGHT_SUBCOMMANDS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "    heavy = sorted((set(sys.modules) - before) & {'dataclasses', 'json', 'numpy', 'mpmath'})\n"
+        "    heavy = sorted((set(sys.modules) - before) & {'dataclasses', 'fractions', 'json', 'numpy', 'mpmath'})\n"
         "    assert not heavy, (argv[0], heavy)\n"
     )
     proc = run_fresh(code)

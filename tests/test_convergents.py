@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qfraclab.cfrac import backward_convergent, eval_backward, hirschhorn_cf
@@ -255,6 +257,30 @@ class TestVanishingQFactorial:
         with pytest.raises(DomainError):
             entry16(n, self.lam, self.q)
 
+    # ram_Q(n) reads (q; q)_n, ram_Qstar(n) is ram_Q(n - 1), and entry15(n)
+    # reads (q; q)_(n+1) from its least n = 1 on
+    x = Fraction(2, 3)
+
+    def test_ram_values_below_the_vanishing_index(self):
+        q, a, lam, x = self.q, self.a, self.lam, self.x
+        assert ram_Q(0, x, a, lam, q) == 1
+        assert ram_Q(1, x, a, lam, q) == x + a
+        assert ram_Qstar(0, x, a, lam, q) == 0
+        assert ram_Qstar(1, x, a, lam, q) == 1
+        assert ram_Qstar(2, x, a, lam, q) == x + a * q
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_ram_Q_raises(self, n):
+        with pytest.raises(DomainError):
+            ram_Q(n, self.x, self.a, self.lam, self.q)
+        with pytest.raises(DomainError):
+            ram_Qstar(n + 1, self.x, self.a, self.lam, self.q)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_entry15_raises(self, n):
+        with pytest.raises(DomainError):
+            entry15(n, self.a, self.lam, self.q)
+
 
 def _small_rationals(lo, hi):
     return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 9))
@@ -277,6 +303,47 @@ def test_hirschhorn_closed_equals_exact_recurrence(q, a, b, lam, n):
     assert hirschhorn_closed(n, q, a, b, lam) == (seq.N[n], seq.D[n])
 
 
+# a parameter drawn as a small Fraction or as the int 0 or 1
+exact_param = st.one_of(st.sampled_from([0, 1]), _small_rationals(-6, 6))
+
+
+@settings(deadline=None, max_examples=40)
+@given(exact_q, exact_param, st.integers(0, 14))
+@example(q=Fraction(-1, 2), lam=1, n=0)
+@example(q=Fraction(-2, 3), lam=0, n=5)
+def test_entry16_equals_exact_recurrence(q, lam, n):
+    # the n-th closed-form pair is the recurrence's pair at index n + 1, x = 1
+    seq = run_jfraction(entry16_family(lam, q), Fraction(1), n + 1)
+    N, D = entry16(n, lam, q)
+    assert isinstance(N, Fraction) and isinstance(D, Fraction)
+    assert (N, D) == (seq.N[n + 1], seq.D[n + 1])
+
+
+@settings(deadline=None, max_examples=40)
+@given(exact_q, _small_rationals(-9, 9), exact_param, exact_param, st.integers(0, 16))
+@example(q=Fraction(-1, 3), x=Fraction(1, 2), a=0, lam=1, n=0)
+@example(q=Fraction(-3, 4), x=Fraction(-2, 5), a=0, lam=1, n=7)
+def test_ram_polynomials_equal_exact_recurrence(q, x, a, lam, n):
+    seq = run_jfraction(b0_family(Params(q, a, 0, lam)), x, max(n, 1))
+    Q = ram_Q(n, x, a, lam, q)
+    assert isinstance(Q, Fraction)
+    assert Q == seq.D[n]
+    assert ram_Qstar(n, x, a, lam, q) == seq.N[n]
+
+
+@settings(deadline=None, max_examples=40)
+@given(exact_q, exact_param, exact_param, st.integers(1, 14))
+@example(q=Fraction(-1, 2), a=0, lam=1, n=1)
+@example(q=Fraction(-4, 5), a=Fraction(-5, 2), lam=1, n=6)
+def test_entry15_equals_exact_recurrence(q, a, lam, n):
+    assume(a != -1)
+    # (1 + a) Nhat_n and Dhat_n are Q_{n+1} and Q*_{n+1} at x = 1
+    seq = run_jfraction(b0_family(Params(q, a, 0, lam)), Fraction(1), n + 1)
+    Nh, Dh = entry15(n, a, lam, q)
+    assert isinstance(Nh, Fraction) and isinstance(Dh, Fraction)
+    assert ((1 + a) * Nh, Dh) == (seq.D[n + 1], seq.N[n + 1])
+
+
 @settings(deadline=None, max_examples=40)
 @given(exact_q, _small_rationals(-6, 6), _small_rationals(-6, 6), st.integers(0, 10))
 def test_a0_closed_equals_exact_backward_fraction(q, b, lam, n):
@@ -288,3 +355,66 @@ def test_a0_closed_equals_exact_backward_fraction(q, b, lam, n):
         assume(False)
     assume(Dp != 0)
     assert Np / Dp == cf
+
+
+# ---------------------------------------------------------------------------
+# The scalar path: float, complex and mixed float/Fraction arguments keep the
+# tables and the order of operations of the implementation that summed the
+# values directly, so every value is bit-for-bit the one recorded from it in
+# convergents_golden.json: under the key "<name>/<kind>", _bits of each draw
+# of _scalar_draws(name, kind), in order.
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("convergents_golden.json")
+
+# name -> (closed form, argument names after n, least n)
+CLOSED_FORMS = {
+    "hirschhorn_closed": (hirschhorn_closed, ("q", "a", "b", "lam"), 0),
+    "entry16": (entry16, ("lam", "q"), 0),
+    "a0_closed": (a0_closed, ("b", "lam", "q"), 0),
+    "ram_Q": (ram_Q, ("x", "a", "lam", "q"), 0),
+    "ram_Qstar": (ram_Qstar, ("x", "a", "lam", "q"), 0),
+    "entry15": (entry15, ("a", "lam", "q"), 1),
+}
+SCALAR_KINDS = ("float", "complex", "mixed")
+
+
+def _scalar_draws(name: str, kind: str) -> list:
+    """Eight seeded (n, args) draws of one closed form: all floats, complex q
+    with some complex parameters, or floats and Fractions in one call."""
+    _, names, least = CLOSED_FORMS[name]
+    rng = random.Random(f"{name}/{kind}")
+    draws = []
+    for _ in range(8):
+        n = rng.randint(least, 12)
+        args = []
+        for arg in names:
+            v = rng.uniform(0.05, 0.75) * rng.choice([1, -1]) if arg == "q" else rng.uniform(-0.9, 0.9)
+            if kind == "complex" and (arg == "q" or rng.random() < 0.5):
+                v = complex(v, rng.uniform(-0.3, 0.3))
+            args.append(v)
+        if kind == "mixed":  # at least one Fraction and one float
+            exact = rng.sample(range(len(args)), rng.randint(1, len(args) - 1))
+            args = [Fraction(v).limit_denominator(20) if i in exact else v for i, v in enumerate(args)]
+        draws.append((n, tuple(args)))
+    return draws
+
+
+def _bits(value):
+    """A value as text that tells every bit and the type apart."""
+    if isinstance(value, tuple):
+        return [_bits(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real.hex(), value.imag.hex()]
+    if isinstance(value, float):
+        return value.hex()
+    return f"{type(value).__name__}:{value}"
+
+
+@pytest.mark.parametrize("kind", SCALAR_KINDS)
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_scalar_arguments_give_the_recorded_bits(name, kind):
+    golden = json.loads(GOLDEN.read_text())[f"{name}/{kind}"]
+    fn = CLOSED_FORMS[name][0]
+    for (n, args), want in zip(_scalar_draws(name, kind), golden, strict=True):
+        assert _bits(fn(n, *args)) == want, (n, args)
