@@ -62,8 +62,10 @@ def _read_params_file(path: str) -> dict:
 
 
 def _params_from(args):
-    """Merge flags over params-file values; explicit flags win.  A nonzero
-    value of a parameter that the chosen family fixes at 0 is an error."""
+    """Merge flags over params-file values; explicit flags win.  The
+    subcommands with ``--family`` (eval, convergents) default an unset a or
+    b to 0, and a nonzero value of a parameter that the chosen family fixes
+    at 0 is an error."""
     from .recurrence import Params
 
     vals = {"q": args.q, "a": args.a, "b": args.b, "lam": args.lam}
@@ -76,7 +78,7 @@ def _params_from(args):
     for key in _FIXED.get(family, ()):
         if vals[key] not in (None, 0):
             raise QFracError(f"family {family} fixes {key} = 0, got {key} = {vals[key]!r}")
-    if not getattr(args, "_need_all_params", False):
+    if family is not None:
         vals["a"] = 0.0 if vals["a"] is None else vals["a"]
         vals["b"] = 0.0 if vals["b"] is None else vals["b"]
     missing = [k for k, v in vals.items() if v is None]
@@ -85,13 +87,12 @@ def _params_from(args):
     return Params(vals["q"], vals["a"], vals["b"], vals["lam"])
 
 
-def _add_param_flags(sub, need_all: bool = False):
+def _add_param_flags(sub):
     sub.add_argument("--q", type=float, default=None)
     sub.add_argument("--a", type=float, default=None)
     sub.add_argument("--b", type=float, default=None)
     sub.add_argument("--lambda", dest="lam", type=float, default=None)
     sub.add_argument("--params-file", default=None, help="key=value lines for q, a, b, lambda")
-    sub.set_defaults(_need_all_params=need_all)
 
 
 def _cmd_eval(args) -> int:
@@ -144,25 +145,16 @@ def _cmd_convergents(args) -> int:
     return 0
 
 
-def _density_rows(p, grid: int, xmin: float, xmax: float):
+def _cmd_density(args) -> int:
     from . import measure
 
-    rows = []
-    for i in range(grid):
-        x = xmin + (xmax - xmin) * i / (grid - 1) if grid > 1 else xmin
-        dn = measure.density_nevai(x, p)
-        di = measure.density_inversion(x, p)
-        rows.append((x, dn, di))
-    return rows
-
-
-def _cmd_density(args) -> int:
     p = _params_from(args)
     if args.grid < 2:
         raise QFracError("--grid must be >= 2")
     if not (-1 < args.xmin < args.xmax < 1):
         raise QFracError("need -1 < xmin < xmax < 1")
-    rows = _density_rows(p, args.grid, args.xmin, args.xmax)
+    xs = [args.xmin + (args.xmax - args.xmin) * i / (args.grid - 1) for i in range(args.grid)]
+    rows = [(x, measure.density_nevai(x, p), measure.density_inversion(x, p)) for x in xs]
     if args.format == "csv":
         lines = ["x,density_nevai,density_inversion,abs_diff"]
         for x, dn, di in rows:
@@ -179,9 +171,12 @@ def _cmd_density(args) -> int:
             },
             indent=2,
         ) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    if args.out:  # opened only now, so a failed run leaves an existing file as it was
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise QFracError(f"cannot write --out file: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -265,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=_cmd_convergents)
 
     pd = sub.add_parser("density", help="spectral density over an x-grid")
-    _add_param_flags(pd, need_all=True)
+    _add_param_flags(pd)
     pd.add_argument("--grid", type=int, default=101)
     pd.add_argument("--xmin", type=float, default=-0.99)
     pd.add_argument("--xmax", type=float, default=0.99)
@@ -274,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=_cmd_density)
 
     po = sub.add_parser("orthogonality", help="Gram matrix of weighted inner products")
-    _add_param_flags(po, need_all=True)
+    _add_param_flags(po)
     po.add_argument("--nmax", type=int, default=5)
     po.set_defaults(func=_cmd_orthogonality)
 
     pm = sub.add_parser("moments", help="moment solutions, closed vs q-integral")
-    _add_param_flags(pm, need_all=True)
+    _add_param_flags(pm)
     pm.add_argument("--x", type=float, default=0.3)
     pm.add_argument("--kmax", type=int, default=10)
     pm.set_defaults(func=_cmd_moments)

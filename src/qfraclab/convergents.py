@@ -24,11 +24,17 @@ factors per step, from one table of 1 + a q^i (or x + a q^i);
 Each table comes with a denominator, and one sum runs on either kind.  When
 every argument is rational (an int or a Fraction), the tables hold integer
 numerators over one denominator each, built from the numerators and
-denominators of the arguments (see :func:`_qfac_tables` and
-:func:`_powers`).  Every term of a sum draws a fixed number of entries from
-each table, and a term that draws fewer (the centred products, and a
-q-binomial whose lower factor is (q; q)_0) is padded with powers of that
-table's denominator.  So the sum runs on ints, and each result is one
+denominators of the arguments (see :func:`_powers`).  With q = u/v,
+(q; q)_m is the prefix product of f_i = v^i - u^i over that of w_i = v^i,
+and one rule builds both of its tables (:func:`_padded_prefixes`): entry m
+is the prefix product of one sequence padded by the factors of the other
+after it, f over w for (q; q)_m and w over f for its inverse.  Every term
+of a sum draws a fixed number of entries from each table, and a term that
+draws fewer is padded: the centred products with powers of their table's
+denominator, and the one term of :func:`hirschhorn_closed` and
+:func:`a0_closed` whose q-binomial lacks its lower factor 1/(q; q)_0 by
+inv[0], which is the inverse table's denominator on the integer path and 1
+on the scalar path.  So the sum runs on ints, and each result is one
 Fraction, reduced once, instead of one Fraction per product.  Nothing is
 reduced along the way: with q = u/v the common denominator grows like
 v^(c n^2), c from about 2 (entry16) to 5 (hirschhorn_closed), so past n of
@@ -36,7 +42,8 @@ about 25 (hirschhorn_closed, a0_closed) to 35 (entry16, ram_Q, entry15)
 reducing every product is faster; the exact checks of the package stay at
 n <= 16.  Float, complex and mixed float/Fraction arguments get tables of
 the values themselves, with denominator 1, and so the same operations in
-the same order as summing the values directly.
+the same order as summing the values directly, bar the exact factor
+inv[0] = 1.
 """
 
 from __future__ import annotations
@@ -67,6 +74,21 @@ def _num_den(x) -> tuple:
     return int(x.numerator), int(x.denominator)
 
 
+def _padded_prefixes(top: list, bottom: list) -> tuple:
+    """(entries, denominator): entry m is top_1 ... top_m bottom_(m+1) ... bottom_n
+    for m = 0..n, the prefix product of ``top`` padded by the factors of
+    ``bottom`` after it, and the denominator is bottom_1 ... bottom_n."""
+    out = [1]
+    for t in top:
+        out.append(out[-1] * t)
+    pad = 1
+    for m in range(len(top), 0, -1):
+        out[m] *= pad
+        pad *= bottom[m - 1]
+    out[0] = pad
+    return out, pad
+
+
 def _qfac_tables(q, n: int, exact: bool) -> tuple:
     """(tab, inv, tab_den, inv_den): (q; q)_m and 1/(q; q)_m for m = 0..n.
 
@@ -76,10 +98,12 @@ def _qfac_tables(q, n: int, exact: bool) -> tuple:
     is read as tab[n] * inv[k] * inv[n - k] from these two tables.
 
     On the scalar path the entries are the values and both denominators 1.
-    On the integer path, with q = u/v and f_i = v^i - u^i = v^i (1 - q^i),
-    entry m of ``tab`` is f_1 ... f_m v^(T_n - T_m) over v^(T_n), and of
-    ``inv`` it is v^(T_m) f_(m+1) ... f_n over f_1 ... f_n, with
-    T_m = m(m + 1)/2.
+    On the integer path, with q = u/v, (q; q)_m is f_1 ... f_m over
+    w_1 ... w_m, where f_i = v^i - u^i and w_i = v^i, and both tables come
+    from one rule (:func:`_padded_prefixes`): entry m of ``tab`` is
+    f_1 ... f_m w_(m+1) ... w_n over w_1 ... w_n, and entry m of ``inv`` the
+    same with f and w swapped.  So inv[0] is inv_den on the integer path and
+    1 on the scalar path.
     """
     if not exact:
         tab = [q**0] * (n + 1)  # q**0 keeps the scalar type (Fraction stays Fraction)
@@ -91,27 +115,17 @@ def _qfac_tables(q, n: int, exact: bool) -> tuple:
             raise DomainError("q-binomial undefined: (q; q) factor vanished")
         return tab, [1 / t for t in tab], 1, 1
     u, v = _num_den(q)
-    f = [v**i - u**i for i in range(n + 1)]  # f[0] is never read
-    tab = [1] * (n + 1)
-    for m in range(1, n + 1):
-        tab[m] = tab[m - 1] * f[m]
+    w, f = [], []  # w_i = v^i and f_i = v^i - u^i for i = 1..n, from running powers
+    vi = ui = 1
+    for _ in range(n):
+        vi, ui = vi * v, ui * u
+        w.append(vi)
+        f.append(vi - ui)
+    tab, tab_den = _padded_prefixes(f, w)
     if tab[n] == 0:
         raise DomainError("q-binomial undefined: (q; q) factor vanished")
-    inv = [1] * (n + 1)
-    inv_den = tab[n]
-    suffix = 1  # f_(m+1) ... f_n
-    pad = 1  # v^(T_n - T_m)
-    for m in range(n, 0, -1):
-        inv[m] = suffix
-        tab[m] *= pad
-        suffix *= f[m]
-        pad *= v**m
-    inv[0], tab[0] = suffix, pad
-    tri = 1  # v^(T_m)
-    for m in range(1, n + 1):
-        tri *= v**m
-        inv[m] *= tri
-    return tab, inv, tri, inv_den
+    inv, inv_den = _padded_prefixes(w, f)
+    return tab, inv, tab_den, inv_den
 
 
 def _powers(x, exponents, exact: bool) -> tuple:
@@ -222,9 +236,8 @@ def hirschhorn_closed(n: int, q, a, b, lam):
     a_inv = [i * p for i, p in zip(inv, a_pw)]  # a^i / (q; q)_i
     d_k = [i * t for i, t in zip(inv, qc2)]  # q^C(k,2) / (q; q)_k
     n_k = [i * t for i, t in zip(inv, qc2[1:])]  # q^(C(k,2)+k) / (q; q)_k
-    # the k = m term below lacks the loop's factor inv[m - k] = 1/(q; q)_0,
-    # which is di over di on the integer path: pad it by di
-    d_m = d_k if di == 1 else [t * di for t in d_k]
+    # the k = m term below lacks the loop's factor inv[m - k] = 1/(q; q)_0: pad it by inv[0]
+    d_m = [t * inv[0] for t in d_k]
     N = 0
     D = 0
     for l in range(0, n + 1):
@@ -265,14 +278,12 @@ def a0_closed(n: int, b, lam, q):
     lam_pw, dl = _powers(lam, range(kmax + 1), exact)
     q_sq, ds = _powers(q, [k * k for k in range(kmax + 1)], exact)
     b_inv = [i * p for i, p in zip(inv, mb_pw)]  # (-b)^j / (q; q)_j
-    # the j = top term below lacks the loop's factor inv[top - j] = 1/(q; q)_0,
-    # which is di over di on the integer path: pad it by di
-    b_top = b_inv if di == 1 else [t * di for t in b_inv]
     N = 0
     D = 0
     for k in range(0, kmax + 1):
         top = n + 1 - 2 * k  # j runs over 0..top for D', 0..top-1 for N'
-        sD = tab[n + 1 - k] * b_top[top] * tab[k]  # j = top, where [n-k-j choose k] = 0
+        # j = top, where [n-k-j choose k] = 0, lacks the loop's factor inv[top - j] = 1/(q; q)_0
+        sD = tab[n + 1 - k] * b_inv[top] * inv[0] * tab[k]
         sN = 0
         for j in range(0, top):
             u = tab[k + j] * b_inv[j]

@@ -179,26 +179,27 @@ def phi(upper: Sequence, lower: Sequence, q, z):
     for b in lower:
         if _is_nonneg_q_power(b, q):
             raise DomainError(f"lower parameter {b!r} is q^(-m); denominator would vanish")
+    return sum_series(_phi_terms(upper, lower, q, z), "basic hypergeometric series")
+
+
+def _phi_terms(upper: Sequence, lower: Sequence, q, z) -> Iterator:
+    """The terms of the series :func:`phi` sums, each from the one before by its term ratio."""
     extra = 1 + len(lower) - len(upper)
-
-    def terms():
-        t = 1
-        qk = 1  # q^k
-        k = 0
-        while True:
-            yield t
-            ratio = z
-            for a in upper:
-                ratio *= 1 - a * qk
-            den = 1 - q * qk  # (q; q)_{k+1} factor
-            for b in lower:
-                den *= 1 - b * qk
-            if den == 0:
-                raise DomainError(f"phi denominator vanished at term {k + 1}")
-            if extra:
-                ratio *= ((-1) * qk) ** extra
-            t = t * ratio / den
-            qk *= q
-            k += 1
-
-    return sum_series(terms(), "basic hypergeometric series")
+    t = 1
+    qk = 1  # q^k
+    k = 0
+    while True:
+        yield t
+        ratio = z
+        for a in upper:
+            ratio *= 1 - a * qk
+        den = 1 - q * qk  # (q; q)_{k+1} factor
+        for b in lower:
+            den *= 1 - b * qk
+        if den == 0:
+            raise DomainError(f"phi denominator vanished at term {k + 1}")
+        if extra:
+            ratio *= ((-1) * qk) ** extra
+        t = t * ratio / den
+        qk *= q
+        k += 1

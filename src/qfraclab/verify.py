@@ -187,6 +187,13 @@ def _result(name: str, *rows) -> CheckResult:
     )
 
 
+def _exact_draws(rng: random.Random):
+    """The five Fraction draws (q, a, b, lam) of an exact row, with 0 < q < 1 and lam != 0."""
+    for _ in range(5):
+        yield (Fraction(rng.randint(1, 7), rng.randint(8, 15)), Fraction(rng.randint(-4, 4), rng.randint(5, 9)),
+               Fraction(rng.randint(-4, 4), rng.randint(5, 9)), Fraction(rng.randint(-5, 5) or 2, rng.randint(2, 7)))
+
+
 def check_entry16_identity() -> CheckResult:
     t0 = time.perf_counter()
     rng = random.Random(1601)
@@ -231,9 +238,16 @@ def check_hirschhorn_formula() -> CheckResult:
         for n in range(0, 21):
             N, D = convergents.hirschhorn_closed(n + 1, q, a, b, lam)
             errs.append(_rel_err(N / ((1 - b) * D), cfrac.hirschhorn_cf(p, n + 1)))
+    # the exact pair against the Fraction recurrence at x = 1
+    mismatches = 0
+    for q, a, b, lam in _exact_draws(rng):
+        seq = recurrence.run_jfraction(recurrence.hirschhorn_family(Params(q, a, b, lam)), Fraction(1), 10)
+        for n in range(0, 11):
+            mismatches += convergents.hirschhorn_closed(n, q, a, b, lam) != (seq.N[n], seq.D[n])
     return _result(
         "hirschhorn-formula",
         ("50 draws, n<=20: max rel err", errs, 1e-11),
+        ("exact n<=10: mismatches", mismatches, 1),
         ("seconds", time.perf_counter() - t0, 10.0),
     )
 
@@ -257,11 +271,7 @@ def check_entry15_a0() -> CheckResult:
     # each closed form against the exact recurrence of its family at x = 1
     mismatches = 0
     one = Fraction(1)
-    for _ in range(5):
-        q = Fraction(rng.randint(1, 7), rng.randint(8, 15))
-        a = Fraction(rng.randint(-4, 4), rng.randint(5, 9))
-        b = Fraction(rng.randint(-4, 4), rng.randint(5, 9))
-        lam = Fraction(rng.randint(-5, 5) or 2, rng.randint(2, 7))
+    for q, a, b, lam in _exact_draws(rng):
         seq15 = recurrence.run_jfraction(recurrence.b0_family(Params(q, a, 0, lam)), one, 11)
         seq_a0 = recurrence.run_jfraction(recurrence.hirschhorn_family(Params(q, 0, b, lam)), one, 11)
         for n in range(1, 11):
@@ -393,7 +403,7 @@ def _horner(coeffs, t):
 
 
 def _abs_term_sum(upper, lower, q, z) -> float:
-    """sum_k |t_k| over the terms t_k of ``phi(upper, lower, q, z)``, len(upper) = len(lower) + 1.
+    """sum_k |t_k| over the terms t_k of ``phi(upper, lower, q, z)``.
 
     Where the terms cancel, a double-precision sum is good to some eps times
     this sum, not times |phi|: against 50-digit sums over the 2000 sums of a
@@ -402,19 +412,12 @@ def _abs_term_sum(upper, lower, q, z) -> float:
     A scale needs few digits, so the sum stops once a term is below 1e-6 of
     it; stopping early could only shrink the scale and tighten a check.
     """
-    total = term = 1.0
-    qk = 1.0  # q^k
-    while term > 1e-6 * total:
-        ratio = z
-        for a in upper:
-            ratio *= 1 - a * qk
-        den = 1 - q * qk
-        for b in lower:
-            den *= 1 - b * qk
-        term *= abs(ratio / den)
+    total = 0.0
+    for t in qseries._phi_terms(upper, lower, q, z):
+        term = abs(t)
         total += term
-        qk *= q
-    return total
+        if not term > 1e-6 * total:  # a NaN term ends the sum too
+            return total
 
 
 def _phi_sum_errors(rng: random.Random, draws: int) -> tuple[list, list]:

@@ -126,6 +126,33 @@ def test_density_out_file(tmp_path, capsys):
     assert text.endswith("\n") and "\r" not in text
 
 
+def test_density_out_to_an_unwritable_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "d.csv"
+    rc = main(["density", *ACCEPT_FLAGS, "--grid", "5", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_density_failing_midway_leaves_an_existing_out_file(tmp_path, capsys, monkeypatch):
+    from qfraclab import measure
+    from qfraclab.errors import DomainError
+
+    def fail_past_zero(x, p):
+        if x > 0:
+            raise DomainError("poisoned density")
+        return real(x, p)
+
+    real = measure.density_nevai
+    monkeypatch.setattr(measure, "density_nevai", fail_past_zero)
+    target = tmp_path / "dens.csv"
+    target.write_text("earlier run\n")
+    assert main(["density", *ACCEPT_FLAGS, "--grid", "5", "--out", str(target)]) == 2
+    assert capsys.readouterr().err == "error: poisoned density\n"
+    assert target.read_text() == "earlier run\n"
+
+
 def test_params_file(tmp_path, capsys):
     pf = tmp_path / "params.txt"
     pf.write_text("q=0.4\na=0.3\nb=-0.25\nlambda=0.2\n")
@@ -321,6 +348,32 @@ def test_fixed_parameter_given_as_zero_is_accepted(capsys):
     implicit = capsys.readouterr().out
     assert main(["eval", "--family", "b0", *flags, "--b", "0"]) == 0
     assert capsys.readouterr().out == implicit
+
+
+# the flags of each family subcommand less --a and --b, which default to 0 there
+FAMILY_RUNS = {
+    f"eval-{family}": ["eval", "--family", family, "--q", "0.4", "--lambda", "0.2", "--x", "3.0", "--depth", "40"]
+    for family in ("hirschhorn", "b0", "entry16")
+} | {
+    f"convergents-{family}": ["convergents", "--family", family, "--q", "0.4", "--lambda", "0.2", "--n", "6"]
+    for family in ("entry16", "hirschhorn", "a0", "entry15")
+}
+
+
+@pytest.mark.parametrize("run", FAMILY_RUNS)
+def test_family_subcommands_default_a_and_b_to_zero(run, capsys):
+    assert main(FAMILY_RUNS[run]) == 0
+    unset = capsys.readouterr().out
+    assert main([*FAMILY_RUNS[run], "--a", "0", "--b", "0"]) == 0
+    assert capsys.readouterr().out == unset
+
+
+@pytest.mark.parametrize("command", [["density", "--grid", "5"], ["orthogonality"], ["moments"]])
+def test_subcommands_without_family_need_a(command, capsys):
+    assert main([*command, "--q", "0.4", "--b", "-0.25", "--lambda", "0.2"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: missing parameter(s): a\n"
+    assert out == ""
 
 
 def test_params_file_errors_exit_two(tmp_path, capsys):

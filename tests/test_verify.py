@@ -4,9 +4,11 @@ raise), the one pass rule of ``_result``, and the forked sweep."""
 
 import math
 import os
+import random
 import signal
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -117,6 +119,32 @@ def test_qseries_kernel_fails_when_phi_is_off_by_1e_10(monkeypatch):
     parts = ["splitting", "theta quasiperiodicity", "by-parts", "q-binomial theorem", "q-Gauss sum"]
     assert [(label, gate) for label, _, gate in result.rows] == [(part, 1e-12) for part in parts]
     assert [label for label, err, gate in result.rows if not err < gate] == ["q-binomial theorem", "q-Gauss sum"]
+
+
+def test_abs_term_sum_is_phi_where_every_term_is_positive():
+    # 1phi0(a; -; q, z) with a < 0 and 0 < q, z < 1: the terms are positive,
+    # so sum_k |t_k| is phi itself, up to the scale's 1e-6 stopping rule; with
+    # z <= 0.3 the tail left after the stopping term is smaller than that term
+    rng = random.Random(19)
+    for _ in range(200):
+        a, q, z = -rng.uniform(0.01, 3), rng.uniform(0.05, 0.9), rng.uniform(0.01, 0.3)
+        exact = qseries.phi((a,), (), q, z)
+        assert abs(verify._abs_term_sum((a,), (), q, z) - exact) <= 1e-6 * exact
+
+
+def test_hirschhorn_exact_row_counts_each_wrong_fraction_pair(monkeypatch):
+    real = convergents.hirschhorn_closed
+
+    def off_at_three(n, q, a, b, lam):
+        N, D = real(n, q, a, b, lam)
+        return (N + 1, D) if n == 3 and isinstance(q, Fraction) else (N, D)
+
+    monkeypatch.setattr(convergents, "hirschhorn_closed", off_at_three)
+    result = verify.check_hirschhorn_formula()
+    assert not result.passed
+    assert [(label, value) for label, value, _ in result.rows if label.startswith("exact")] == [
+        ("exact n<=10: mismatches", 5)
+    ]
 
 
 def test_moment_solutions_reports_the_slow_tail_point():
