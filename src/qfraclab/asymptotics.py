@@ -17,8 +17,8 @@ import cmath
 import math
 
 from .errors import DomainError, PoleError
-from .qseries import phi, qpochhammer_inf
-from .measure import series_R
+from .qseries import _require_finite, _within_range, phi, qpochhammer_inf
+from .measure import _near_pole, series_R
 from .recurrence import Params
 
 __all__ = [
@@ -32,11 +32,13 @@ __all__ = [
 
 def asymptotic_P(k: int, x: float, p: Params) -> float:
     """Leading asymptotic value (|R|/2^k) sin((k+1) theta - phi + pi/2) at x = cos theta."""
+    if k < 0:
+        raise DomainError("asymptotic_P requires k >= 0")
     if not -1 < x < 1:
         raise DomainError("asymptotic_P requires x in (-1, 1)")
     theta = math.acos(x)
     R = series_R(theta, p)
-    return abs(R) / 2**k * math.sin((k + 1) * theta - cmath.phase(R) + math.pi / 2)
+    return math.ldexp(abs(R), -k) * math.sin((k + 1) * theta - cmath.phase(R) + math.pi / 2)
 
 
 def _b0_params(p: Params):
@@ -49,11 +51,11 @@ def asymptotic_Q(n: int, x, p: Params):
     """Large-n form of the b = 0 denominators:
     x^n (-a/x; q)_inf 0phi1[-; -a/x; q, lam q / x^2]."""
     q, a, lam = _b0_params(p)
-    if not cmath.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
+    _require_finite("x must be finite", x)
     if x == 0:
         raise DomainError("asymptotic_Q requires x != 0")
-    return x**n * qpochhammer_inf(-a / x, q) * phi((), (-a / x,), q, lam * q / (x * x))
+    return _within_range(f"asymptotic_Q at n = {n}, x = {x}",
+                         lambda: x**n * qpochhammer_inf(-a / x, q) * phi((), (-a / x,), q, lam * q / (x * x)))
 
 
 def asymptotic_Qstar(n: int, x, p: Params):
@@ -86,13 +88,12 @@ def stieltjes_b0(x: float, p: Params) -> float:
     a non-finite x raises DomainError.
     """
     q, a, lam = _b0_params(p)
-    if not cmath.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
+    _require_finite("x must be finite", x)
     bound = b0_support_bound(p)
     if abs(x) < bound:
         raise DomainError(f"|x| = {abs(x):.6g} is inside the support exclusion radius {bound:.6g}")
     num = phi((), (-a * q / x,), q, lam * q * q / (x * x))
     den = phi((), (-a / x,), q, lam * q / (x * x))
-    if abs(den) <= 1e-14 * max(1.0, abs(num)):
+    if _near_pole(num, den):
         raise PoleError(f"denominator 0phi1 ~ 0 at x = {x}: candidate mass point")
     return num / ((x + a) * den)

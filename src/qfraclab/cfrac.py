@@ -13,10 +13,10 @@ level loop of its own.
 
 from __future__ import annotations
 
-import cmath
 from itertools import islice
 
 from .errors import DomainError, PoleError
+from .qseries import _require_finite
 from .recurrence import JFamily, Params, _levels, hirschhorn_family, run_jfraction
 
 __all__ = ["eval_backward", "backward_convergent", "convergent", "hirschhorn_cf"]
@@ -70,22 +70,20 @@ def backward_convergent(family: JFamily, x, n: int):
     ``index_shift`` maps its conventional convergent index onto the number
     of fraction levels.
     """
+    _require_finite("x must be finite", x)
     m = _level_count(family, n)
     if m == 0:
         return 0
-    if not cmath.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
-    nums, dens = _jfraction_levels(family, x, m)
-    return eval_backward(nums, dens, m)
+    return eval_backward(*_jfraction_levels(family, x, m), m)
 
 
 def convergent(family: JFamily, x, n: int):
     """n-th convergent of ``family`` at ``x`` via the recurrence: N_m(x)/D_m(x)."""
+    _require_finite("x must be finite", x)
     m = _level_count(family, n)
     if m == 0:
         return 0
-    seq = run_jfraction(family, x, m)
-    return seq.ratio(m)
+    return run_jfraction(family, x, m).ratio(m)
 
 
 def hirschhorn_cf(p: Params, depth: int):

@@ -62,14 +62,6 @@ __all__ = [
 ]
 
 
-def _rational(*values) -> bool:
-    """Whether every value is an int or a Fraction (anything with a ``denominator``)."""
-    for v in values:
-        if not hasattr(v, "denominator"):
-            return False
-    return True
-
-
 def _num_den(x) -> tuple:
     return int(x.numerator), int(x.denominator)
 
@@ -196,8 +188,7 @@ def entry16(n: int, lam, q):
     """
     if n < 0:
         raise DomainError("entry16 requires n >= 0")
-    _require_finite("entry16", lam, q)
-    exact = _rational(lam, q)
+    exact = _require_finite("entry16 requires finite arguments", lam, q)
     tab, inv, dt, di = _qfac_tables(q, n + 1, exact)
     top = (n + 1) // 2
     q_pw, dq = _powers(q, range(top + 1), exact)
@@ -226,8 +217,7 @@ def hirschhorn_closed(n: int, q, a, b, lam):
     """
     if n < 0:
         raise DomainError("hirschhorn_closed requires n >= 0")
-    _require_finite("hirschhorn_closed", q, a, b, lam)
-    exact = _rational(q, a, b, lam)
+    exact = _require_finite("hirschhorn_closed requires finite arguments", q, a, b, lam)
     tab, inv, dt, di = _qfac_tables(q, n, exact)
     mb_pw, dmb = _powers(-b, range(n + 1), exact)
     lam_pw, dl = _powers(lam, range(n + 1), exact)
@@ -269,8 +259,7 @@ def a0_closed(n: int, b, lam, q):
     """
     if n < 0:
         raise DomainError("a0_closed requires n >= 0")
-    _require_finite("a0_closed", b, lam, q)
-    exact = _rational(b, lam, q)
+    exact = _require_finite("a0_closed requires finite arguments", b, lam, q)
     tab, inv, dt, di = _qfac_tables(q, n + 1, exact)
     kmax = (n + 1) // 2
     mb_pw, db = _powers(-b, range(n + 2), exact)
@@ -307,8 +296,7 @@ def ram_Q(n: int, x, a, lam, q):
     """
     if n < 0:
         raise DomainError("ram_Q requires n >= 0")
-    _require_finite("ram_Q", x, a, lam, q)
-    exact = _rational(x, a, lam, q)
+    exact = _require_finite("ram_Q requires finite arguments", x, a, lam, q)
     tab, inv, dt, di = _qfac_tables(q, n, exact)
     top = n // 2
     lam_pw, dl = _powers(lam, range(top + 1), exact)
@@ -330,7 +318,7 @@ def ram_Qstar(n: int, x, a, lam, q):
     """
     if n < 0:
         raise DomainError("ram_Qstar requires n >= 0")
-    _require_finite("ram_Qstar", x, a, lam, q)
+    _require_finite("ram_Qstar requires finite arguments", x, a, lam, q)
     if n == 0:
         return 0
     return ram_Q(n - 1, x, a * q, lam * q, q)
@@ -351,10 +339,9 @@ def entry15(n: int, a, lam, q):
     """
     if n < 1:
         raise DomainError("entry15 requires n >= 1")
-    _require_finite("entry15", a, lam, q)
+    exact = _require_finite("entry15 requires finite arguments", a, lam, q)
     if 1 + a == 0:
         raise DomainError("a = -1 zeroes the (-a; q)_j factors")
-    exact = _rational(a, lam, q)
     tab, inv, dt, di = _qfac_tables(q, n + 1, exact)
     top = (n + 1) // 2
     lam_pw, dl = _powers(lam, range(top + 1), exact)

@@ -59,8 +59,7 @@ def _base_roots(x, b):
 
 def gf_radius(kind: str, x, p: Params) -> float:
     """Distance from t = 0 to the nearest singularity of the generating function."""
-    if not cmath.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
+    _require_finite("x must be finite", x)
     if kind in ("P", "Pstar"):
         return 2 * abs(rho_select(x))  # t = 2 rho is the nearer zero of 1 - x t + t^2/4
     if kind in ("D", "N"):
@@ -78,7 +77,7 @@ def gf_eval(kind: str, t, x, p: Params):
     """
     if kind not in KINDS:
         raise DomainError(f"unknown generating-function kind {kind!r}")
-    _require_finite("gf_eval", t, x)
+    _require_finite("gf_eval requires finite arguments", t, x)
     radius = gf_radius(kind, x, p)
     tc = complex(t)
     if abs(tc) >= _RADIUS_SAFETY * radius:

@@ -43,7 +43,7 @@ import cmath
 import math
 
 from .errors import DomainError, PoleError, TruncationError
-from .qseries import _MAX_TERMS, _REL_TOL, _SMALL_RUN, qpochhammer, qpochhammer_inf
+from .qseries import _MAX_TERMS, _REL_TOL, _SMALL_RUN, _rational, _require_finite, qpochhammer, qpochhammer_inf
 from .recurrence import Params, run_monic
 
 __all__ = [
@@ -70,9 +70,8 @@ def rho_select(x) -> complex:
     the same side of the square root's cut (else x < -1 would get 1/rho).
     A non-finite x raises DomainError.
     """
+    _require_finite("x must be finite", x)
     xc = complex(x) + 0j  # -0.0 + 0.0 is +0.0
-    if not cmath.isfinite(xc):
-        raise DomainError(f"x must be finite, got {x}")
     return 1 / (xc + cmath.sqrt(xc - 1) * cmath.sqrt(xc + 1))
 
 
@@ -162,10 +161,16 @@ def density_nevai(x: float, p: Params) -> float:
     return 2.0 * _weight_prefactor(p) / (math.pi * abs(R) ** 2 * math.sqrt(1 - x * x))
 
 
+def _near_pole(num, den) -> bool:
+    """Whether the quotient num/den of two series sits at a pole:
+    |den| <= 1e-14 max(1, |num|), the one threshold of every such PoleError."""
+    return abs(den) <= 1e-14 * max(1.0, abs(num))
+
+
 def _X(rho: complex, p: Params) -> complex:
     """X = 2 rho F(rho)/G(rho) at x = (rho + 1/rho)/2; PoleError where G(rho) ~ 0."""
     f, g = _fg_sums(rho, p)
-    if abs(g) <= 1e-14 * max(1.0, abs(f)):
+    if _near_pole(f, g):
         raise PoleError(f"G(rho) ~ 0 at x = {(rho + 1 / rho) / 2}: candidate discrete mass point")
     return 2 * rho * f / g
 
@@ -198,11 +203,16 @@ def stieltjes_transform(x, p: Params) -> complex:
 
 
 def norm_squared(n: int, p: Params) -> float:
-    """Squared norm h_n = 4^(-n) (-lam q/b; q)_n of the monic polynomials."""
+    """Squared norm h_n = 4^(-n) (-lam q/b; q)_n of the monic polynomials.
+
+    Exact for Fraction parameters.  A float is scaled by the exact power of
+    two 2^(-2n), so it stays finite where 4^n has no float (n >= 512).
+    """
     if n < 0:
         raise DomainError("norm_squared requires n >= 0")
     p.require_monic()
-    return qpochhammer(-p.lam * p.q / p.b, p.q, n) / 4**n
+    h = qpochhammer(-p.lam * p.q / p.b, p.q, n)
+    return h / 4**n if _rational(h) else math.ldexp(h, -2 * n)
 
 
 # The adaptive rule of gram_matrix: first level, agreement tolerance between

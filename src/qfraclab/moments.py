@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 
 from .errors import DomainError, RangeError
-from .qseries import _require_finite, phi, qpochhammer, qpochhammer_inf, sum_series
+from .qseries import _require_finite, _within_range, phi, qpochhammer, qpochhammer_inf, sum_series
 from .measure import rho_select
 from .recurrence import Params
 
@@ -50,10 +50,7 @@ def _jackson(e, q, values, k: int = 0):
     """
     if e == 0:
         return 0.0
-    try:
-        scale = e ** (k + 1)
-    except OverflowError:  # complex and float powers raise where a product would give inf
-        raise RangeError(f"q-integral endpoint power {e}^{k + 1} leaves the double range") from None
+    scale = _within_range(f"q-integral endpoint power {e}^{k + 1}", lambda: e ** (k + 1))
     qk = q ** (k + 1)
 
     def terms():
@@ -84,7 +81,7 @@ def qintegral(f, lower, upper, q: float):
     calls: it evaluates the weight's products once per endpoint and steps
     the nodes by (a; q)_inf = (1 - a)(aq; q)_inf.
     """
-    _require_finite("qintegral", lower, upper, q)
+    _require_finite("qintegral requires finite arguments", lower, upper, q)
     if not 0 < abs(q) < 1:
         raise DomainError("qintegral requires 0 < |q| < 1")
     return _jackson(upper, q, map(f, _nodes(upper, q))) - _jackson(lower, q, map(f, _nodes(lower, q)))
@@ -145,11 +142,10 @@ def _weight(w, p: Params):
 
 def weight_f(t, theta: float, p: Params):
     """The product weight f(t) at x = cos theta."""
+    _require_finite("weight_f requires finite arguments", t, theta)
     _require_moment_params(p)
     if t == 0:
         raise DomainError("weight_f requires t != 0")
-    if not (cmath.isfinite(t) and cmath.isfinite(theta)):
-        raise DomainError(f"t and theta must be finite, got t = {t}, theta = {theta}")
     return next(_weight(cmath.exp(1j * theta), p)(t))
 
 
@@ -220,4 +216,5 @@ def moment_pk_closed(k: int, x, p: Params) -> complex:
     _require_moment_params(p)
     if not abs(p.lam * p.q / (2 * p.b * p.c)) < 1:
         raise DomainError("closed-form moments require |lam q / (2 b c)| < 1")
-    return _pk_closed_at(k, rho_select(x), p)
+    # S^k, 2^k and q^-k leave the double range at large k, on the cut too
+    return _within_range(f"closed-form moment p_{k}({x})", lambda: _pk_closed_at(k, rho_select(x), p))

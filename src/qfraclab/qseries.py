@@ -17,8 +17,9 @@ Conventions:
 * Negative real bases ``q`` are permitted wherever ``0 < |q| < 1`` is; all
   convergence bounds use ``|q|``.
 * A NaN or infinite argument raises :class:`~qfraclab.errors.DomainError`
-  on entry, here and in :mod:`qfraclab.convergents`, instead of coming back
-  as NaN or exhausting the term budget.
+  on entry, here and in every module of the package, instead of coming back
+  as NaN or exhausting the term budget.  Every such check is
+  :func:`_require_finite`, which counts a rational of any size as finite.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import cmath
 from typing import Iterator, Sequence
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, RangeError, TruncationError
 
 __all__ = [
     "sum_series",
@@ -48,15 +49,40 @@ _SMALL_RUN = 3
 _MAX_TERMS = 10_000
 
 
-def _require_finite(what: str, *values) -> None:
-    """Raise DomainError unless every value is finite.
+def _rational(v) -> bool:
+    """Whether ``v`` is an int or a Fraction (anything with a ``denominator``)."""
+    return hasattr(v, "denominator")
 
-    Rationals (int, Fraction: anything with a ``denominator``) are finite by
-    construction and skipped, since converting a huge one to float overflows.
+
+def _require_finite(head: str, *values) -> bool:
+    """The package's one argument check: raise DomainError
+    ``"<head>, got <value>"`` at the first NaN or infinite value, and return
+    whether every value is rational, so whether the exact route applies.
+
+    Rationals are finite by construction and skipped, since converting a
+    huge one to float overflows.
     """
+    exact = True
     for v in values:
-        if not hasattr(v, "denominator") and not cmath.isfinite(v):
-            raise DomainError(f"{what} requires finite arguments, got {v!r}")
+        if not _rational(v):
+            exact = False
+            if not cmath.isfinite(v):
+                raise DomainError(f"{head}, got {v!r}")
+    return exact
+
+
+def _within_range(what: str, compute):
+    """``compute()`` where it is rational or a finite double, else RangeError
+    ``"<what> leaves the double range"``.  Both ways out of the range are
+    caught: a float or complex power (or an int one meeting a float) raises
+    OverflowError, and a finite power times a factor above 1 gives inf or NaN."""
+    try:
+        value = compute()
+        if _rational(value) or cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise RangeError(f"{what} leaves the double range")
 
 
 def sum_series(terms: Iterator, what: str = "series"):
@@ -93,7 +119,7 @@ def qpochhammer(a, q, n: int):
     """
     if n < 0:
         raise DomainError("qpochhammer requires n >= 0")
-    _require_finite("qpochhammer", a, q)
+    _require_finite("qpochhammer requires finite arguments", a, q)
     out = 1
     pw = 1  # q^j
     for _ in range(n):
@@ -108,7 +134,7 @@ def qpochhammer_inf(a, q):
     The partial product is truncated once ``|a q^k| < _REL_TOL`` for
     ``_SMALL_RUN`` successive ``k``.
     """
-    _require_finite("qpochhammer_inf", a, q)
+    _require_finite("qpochhammer_inf requires finite arguments", a, q)
     if not 0 < abs(q) < 1:
         raise DomainError("qpochhammer_inf requires 0 < |q| < 1")
     out = 1
@@ -131,7 +157,7 @@ def theta(z, q):
 
     Satisfies the quasiperiodicity ``<z; q> / <zq; q> = -z``.
     """
-    _require_finite("theta", z, q)
+    _require_finite("theta requires finite arguments", z, q)
     if z == 0:
         raise DomainError("theta requires z != 0")
     if not 0 < abs(q) < 1:
@@ -173,7 +199,7 @@ def phi(upper: Sequence, lower: Sequence, q, z):
     converge under the truncation policy, which covers ``r <= s`` always and
     ``r = s + 1`` for ``|z| < 1``.
     """
-    _require_finite("phi", *upper, *lower, q, z)
+    _require_finite("phi requires finite arguments", *upper, *lower, q, z)
     if not 0 < abs(q) < 1:
         raise DomainError("phi requires 0 < |q| < 1")
     for b in lower:

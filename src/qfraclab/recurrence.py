@@ -50,6 +50,7 @@ from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError, PoleError, RangeError
+from .qseries import _require_finite
 
 __all__ = [
     "Params",
@@ -100,8 +101,7 @@ class Params:
         if b == 1:
             raise DomainError("b = 1 zeroes every linear coefficient A_k")
         for name, value in (("a", a), ("b", b), ("lam", lam)):
-            if not cmath.isfinite(value):
-                raise DomainError(f"Params require finite {name}, got {value!r}")
+            _require_finite(f"Params require finite {name}", value)
         _set(self, "q", q)
         _set(self, "a", a)
         _set(self, "b", b)
@@ -298,8 +298,7 @@ def _run(levels, x, depth: int):
     exponent list ``E`` (all zero for Fraction and int runs)."""
     if depth < 1:
         raise DomainError(f"a recurrence run requires depth >= 1, got {depth}")
-    if not cmath.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
+    _require_finite("x must be finite", x)
     A, B, _ = next(levels)
     n0, n1, d0, d1 = 0, A, 1, A * x + B
     N, D, E = [n0, n1], [d0, d1], [0, 0]

@@ -51,6 +51,15 @@ def test_moments_kmax_must_be_nonnegative(capsys):
     assert out == ""
 
 
+def test_moments_past_the_double_range_exit_two(capsys):
+    # the closed form's S^k leaves the double range at k = 310 for x = 5: a
+    # RangeError, printed as one line after the rows before it
+    assert main(["moments", *ACCEPT_FLAGS, "--x", "5", "--kmax", "400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: closed-form moment p_310(5.0) leaves the double range\n"
+    assert captured.out.splitlines()[-1].startswith("309,")
+
+
 def test_eval_b0_family(capsys):
     rc = main(["eval", "--family", "b0", "--q", "0.4", "--a", "0.3", "--lambda", "-0.5",
                "--x", "3.0", "--depth", "150"])
