@@ -25,10 +25,13 @@ Each table comes with a denominator, and one sum runs on either kind.  When
 every argument is rational (an int or a Fraction), the tables hold integer
 numerators over one denominator each, built from the numerators and
 denominators of the arguments (see :func:`_powers`).  With q = u/v,
-(q; q)_m is the prefix product of f_i = v^i - u^i over that of w_i = v^i,
-and one rule builds both of its tables (:func:`_padded_prefixes`): entry m
-is the prefix product of one sequence padded by the factors of the other
-after it, f over w for (q; q)_m and w over f for its inverse.  Every term
+(q; q)_m is the prefix product of f_i = v^i - u^i over that of w_i = v^i.
+These are the integer factors of (q; q)_n that
+:func:`qfraclab.qseries.qpochhammer` multiplies, read from the same helper
+(``qseries._qfactors``).  One rule builds both tables of (q; q)_m
+(:func:`_padded_prefixes`): entry m is the prefix product of one sequence
+padded by the factors of the other after it, f over w for (q; q)_m and w
+over f for its inverse.  Every term
 of a sum draws a fixed number of entries from each table, and a term that
 draws fewer is padded: the centred products with powers of their table's
 denominator, and the one term of :func:`hirschhorn_closed` and
@@ -49,7 +52,7 @@ inv[0] = 1.
 from __future__ import annotations
 
 from .errors import DomainError
-from .qseries import _require_finite, phi
+from .qseries import _num_den, _qfactors, _require_finite, phi
 
 __all__ = [
     "entry16",
@@ -60,10 +63,6 @@ __all__ = [
     "entry15",
     "g_function",
 ]
-
-
-def _num_den(x) -> tuple:
-    return int(x.numerator), int(x.denominator)
 
 
 def _padded_prefixes(top: list, bottom: list) -> tuple:
@@ -91,7 +90,8 @@ def _qfac_tables(q, n: int, exact: bool) -> tuple:
 
     On the scalar path the entries are the values and both denominators 1.
     On the integer path, with q = u/v, (q; q)_m is f_1 ... f_m over
-    w_1 ... w_m, where f_i = v^i - u^i and w_i = v^i, and both tables come
+    w_1 ... w_m, where f_i = v^i - u^i and w_i = v^i are the factors of
+    (q; q)_n from :func:`qfraclab.qseries._qfactors`, and both tables come
     from one rule (:func:`_padded_prefixes`): entry m of ``tab`` is
     f_1 ... f_m w_(m+1) ... w_n over w_1 ... w_n, and entry m of ``inv`` the
     same with f and w swapped.  So inv[0] is inv_den on the integer path and
@@ -106,13 +106,7 @@ def _qfac_tables(q, n: int, exact: bool) -> tuple:
         if tab[n] == 0:
             raise DomainError("q-binomial undefined: (q; q) factor vanished")
         return tab, [1 / t for t in tab], 1, 1
-    u, v = _num_den(q)
-    w, f = [], []  # w_i = v^i and f_i = v^i - u^i for i = 1..n, from running powers
-    vi = ui = 1
-    for _ in range(n):
-        vi, ui = vi * v, ui * u
-        w.append(vi)
-        f.append(vi - ui)
+    f, w = _qfactors(q, q, n)  # f_i = v^i - u^i and w_i = v^i for i = 1..n
     tab, tab_den = _padded_prefixes(f, w)
     if tab[n] == 0:
         raise DomainError("q-binomial undefined: (q; q) factor vanished")

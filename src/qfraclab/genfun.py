@@ -33,7 +33,7 @@ import cmath
 
 from .errors import DomainError
 from .measure import rho_select
-from .qseries import _require_finite, sum_series
+from .qseries import _require_finite, _within_range, sum_series
 from .recurrence import Params
 
 __all__ = ["KINDS", "gf_radius", "gf_eval"]
@@ -63,7 +63,8 @@ def gf_radius(kind: str, x, p: Params) -> float:
     if kind in ("P", "Pstar"):
         return 2 * abs(rho_select(x))  # t = 2 rho is the nearer zero of 1 - x t + t^2/4
     if kind in ("D", "N"):
-        alpha = _base_roots(x, p.b)[0]  # the root of larger modulus
+        # the root of larger modulus; a rational x too large for a double is a RangeError
+        alpha = _within_range("x", lambda: _base_roots(x, p.b)[0])
         return float("inf") if alpha == 0 else 1 / abs(alpha)
     raise DomainError(f"unknown generating-function kind {kind!r}")
 

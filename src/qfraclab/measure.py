@@ -43,7 +43,8 @@ import cmath
 import math
 
 from .errors import DomainError, PoleError, TruncationError
-from .qseries import _MAX_TERMS, _REL_TOL, _SMALL_RUN, _rational, _require_finite, qpochhammer, qpochhammer_inf
+from .qseries import _MAX_TERMS, _REL_TOL, _SMALL_RUN, _rational, _require_finite, _within_range
+from .qseries import qpochhammer, qpochhammer_inf
 from .recurrence import Params, run_monic
 
 __all__ = [
@@ -68,9 +69,11 @@ def rho_select(x) -> complex:
     The reciprocal form 1/(x + s) avoids cancellation for large |x|.  A
     negative-zero imaginary part counts as +0, so that x - 1 and x + 1 lie on
     the same side of the square root's cut (else x < -1 would get 1/rho).
-    A non-finite x raises DomainError.
+    A non-finite x raises DomainError, and a rational x too large for a
+    double RangeError.
     """
-    _require_finite("x must be finite", x)
+    if _require_finite("x must be finite", x):
+        x = _within_range("x", lambda: complex(x))
     xc = complex(x) + 0j  # -0.0 + 0.0 is +0.0
     return 1 / (xc + cmath.sqrt(xc - 1) * cmath.sqrt(xc + 1))
 
@@ -195,11 +198,12 @@ def stieltjes_transform(x, p: Params) -> complex:
     A vanishing G(rho) raises PoleError: real poles outside [-1, 1] are
     candidate mass points of the discrete part of the measure.
     """
+    rho = rho_select(x)  # checks x, so complex(x) below is finite
     xc = complex(x)
     if xc.imag == 0 and -1 < xc.real < 1:
         raise DomainError("x lies inside (-1, 1); use the density routines there")
     p.require_monic()
-    return _X(rho_select(xc), p)
+    return _X(rho, p)
 
 
 def norm_squared(n: int, p: Params) -> float:

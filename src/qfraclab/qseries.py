@@ -10,6 +10,16 @@ rely on).  Infinite sums and products are truncated under one fixed policy
 see ``_REL_TOL``) and never silently: exhausting the term budget raises
 :class:`~qfraclab.errors.TruncationError`.
 
+Finite products on rationals run on integers.  When ``a`` and ``q`` are
+both an int or a Fraction, ``(a; q)_n`` with a = s/t and q = u/v is the
+product of the integer numerators t v^j - s u^j over t^n v^C(n, 2), and one
+Fraction is built and reduced at the end instead of one per factor.  The
+result keeps the type of the factor-by-factor product: the int 1 at n = 0,
+an int when ``a`` is an int and so is ``q`` (or n = 1), and otherwise a
+Fraction, even when its denominator is 1.  One private helper,
+:func:`_qfactors`, builds these factors, for :func:`qpochhammer` and for
+the (q; q)_m tables of :mod:`qfraclab.convergents`.
+
 Conventions:
 
 * ``(a; q)_n`` is the n-factor product ``prod_{j=0}^{n-1} (1 - a q^j)``,
@@ -25,6 +35,7 @@ Conventions:
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Iterator, Sequence
 
 from .errors import DomainError, RangeError, TruncationError
@@ -112,14 +123,54 @@ def sum_series(terms: Iterator, what: str = "series"):
     return total
 
 
+def _num_den(x) -> tuple:
+    """The numerator and denominator of a rational, as ints."""
+    return int(x.numerator), int(x.denominator)
+
+
+def _qfactors(a, q, n: int) -> tuple:
+    """(tops, bottoms): the factors 1 - a q^j of ``(a; q)_n`` on integers.
+
+    With rational a = s/t and q = u/v, factor j is (t v^j - s u^j) / (t v^j)
+    for j = 0..n-1, from running powers and unreduced.  This is the
+    package's one integer factor rule: :func:`qpochhammer` multiplies the
+    tops, and :mod:`qfraclab.convergents` reads (q; q)_m from
+    ``_qfactors(q, q, n)``, whose factors are v^i - u^i over v^i, i = 1..n.
+    """
+    s, t = _num_den(a)
+    u, v = _num_den(q)
+    tops, bottoms = [], []
+    for _ in range(n):
+        tops.append(t - s)
+        bottoms.append(t)
+        t, s = t * v, s * u
+    return tops, bottoms
+
+
 def qpochhammer(a, q, n: int):
     """Finite q-shifted factorial ``(a; q)_n = prod_{j=0}^{n-1} (1 - a q^j)``.
 
-    ``n = 0`` returns 1.  Exact for Fraction inputs.
+    ``n = 0`` returns the int 1.  When ``a`` and ``q`` are both rational (int
+    or Fraction), the value is exact and computed on integers: with a = s/t
+    and q = u/v it is prod_j (t v^j - s u^j) over t^n v^C(n, 2) (see
+    :func:`_qfactors`), reduced once into one Fraction.  The result has the
+    type the factor-by-factor product would have: an int when ``a`` is an
+    int and so is ``q`` (or n = 1, where q does not enter), else a Fraction,
+    even with denominator 1.  Float, complex and mixed arguments are
+    multiplied factor by factor.
     """
     if n < 0:
         raise DomainError("qpochhammer requires n >= 0")
-    _require_finite("qpochhammer requires finite arguments", a, q)
+    if _require_finite("qpochhammer requires finite arguments", a, q) and n:
+        tops, bottoms = _qfactors(a, q, n)
+        num = math.prod(tops)
+        if isinstance(a, int) and (n == 1 or isinstance(q, int)):
+            return num
+        # imported here, so that float callers such as the CLI do not load
+        # fractions and decimal at start-up
+        from fractions import Fraction
+
+        return Fraction(num, math.prod(bottoms))
     out = 1
     pw = 1  # q^j
     for _ in range(n):

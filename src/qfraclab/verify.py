@@ -452,7 +452,11 @@ def _phi_sum_errors(rng: random.Random, draws: int) -> tuple[list, list]:
 
 def check_qseries_kernel() -> CheckResult:
     """Scaled errors of five q-series identities: the first three over 100
-    draws, phi's two summation formulas over 25."""
+    draws, phi's two summation formulas over 25; and the terminating
+    q-binomial theorem 1phi0(q^-n; -; q, z) = (z q^-n; q)_n (Gasper & Rahman,
+    Basic Hypergeometric Series, sec. 1.3), exactly on 10 Fraction draws
+    with n <= 12, which checks the integer path of qpochhammer against
+    phi's term ratios."""
     gate = 1e-12
     rng = random.Random(1610)
     splitting, quasi, by_parts = [], [], []
@@ -482,6 +486,13 @@ def check_qseries_kernel() -> CheckResult:
     # 25 draws per formula (~8 ms): the sweep dispatches this criterion last,
     # so its time adds to verify's wall; tests/test_qseries.py runs 1000
     binomial, gauss = _phi_sum_errors(random.Random(1611), 25)
+    rng = random.Random(1612)
+    mismatches = 0
+    for _ in range(10):
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(8, 15))
+        z = Fraction(rng.randint(-9, 9), rng.randint(2, 9))
+        n = rng.randint(0, 12)
+        mismatches += qseries.phi((q**-n,), (), q, z) != qpochhammer(z * q**-n, q, n)
     return _result(
         "qseries-kernel",
         ("splitting", splitting, gate),
@@ -489,6 +500,7 @@ def check_qseries_kernel() -> CheckResult:
         ("by-parts", by_parts, gate),
         ("q-binomial theorem", binomial, gate),
         ("q-Gauss sum", gauss, gate),
+        ("exact q-binomial theorem, mismatches", mismatches, 1),
     )
 
 

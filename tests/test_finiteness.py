@@ -18,7 +18,7 @@ from qfraclab.cfrac import backward_convergent, convergent
 from qfraclab.convergents import hirschhorn_closed
 from qfraclab.errors import DomainError, QFracError, RangeError
 from qfraclab.genfun import gf_radius
-from qfraclab.measure import norm_squared, rho_select
+from qfraclab.measure import norm_squared, rho_select, stieltjes_transform
 from qfraclab.moments import moment_pk_closed, moment_pk_integral, weight_f
 from qfraclab.qseries import qpochhammer
 from qfraclab.recurrence import Params, hirschhorn_family, run_jfraction, run_monic
@@ -160,3 +160,28 @@ def test_nonfinite_params_and_weight_arguments_are_domain_errors(bad):
     for args in ((bad, 0.5), (0.1, bad)):
         with pytest.raises(DomainError, match="weight_f requires finite arguments"):
             weight_f(*args, P)
+
+
+# the float routes given a rational past the double range: x converts to a
+# double once, and that conversion raises RangeError, not a bare OverflowError
+PAST_RANGE_SITES = {
+    "rho_select": rho_select,
+    "stieltjes_transform": lambda x: stieltjes_transform(x, P),
+    "gf_radius-D": lambda x: gf_radius("D", x, P),
+    "gf_radius-D-b0": lambda x: gf_radius("D", x, P_B0),
+    "gf_radius-P": lambda x: gf_radius("P", x, P),
+    "moment_pk_integral": lambda x: moment_pk_integral(2, x, P),
+}
+
+
+@pytest.mark.parametrize("x", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "-int", "fraction"])
+@pytest.mark.parametrize("site", PAST_RANGE_SITES)
+def test_a_rational_past_the_double_range_is_a_range_error_on_the_float_routes(site, x):
+    with pytest.raises(RangeError, match="leaves the double range"):
+        PAST_RANGE_SITES[site](x)
+
+
+def test_rationals_inside_the_double_range_convert_as_before():
+    for x in (Fraction(7, 3), 5, -(10**300)):
+        assert rho_select(x) == rho_select(complex(x))
+        assert stieltjes_transform(x, P) == stieltjes_transform(complex(x), P)

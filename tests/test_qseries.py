@@ -236,3 +236,58 @@ def test_rationals_past_the_double_range_skip_the_finiteness_check():
     assert qpochhammer(huge, Fraction(1, 2), 2) == (1 - huge) * (1 - huge / 2)
     N, D = convergents.entry16(3, 10**400, Fraction(1, 2))
     assert type(D) is Fraction and D > 10**400
+
+
+def _factor_loop(a, q, n):
+    """(a; q)_n factor by factor, each product reduced as it is formed."""
+    out = 1
+    pw = 1
+    for _ in range(n):
+        out *= 1 - a * pw
+        pw *= q
+    return out
+
+
+def _pairs(rng):
+    """Seeded (a, q) pairs: ints and Fractions, negative q, a = q^(-j) (a zero
+    factor at j), a numerator far past the double range, and the float,
+    complex and mixed pairs that keep the factor-by-factor loop."""
+    def frac(lo, hi, den_hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, den_hi))
+
+    for _ in range(6):
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 8), rng.randint(9, 20))
+        yield frac(-9, 9, 9), q
+        yield rng.randint(-5, 5), q
+        yield frac(-9, 9, 9), rng.randint(-3, 3)
+        yield rng.randint(-5, 5), rng.randint(-3, 3)
+        yield q ** -rng.randint(0, 30), q
+        yield Fraction(10**400, 3), q
+        a = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        x = rng.uniform(-0.9, 0.9)
+        yield a, x
+        yield a.real, x
+        yield frac(-9, 9, 9), x
+        yield a, q
+        yield 2, x
+    yield Fraction(3), Fraction(1, 3)
+    yield 2, Fraction(1, 3)
+
+
+def test_qpochhammer_matches_the_factor_loop_in_value_and_type():
+    for a, q in _pairs(random.Random(2101)):
+        for n in range(31):
+            expected = _factor_loop(a, q, n)
+            got = qpochhammer(a, q, n)
+            assert (type(got), got) == (type(expected), expected), (a, q, n)
+    assert type(qpochhammer(Fraction(3), Fraction(1, 3), 2)) is Fraction
+    assert qpochhammer(Fraction(3), Fraction(1, 3), 2) == 0
+    assert type(qpochhammer(Fraction(3), Fraction(1, 3), 0)) is int
+
+
+def test_convergents_qfac_tables_are_qpochhammer():
+    for q in (Fraction(2, 7), Fraction(-5, 9), Fraction(1, 13)):
+        n = 16
+        tab, _, tab_den, _ = convergents._qfac_tables(q, n, True)
+        for m in range(n + 1):
+            assert Fraction(tab[m], tab_den) == qpochhammer(q, q, m)

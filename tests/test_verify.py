@@ -115,10 +115,29 @@ def test_qseries_kernel_fails_when_phi_is_off_by_1e_10(monkeypatch):
     monkeypatch.setattr(qseries, "phi", lambda *args: real_phi(*args) * (1 + 1e-10))
     result = verify.check_qseries_kernel()
     assert not result.passed
-    # every part reports its worst error next to its gate; only phi's two fail
+    # every part reports its worst error next to its gate; only phi's three fail
     parts = ["splitting", "theta quasiperiodicity", "by-parts", "q-binomial theorem", "q-Gauss sum"]
-    assert [(label, gate) for label, _, gate in result.rows] == [(part, 1e-12) for part in parts]
-    assert [label for label, err, gate in result.rows if not err < gate] == ["q-binomial theorem", "q-Gauss sum"]
+    exact = "exact q-binomial theorem, mismatches"
+    assert [(label, gate) for label, _, gate in result.rows] == [(part, 1e-12) for part in parts] + [(exact, 1)]
+    assert [label for label, err, gate in result.rows if not err < gate] == ["q-binomial theorem", "q-Gauss sum", exact]
+
+
+def test_qseries_kernel_exact_row_counts_each_draw_with_one_factor_off(monkeypatch):
+    real = qseries._qfactors
+
+    def first_factor_off(a, q, n):
+        tops, bottoms = real(a, q, n)
+        if tops:
+            tops[0] += 1
+        return tops, bottoms
+
+    monkeypatch.setattr(qseries, "_qfactors", first_factor_off)
+    result = verify.check_qseries_kernel()
+    assert not result.passed
+    # the one draw with n = 0 has no factor to change
+    assert [(label, value) for label, value, gate in result.rows if not value < gate] == [
+        ("exact q-binomial theorem, mismatches", 9)
+    ]
 
 
 def test_abs_term_sum_is_phi_where_every_term_is_positive():
