@@ -17,7 +17,7 @@ import cmath
 import math
 
 from .errors import DomainError, PoleError
-from .qseries import _require_finite, _within_range, phi, qpochhammer_inf
+from .qseries import _brief, _require_finite, _within_range, phi, qpochhammer_inf
 from .measure import _near_pole, series_R
 from .recurrence import Params
 
@@ -54,7 +54,7 @@ def asymptotic_Q(n: int, x, p: Params):
     _require_finite("x must be finite", x)
     if x == 0:
         raise DomainError("asymptotic_Q requires x != 0")
-    return _within_range(f"asymptotic_Q at n = {n}, x = {x}",
+    return _within_range(f"asymptotic_Q at n = {n}, x = {_brief(x)}",
                          lambda: x**n * qpochhammer_inf(-a / x, q) * phi((), (-a / x,), q, lam * q / (x * x)))
 
 

@@ -9,6 +9,20 @@ the test suite.  Both read a family's level triples through the same
 either route without a Python call per level.  The base fraction
 :func:`hirschhorn_cf` is the backward route on the base family; it has no
 level loop of its own.
+
+Exact runs of a built-in family run on integers, from the integer level
+rule of :mod:`qfraclab.recurrence` (``_integer_levels``): when x and the
+family's constants are all rational, level k times W_k = delta v^k is the
+pair of integers (lin_k, c_k), with q = u/v.  The backward route keeps
+t = P/Q and steps (P, Q) -> (lin_(k-1) v P - c_k Q, W_k P), which keeps Q's
+growth to one factor W_k per level.  It raises PoleError at the same level
+and with the same message as :func:`eval_backward` when P = 0, and builds
+one Fraction, reduced once, at the end: A Q / P for
+:func:`backward_convergent` and Q / P for :func:`hirschhorn_cf`, whose
+leading numerator A = 1 - b and final division by 1 - b cancel.  The result
+is a Fraction, as the Fraction loop gives.  Float, complex and mixed runs,
+and families given by ``coeffs`` or ``stream`` alone, keep
+:func:`eval_backward`.
 """
 
 from __future__ import annotations
@@ -16,8 +30,17 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import DomainError, PoleError
-from .qseries import _require_finite
-from .recurrence import JFamily, Params, _levels, hirschhorn_family, run_jfraction
+from .qseries import _num_den, _require_finite
+from .recurrence import (
+    JFamily,
+    Params,
+    _integer_levels,
+    _levels,
+    _rational_constants,
+    _require_double_x,
+    hirschhorn_family,
+    run_jfraction,
+)
 
 __all__ = ["eval_backward", "backward_convergent", "convergent", "hirschhorn_cf"]
 
@@ -39,15 +62,41 @@ def eval_backward(partial_numers, partial_denoms, depth: int):
     t = partial_denoms[depth]
     for lvl in range(depth, 0, -1):
         if t == 0:
-            raise PoleError(f"zero denominator at level {lvl}", level=lvl)
+            raise _pole(lvl)
         t = partial_denoms[lvl - 1] + partial_numers[lvl - 1] / t
     return t
+
+
+def _pole(lvl: int) -> PoleError:
+    return PoleError(f"zero denominator at level {lvl}", level=lvl)
+
+
+def _backward_exact(constants, x, m: int, lead):
+    """``lead / t_1`` as one Fraction, reduced once, where t_1 = P / Q is the
+    outermost denominator of the m-level fraction (whose value is A / t_1),
+    stepped on integers from the innermost level; see the module docstring."""
+    # imported here, so that importing the module (as the CLI does) does not
+    # load fractions and decimal; a rational q has loaded them already
+    from fractions import Fraction
+
+    levels, v = _integer_levels(constants, x, m)
+    P, _, Q = levels[-1]  # t_m = lin_(m-1) / W_(m-1)
+    for k in range(m - 1, 0, -1):  # t_k = lin_(k-1) / W_(k-1) - (c_k / W_k) / t_(k+1)
+        if P == 0:
+            raise _pole(k + 1)
+        _, c, w = levels[k]
+        P, Q = levels[k - 1][0] * v * P - c * Q, w * P
+    if P == 0:
+        raise _pole(1)
+    num, den = _num_den(lead)
+    return Fraction(num * Q, den * P)
 
 
 def _jfraction_levels(family: JFamily, x, m: int):
     """Partial numerators A_0, -C_1, ..., -C_{m-1} and denominators 0, A_k x + B_k, in one pass."""
     levels = _levels(family)
     A, B, _ = next(levels)  # level 0 contributes A_0
+    _require_double_x(x, A, B)
     nums, dens = [A], [0, A * x + B]
     for A, B, C in islice(levels, m - 1):
         nums.append(-C)
@@ -68,13 +117,18 @@ def backward_convergent(family: JFamily, x, n: int):
 
     Independent of the recurrence route in :func:`convergent`; the family's
     ``index_shift`` maps its conventional convergent index onto the number
-    of fraction levels.
+    of fraction levels.  Exact on rationals, on integers for a built-in
+    family; a rational x too large for a double meeting float levels raises
+    RangeError.
     """
     _require_finite("x must be finite", x)
     m = _level_count(family, n)
     if m == 0:
         return 0
-    return eval_backward(*_jfraction_levels(family, x, m), m)
+    constants = _rational_constants(family, x)
+    if constants is None:
+        return eval_backward(*_jfraction_levels(family, x, m), m)
+    return _backward_exact(constants, x, m, constants[0])
 
 
 def convergent(family: JFamily, x, n: int):
@@ -92,10 +146,17 @@ def hirschhorn_cf(p: Params, depth: int):
         1/(1-b+a) + (b+lam q)/(1-b+aq) + (b+lam q^2)/(1-b+aq^2) + ...
 
     read with an implicit leading term 0.  This is the x = 1 convergent of
-    the base family divided by ``1 - b``, evaluated backward.  At ``b = 0``
-    it reduces to the x = 1 value of the fraction R(x) of the b = 0 family.
-    Pole errors from vanishing intermediate denominators propagate.
+    the base family divided by ``1 - b``, evaluated backward.  On rational
+    parameters the family's leading numerator 1 - b and that division
+    cancel, and the value is Q / P of the integer route, reduced once.  At
+    ``b = 0`` it reduces to the x = 1 value of the fraction R(x) of the
+    b = 0 family.  Pole errors from vanishing intermediate denominators
+    propagate.
     """
     if depth < 1:
         raise DomainError("hirschhorn_cf requires depth >= 1")
-    return backward_convergent(hirschhorn_family(p), 1, depth) / (1 - p.b)
+    family = hirschhorn_family(p)
+    constants = _rational_constants(family, 1)
+    if constants is None:
+        return eval_backward(*_jfraction_levels(family, 1, depth), depth) / (1 - p.b)
+    return _backward_exact(constants, 1, depth, 1)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 
 from .errors import DomainError, RangeError
-from .qseries import _require_finite, _within_range, phi, qpochhammer, qpochhammer_inf, sum_series
+from .qseries import _brief, _require_finite, _within_range, phi, qpochhammer, qpochhammer_inf, sum_series
 from .measure import rho_select
 from .recurrence import Params
 
@@ -182,7 +182,7 @@ def moment_pk_integral(k: int, x, p: Params) -> complex:
         - _jackson(lower, q, nodes(lower, qq * pw / (1 - w * w), cw), k)
     )
     if not cmath.isfinite(value):  # far off the cut the products and t^k leave the double range
-        raise RangeError(f"q-integral moment p_{k}({x}) is not finite in double precision")
+        raise RangeError(f"q-integral moment p_{k}({_brief(x)}) is not finite in double precision")
     return value
 
 
@@ -217,4 +217,4 @@ def moment_pk_closed(k: int, x, p: Params) -> complex:
     if not abs(p.lam * p.q / (2 * p.b * p.c)) < 1:
         raise DomainError("closed-form moments require |lam q / (2 b c)| < 1")
     # S^k, 2^k and q^-k leave the double range at large k, on the cut too
-    return _within_range(f"closed-form moment p_{k}({x})", lambda: _pk_closed_at(k, rho_select(x), p))
+    return _within_range(f"closed-form moment p_{k}({_brief(x)})", lambda: _pk_closed_at(k, rho_select(x), p))

@@ -82,6 +82,17 @@ def _require_finite(head: str, *values) -> bool:
     return exact
 
 
+def _brief(v) -> str:
+    """``str(v)`` for an error message, with the middle of a long one (a rational
+    of hundreds of digits) elided, so that a message stays short for any x; a
+    rational past the digit limit of int-to-str conversion is named by its size."""
+    try:
+        text = str(v)
+    except ValueError:
+        return f"<rational of {max(abs(v.numerator), v.denominator).bit_length()} bits>"
+    return text if len(text) <= 40 else f"{text[:18]}...{text[-18:]}"
+
+
 def _within_range(what: str, compute):
     """``compute()`` where it is rational or a finite double, else RangeError
     ``"<what> leaves the double range"``.  Both ways out of the range are

@@ -28,29 +28,46 @@ which is a Nevai-class recurrence (alpha_k -> 0, beta_k -> 1/4) whenever
 ``A_k = 1, B_k = -alpha_k, C_k = beta_k`` (:func:`monic_family`): P_k is its
 D solution and the numerator polynomials P*_k its N solution.
 
-Each built-in family is written once, as the arguments of the one level
-generator :func:`_affine`, which steps q^k by a running product; its
-``coeffs(k)`` is the k-th triple of a fresh stream.  One kernel,
-:func:`_run`, steps every family: it reads the level triples from an
-iterator (:func:`_levels`: the family's stream, or ``coeffs`` once per level
-for a family built from ``coeffs`` alone) and advances N and D together.
-Float and complex runs keep one power-of-two exponent ledger for both
-solutions: once a new value passes 2^512, or one step leaves the double
-range, the step is redone from the previous pair scaled below 1/8 by a
-power of two, which changes no value short of underflow.  Fraction and int
-runs (the type of ``D_1`` decides) are exact and never rescaled.
+Each built-in family states its constants ``(A, B, C0, C1, q)`` once, as
+the ``constants`` field of its :class:`JFamily`; its stream is the one level
+generator :func:`_affine` of them, which steps q^k by a running product, and
+its ``coeffs(k)`` is the k-th triple of a fresh stream.  One kernel,
+:func:`_run`, steps every float, complex or mixed run: it reads the level
+triples from an iterator (:func:`_levels`: the family's stream, or
+``coeffs`` once per level for a family built from ``coeffs`` alone) and
+advances N and D together.  Float and complex runs keep one power-of-two
+exponent ledger for both solutions: once a new value passes 2^512, or one
+step leaves the double range, the step is redone from the previous pair
+scaled below 1/8 by a power of two, which changes no value short of
+underflow.  Fraction and int runs of a family without constants (the type
+of ``D_1`` decides) are exact and never rescaled.
+
+Exact runs of a built-in family run on integers.  When x and every
+constant are rational (an int or a Fraction), take q = u/v and delta the
+product of the denominators of A x, B, C0 and C1.  Level k times
+W_k = delta v^k then has the integer parts lin_k = alpha v^k + beta u^k
+(of A x + B q^k) and c_k = gamma0 v^k + gamma1 u^k (of C_k), from running
+powers of u and v; this is the one integer level rule
+(:func:`_integer_levels`), which both convergent routes read.  The forward
+route steps Y_(k+1) = lin_k Y_k - c_k W_(k-1) Y_(k-1), so that
+y_k = Y_k / (delta^k v^C(k,2)), and builds one reduced Fraction per returned
+value (:func:`_run_exact`); the backward route of :mod:`qfraclab.cfrac`
+reduces once at the end.  The results have the values and types of the
+Fraction loop: ``N_0 = 0`` and ``D_0 = 1`` as ints, ``N_1 = A`` as the
+family gives it, and Fractions after that.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from itertools import count, islice
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError, PoleError, RangeError
-from .qseries import _require_finite
+from .qseries import _brief, _num_den, _rational, _require_finite, _within_range
 
 __all__ = [
     "Params",
@@ -189,9 +206,15 @@ class JFamily(NamedTuple):
 
     ``coeffs(k)`` gives level k.  ``stream``, when given, makes a fresh
     iterator of the same triples, which both convergent routes read (through
-    :func:`_levels`) without a Python call per level; the built-in families
-    set both, from one generator.  A family built from ``coeffs`` alone is
-    read one call per level.
+    :func:`_levels`) without a Python call per level.  A family built from
+    ``coeffs`` alone is read one call per level.
+
+    ``constants``, when given, returns the family's ``(A, B, C0, C1, q)``:
+    its levels are ``(A, B q^k, C0 + C1 q^k)``.  The built-in families set
+    all three fields from it (see :func:`_family`), and when x and the
+    constants are all rational both convergent routes run on integers (see
+    the module docstring).  A family given by ``coeffs`` or ``stream`` alone
+    keeps the one loop.
 
     ``index_shift`` maps the family's conventional convergent index onto the
     recurrence index (1 for the Rogers-Ramanujan-type family, whose n-th
@@ -203,6 +226,7 @@ class JFamily(NamedTuple):
     coeffs: Callable[[int], JCoeffs]
     index_shift: int = 0
     stream: Optional[Callable[[], Iterator[tuple]]] = None
+    constants: Optional[Callable[[], tuple]] = None
 
 
 def _levels(family: JFamily) -> Iterator[tuple]:
@@ -221,14 +245,20 @@ def _affine(A, B, C0, C1, q):
         qk *= q
 
 
-def _family(name: str, stream) -> JFamily:
-    """A built-in family: its ``coeffs(k)`` is the k-th triple of a fresh ``stream()``."""
-    return JFamily(name, lambda k: JCoeffs(*next(islice(stream(), k, None))), stream=stream)
+def _family(name: str, constants) -> JFamily:
+    """A built-in family from ``constants()``, which returns its (A, B, C0, C1, q)
+    (or raises where the family's hypotheses fail): its stream is :func:`_affine` of
+    them, and its ``coeffs(k)`` the k-th triple of a fresh stream."""
+
+    def stream():
+        return _affine(*constants())
+
+    return JFamily(name, lambda k: JCoeffs(*next(islice(stream(), k, None))), stream=stream, constants=constants)
 
 
 def hirschhorn_family(p: Params) -> JFamily:
     """Base family: A_k = 1 - b, B_k = a q^k, C_k = -(b + lam q^k)."""
-    return _family("hirschhorn", lambda: _affine(1 - p.b, p.a, -p.b, -p.lam, p.q))
+    return _family("hirschhorn", lambda: (1 - p.b, p.a, -p.b, -p.lam, p.q))
 
 
 def b0_family(p: Params) -> JFamily:
@@ -238,12 +268,12 @@ def b0_family(p: Params) -> JFamily:
     It builds for any ``p``; b != 0 raises DomainError at the first use.
     """
 
-    def stream():
+    def constants():
         if p.b != 0:
             raise DomainError("b0 family requires b = 0")
-        return _affine(1, p.a, 0, -p.lam, p.q)
+        return 1, p.a, 0, -p.lam, p.q
 
-    return _family("b0", stream)
+    return _family("b0", constants)
 
 
 def entry16_family(lam, q) -> JFamily:
@@ -251,17 +281,50 @@ def entry16_family(lam, q) -> JFamily:
     return b0_family(Params(q, 0, 0, lam))._replace(name="entry16", index_shift=1)
 
 
-def _monic_stream(p: Params):
-    """The level triples of :func:`monic_family`, after :meth:`Params.require_monic`."""
+def _monic_constants(p: Params) -> tuple:
+    """The constants of :func:`monic_family`, after :meth:`Params.require_monic`."""
     p.require_monic()
-    return _affine(1, -p.c, 0.25, p.lam / p.b / 4, p.q)
+    return 1, -p.c, 0.25, p.lam / p.b / 4, p.q
 
 
 def monic_family(p: Params) -> JFamily:
     """Monic family: A_k = 1, B_k = -alpha_k = -c q^k, C_k = beta_k = 1/4 + (lam/b)/4 q^k;
     P_k is its D solution and P*_k its N solution.  The parameters must pass
     :meth:`Params.require_monic`, checked at the first use."""
-    return _family("monic", lambda: _monic_stream(p))
+    return _family("monic", lambda: _monic_constants(p))
+
+
+def _rational_constants(family: JFamily, x):
+    """The constants (A, B, C0, C1, q) of ``family`` when it has them and they and
+    ``x`` are all rational, so that both convergent routes run on integers; else None."""
+    if family.constants is None or not _rational(x):
+        return None
+    constants = family.constants()
+    return constants if all(map(_rational, constants)) else None
+
+
+def _integer_levels(constants, x, n: int) -> tuple:
+    """(levels, v): levels 0..n-1 of ``(A, B q^k, C0 + C1 q^k)`` at x, on integers.
+
+    x and the constants are rational.  With q = u/v and delta the product of
+    the denominators of A x, B, C0 and C1, entry k of ``levels`` is
+    (lin_k, c_k, W_k): W_k = delta v^k, and lin_k = alpha v^k + beta u^k and
+    c_k = gamma0 v^k + gamma1 u^k are W_k times A x + B q^k and times
+    C0 + C1 q^k, from running powers and unreduced.  This is the package's
+    one integer level rule: :func:`_run_exact` and
+    :func:`qfraclab.cfrac.backward_convergent` read it.
+    """
+    A, B, C0, C1, q = constants
+    nums, dens = zip(*map(_num_den, (A * x, B, C0, C1)))
+    delta = math.prod(dens)
+    alpha, beta, gamma0, gamma1 = (s * (delta // t) for s, t in zip(nums, dens))
+    u, v = _num_den(q)
+    levels = []
+    uk, vk = 1, 1
+    for _ in range(n):
+        levels.append((alpha * vk + beta * uk, gamma0 * vk + gamma1 * uk, delta * vk))
+        uk, vk = uk * u, vk * v
+    return levels, v
 
 
 class ConvergentSeq:
@@ -292,14 +355,29 @@ def _exponent(v) -> int:
     return math.frexp(v)[1]
 
 
+def _require_depth(depth: int) -> None:
+    if depth < 1:
+        raise DomainError(f"a recurrence run requires depth >= 1, got {depth}")
+
+
+def _require_double_x(x, A, B) -> None:
+    """RangeError ``"x leaves the double range"`` when a rational ``x`` too large
+    for a double meets a float or complex level 0, whose arithmetic would
+    convert it and raise a bare OverflowError.  x itself is left as it is, so
+    every value keeps its bits.  Only a rational beyond the largest double
+    can fail to convert, and the comparison with it is exact."""
+    if _rational(x) and abs(x) > sys.float_info.max and not _rational(A + B):
+        _within_range("x", lambda: float(x))
+
+
 def _run(levels, x, depth: int):
     """The one recurrence loop: N and D of the J-fraction whose level triples
     ``levels`` yields, to ``depth``, as mantissa lists and their shared
     exponent list ``E`` (all zero for Fraction and int runs)."""
-    if depth < 1:
-        raise DomainError(f"a recurrence run requires depth >= 1, got {depth}")
+    _require_depth(depth)
     _require_finite("x must be finite", x)
     A, B, _ = next(levels)
+    _require_double_x(x, A, B)
     n0, n1, d0, d1 = 0, A, 1, A * x + B
     N, D, E = [n0, n1], [d0, d1], [0, 0]
     scaled = isinstance(d1, (float, complex))
@@ -342,12 +420,42 @@ def _values(M: list, E: list) -> list:
     return [m if e == 0 else _ldexp(m, e) for m, e in zip(M, E)]
 
 
+def _run_exact(constants, x, depth: int) -> ConvergentSeq:
+    """:func:`run_jfraction` on integers (see the module docstring): D_k = Y_k / S_k
+    and N_k = A Z_k / S_k with S_k = W_0 ... W_(k-1), one reduced Fraction each."""
+    # imported here, so that importing the module (as the CLI does) does not
+    # load fractions and decimal; a rational q has loaded them already
+    from fractions import Fraction
+
+    _require_depth(depth)
+    A = constants[0]
+    a_num, a_den = _num_den(A)
+    levels, _ = _integer_levels(constants, x, depth)
+    lin, _, w = levels[0]
+    y0, y1, z0, z1, s = 1, lin, 0, w, w
+    N, D = [0, A], [1, Fraction(y1, s)]
+    for lin, c, w_next in levels[1:]:
+        cw = c * w  # c_k W_(k-1)
+        y0, y1 = y1, lin * y1 - cw * y0
+        z0, z1 = z1, lin * z1 - cw * z0
+        w = w_next
+        s *= w
+        N.append(Fraction(a_num * z1, a_den * s))
+        D.append(Fraction(y1, s))
+    return ConvergentSeq(N, D, x)
+
+
 def run_jfraction(family: JFamily, x, depth: int) -> ConvergentSeq:
     """Unroll the J-fraction recurrence to ``depth``, seeding both solutions.
 
-    Exact for Fraction-valued coefficients and evaluation points; float
-    values past the double range come back infinite.
+    Exact for Fraction-valued coefficients and evaluation points, on integers
+    for a built-in family; float values past the double range come back
+    infinite, and a rational x too large for a double meeting float levels
+    raises RangeError.
     """
+    constants = _rational_constants(family, x)
+    if constants is not None:
+        return _run_exact(constants, x, depth)
     N, D, E = _run(_levels(family), x, depth)
     return ConvergentSeq(_values(N, E), _values(D, E), x)
 
@@ -366,23 +474,24 @@ def run_monic(p: Params, x, depth: int) -> list:
     """The monic orthogonal polynomials P_0 = 1, P_1 = x - c, ..., P_depth at ``x``,
     from ``x P_k = P_{k+1} + alpha_k P_k + beta_k P_{k-1}``.
 
-    A run with a value past the double range raises RangeError; the numerator
-    solution P*_k is ``run_jfraction(monic_family(p), x, depth).N``.
+    A run with a value past the double range raises RangeError, and so does a
+    rational x too large for a double; the numerator solution P*_k is
+    ``run_jfraction(monic_family(p), x, depth).N``.
     """
-    _, D, E = _run(_monic_stream(p), x, depth)
+    _, D, E = _run(_affine(*_monic_constants(p)), x, depth)
     vals = _values(D, E)
     if not all(map(cmath.isfinite, vals)):
-        raise RangeError(f"P({x}) leaves the double range by depth {depth}")
+        raise RangeError(f"P({_brief(x)}) leaves the double range by depth {depth}")
     return vals
 
 
 def monic_ratio(p: Params, x, depth: int):
     """Markov-limit ratio ``Pstar_depth(x) / P_depth(x)`` from one scaled run;
     both solutions share the exponent ledger, so their mantissas give the ratio."""
-    N, D, _ = _run(_monic_stream(p), x, depth)
+    N, D, _ = _run(_affine(*_monic_constants(p)), x, depth)
     if D[depth] == 0:
         raise PoleError(f"P_{depth}(x) = 0 at x = {x}", level=depth)
     ratio = N[depth] / D[depth]
     if not cmath.isfinite(ratio):
-        raise RangeError(f"Pstar_{depth}/P_{depth} at x = {x} leaves the double range")
+        raise RangeError(f"Pstar_{depth}/P_{depth} at x = {_brief(x)} leaves the double range")
     return ratio

@@ -21,7 +21,7 @@ from qfraclab.genfun import gf_radius
 from qfraclab.measure import norm_squared, rho_select, stieltjes_transform
 from qfraclab.moments import moment_pk_closed, moment_pk_integral, weight_f
 from qfraclab.qseries import qpochhammer
-from qfraclab.recurrence import Params, hirschhorn_family, run_jfraction, run_monic
+from qfraclab.recurrence import Params, b0_family, hirschhorn_family, monic_ratio, run_jfraction, run_monic
 
 P = Params(0.4, 0.3, -0.25, 0.2)
 P_B0 = Params(0.4, 0.3, 0.0, -0.2)
@@ -171,6 +171,13 @@ PAST_RANGE_SITES = {
     "gf_radius-D-b0": lambda x: gf_radius("D", x, P_B0),
     "gf_radius-P": lambda x: gf_radius("P", x, P),
     "moment_pk_integral": lambda x: moment_pk_integral(2, x, P),
+    # the recurrence routes on float levels, which would convert x at every level
+    "run_jfraction": lambda x: run_jfraction(FAMILY, x, 5),
+    "run_jfraction-b0": lambda x: run_jfraction(b0_family(P_B0), x, 5),
+    "convergent": lambda x: convergent(FAMILY, x, 5),
+    "backward_convergent": lambda x: backward_convergent(FAMILY, x, 5),
+    "run_monic": lambda x: run_monic(P, x, 5),
+    "monic_ratio": lambda x: monic_ratio(P, x, 5),
 }
 
 
@@ -185,3 +192,30 @@ def test_rationals_inside_the_double_range_convert_as_before():
     for x in (Fraction(7, 3), 5, -(10**300)):
         assert rho_select(x) == rho_select(complex(x))
         assert stieltjes_transform(x, P) == stieltjes_transform(complex(x), P)
+
+
+def test_exact_families_keep_rationals_past_the_double_range():
+    # the same x on a family with rational constants stays exact
+    p = Params(Fraction(2, 5), Fraction(3, 10), 0, Fraction(-1, 5))
+    for x in (10**400, Fraction(10**400, 3)):
+        for family in (hirschhorn_family(p), b0_family(p)):
+            assert type(run_jfraction(family, x, 5).D[5]) is Fraction
+            assert type(convergent(family, x, 5)) is Fraction
+            assert backward_convergent(family, x, 5) == convergent(family, x, 5)
+
+
+# the closed-form moment and the large-n form name x in their RangeError; a
+# rational past the double range (or far inside it) has hundreds of digits
+LONG_X = [10**400, -(10**400), Fraction(10**400, 3), 10**5000, Fraction(10**300, 7)]
+
+
+@pytest.mark.parametrize("x", LONG_X, ids=["int", "-int", "fraction", "past-str-limit", "inside"])
+@pytest.mark.parametrize(
+    "site",
+    [lambda x: moment_pk_closed(2, x, P), lambda x: asymptotic_Q(5, x, P_B0)],
+    ids=["moment_pk_closed", "asymptotic_Q"],
+)
+def test_range_error_messages_stay_short_for_a_long_x(site, x):
+    with pytest.raises(RangeError, match="leaves the double range") as info:
+        site(x)
+    assert len(str(info.value)) <= 100, str(info.value)

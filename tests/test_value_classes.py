@@ -106,6 +106,6 @@ def test_named_tuples_build_positionally_or_by_keyword(positional, keyword):
 
 def test_named_tuple_fields():
     fam = JFamily("f", _coeffs)
-    assert (fam.name, fam.coeffs, fam.index_shift, fam.stream) == ("f", _coeffs, 0, None)
+    assert (fam.name, fam.coeffs, fam.index_shift, fam.stream, fam.constants) == ("f", _coeffs, 0, None, None)
     res = CheckResult("c", False, "d")
     assert (res.name, res.passed, res.detail, res.rows) == ("c", False, "d", ())
