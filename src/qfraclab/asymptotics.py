@@ -17,7 +17,7 @@ import cmath
 import math
 
 from .errors import DomainError, PoleError
-from .qseries import _brief, _require_finite, _within_range, phi, qpochhammer_inf
+from .qseries import _brief, _require_double, _require_finite, _within_range, phi, qpochhammer_inf
 from .measure import _near_pole, series_R
 from .recurrence import Params
 
@@ -85,13 +85,15 @@ def stieltjes_b0(x: float, p: Params) -> float:
         (1/(x+a)) 0phi1[-; -aq/x; q, lam q^2/x^2] / 0phi1[-; -a/x; q, lam q/x^2].
 
     The off-support condition is enforced via :func:`b0_support_bound`;
-    a non-finite x raises DomainError.
+    a non-finite x raises DomainError, and a rational x too large for a
+    double meeting float parameters RangeError.
     """
     q, a, lam = _b0_params(p)
     _require_finite("x must be finite", x)
     bound = b0_support_bound(p)
     if abs(x) < bound:
         raise DomainError(f"|x| = {abs(x):.6g} is inside the support exclusion radius {bound:.6g}")
+    _require_double("x", x, q, a, lam)
     num = phi((), (-a * q / x,), q, lam * q * q / (x * x))
     den = phi((), (-a / x,), q, lam * q / (x * x))
     if _near_pole(num, den):

@@ -4,16 +4,16 @@ Two independent routes to the same convergent: the forward three-term
 recurrence (ratio ``N_n / D_n`` from :mod:`qfraclab.recurrence`) and
 backward evaluation of the truncated fraction from its innermost level.
 They must agree to rounding, which is the main cross-check used throughout
-the test suite.  Both read a family's level triples through the same
-:func:`qfraclab.recurrence._levels`, so a built-in family's stream feeds
-either route without a Python call per level.  The base fraction
-:func:`hirschhorn_cf` is the backward route on the base family; it has no
-level loop of its own.
+the test suite.  Both read a family through the same reader,
+:func:`qfraclab.recurrence._levels`, which calls its ``constants()`` once,
+so a built-in family's levels feed either route without a Python call per
+level.  The base fraction :func:`hirschhorn_cf` is the backward route on the
+base family; it has no level loop of its own.
 
-Exact runs of a built-in family run on integers, from the integer level
-rule of :mod:`qfraclab.recurrence` (``_integer_levels``): when x and the
-family's constants are all rational, level k times W_k = delta v^k is the
-pair of integers (lin_k, c_k), with q = u/v.  The backward route keeps
+Exact runs of a built-in family run on integers: when x and the family's
+constants are all rational, level k times W_k = delta v^k, with q = u/v, is
+the pair of integers (lin_k, c_k) of ``recurrence._integer_levels``, which
+reads the integer rule of :mod:`qfraclab.qseries`.  The backward route keeps
 t = P/Q and steps (P, Q) -> (lin_(k-1) v P - c_k Q, W_k P), which keeps Q's
 growth to one factor W_k per level.  It raises PoleError at the same level
 and with the same message as :func:`eval_backward` when P = 0, and builds
@@ -21,8 +21,7 @@ one Fraction, reduced once, at the end: A Q / P for
 :func:`backward_convergent` and Q / P for :func:`hirschhorn_cf`, whose
 leading numerator A = 1 - b and final division by 1 - b cancel.  The result
 is a Fraction, as the Fraction loop gives.  Float, complex and mixed runs,
-and families given by ``coeffs`` or ``stream`` alone, keep
-:func:`eval_backward`.
+and families given by ``coeffs`` alone, keep :func:`eval_backward`.
 """
 
 from __future__ import annotations
@@ -30,17 +29,8 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import DomainError, PoleError
-from .qseries import _num_den, _require_finite
-from .recurrence import (
-    JFamily,
-    Params,
-    _integer_levels,
-    _levels,
-    _rational_constants,
-    _require_double_x,
-    hirschhorn_family,
-    run_jfraction,
-)
+from .qseries import _num_den, _require_double, _require_finite
+from .recurrence import JFamily, Params, _integer_levels, _levels, hirschhorn_family, run_jfraction
 
 __all__ = ["eval_backward", "backward_convergent", "convergent", "hirschhorn_cf"]
 
@@ -92,11 +82,11 @@ def _backward_exact(constants, x, m: int, lead):
     return Fraction(num * Q, den * P)
 
 
-def _jfraction_levels(family: JFamily, x, m: int):
-    """Partial numerators A_0, -C_1, ..., -C_{m-1} and denominators 0, A_k x + B_k, in one pass."""
-    levels = _levels(family)
+def _jfraction_levels(levels, x, m: int):
+    """Partial numerators A_0, -C_1, ..., -C_{m-1} and denominators 0, A_k x + B_k
+    of the level triples ``levels``, in one pass."""
     A, B, _ = next(levels)  # level 0 contributes A_0
-    _require_double_x(x, A, B)
+    _require_double("x", x, A, B)
     nums, dens = [A], [0, A * x + B]
     for A, B, C in islice(levels, m - 1):
         nums.append(-C)
@@ -125,9 +115,9 @@ def backward_convergent(family: JFamily, x, n: int):
     m = _level_count(family, n)
     if m == 0:
         return 0
-    constants = _rational_constants(family, x)
+    constants, levels = _levels(family, x)
     if constants is None:
-        return eval_backward(*_jfraction_levels(family, x, m), m)
+        return eval_backward(*_jfraction_levels(levels, x, m), m)
     return _backward_exact(constants, x, m, constants[0])
 
 
@@ -155,8 +145,7 @@ def hirschhorn_cf(p: Params, depth: int):
     """
     if depth < 1:
         raise DomainError("hirschhorn_cf requires depth >= 1")
-    family = hirschhorn_family(p)
-    constants = _rational_constants(family, 1)
+    constants, levels = _levels(hirschhorn_family(p), 1)
     if constants is None:
-        return eval_backward(*_jfraction_levels(family, 1, depth), depth) / (1 - p.b)
+        return eval_backward(*_jfraction_levels(levels, 1, depth), depth) / (1 - p.b)
     return _backward_exact(constants, 1, depth, 1)

@@ -24,17 +24,17 @@ factors per step, from one table of 1 + a q^i (or x + a q^i);
 Each table comes with a denominator, and one sum runs on either kind.  When
 every argument is rational (an int or a Fraction), the tables hold integer
 numerators over one denominator each, built from the numerators and
-denominators of the arguments (see :func:`_powers`).  With q = u/v,
-(q; q)_m is the prefix product of f_i = v^i - u^i over that of w_i = v^i.
-These are the integer factors of (q; q)_n that
-:func:`qfraclab.qseries.qpochhammer` multiplies, read from the same helper
-(``qseries._qfactors``).  One rule builds both tables of (q; q)_m
-(:func:`_padded_prefixes`): entry m is the prefix product of one sequence
-padded by the factors of the other after it, f over w for (q; q)_m and w
-over f for its inverse.  Every term
-of a sum draws a fixed number of entries from each table, and a term that
-draws fewer is padded: the centred products with powers of their table's
-denominator, and the one term of :func:`hirschhorn_closed` and
+denominators of the arguments (see :func:`_powers`).  The terms
+x + y q^j come from the integer rule of :mod:`qfraclab.qseries`
+(``_qterms``), as for :func:`qfraclab.qseries.qpochhammer`: with q = u/v,
+(q; q)_m is the prefix product of f_i = v^i - u^i over that of w_i = v^i,
+and x + a q^i is an integer over D v^i (:func:`_affine`).  One rule builds
+both tables of (q; q)_m (:func:`_padded_prefixes`): entry m is the prefix
+product of one sequence padded by the factors of the other after it, f over
+w for (q; q)_m and w over f for its inverse.  Every term of a sum draws a
+fixed number of entries from each table, and a term that draws fewer is
+padded: the centred products with powers of the denominator of an outer
+pair of factors, and the one term of :func:`hirschhorn_closed` and
 :func:`a0_closed` whose q-binomial lacks its lower factor 1/(q; q)_0 by
 inv[0], which is the inverse table's denominator on the integer path and 1
 on the scalar path.  So the sum runs on ints, and each result is one
@@ -51,8 +51,10 @@ inv[0] = 1.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError
-from .qseries import _num_den, _qfactors, _require_finite, phi
+from .qseries import _num_den, _qterms, _require_finite, phi
 
 __all__ = [
     "entry16",
@@ -91,7 +93,7 @@ def _qfac_tables(q, n: int, exact: bool) -> tuple:
     On the scalar path the entries are the values and both denominators 1.
     On the integer path, with q = u/v, (q; q)_m is f_1 ... f_m over
     w_1 ... w_m, where f_i = v^i - u^i and w_i = v^i are the factors of
-    (q; q)_n from :func:`qfraclab.qseries._qfactors`, and both tables come
+    (q; q)_n from :func:`qfraclab.qseries._qterms`, and both tables come
     from one rule (:func:`_padded_prefixes`): entry m of ``tab`` is
     f_1 ... f_m w_(m+1) ... w_n over w_1 ... w_n, and entry m of ``inv`` the
     same with f and w swapped.  So inv[0] is inv_den on the integer path and
@@ -106,7 +108,7 @@ def _qfac_tables(q, n: int, exact: bool) -> tuple:
         if tab[n] == 0:
             raise DomainError("q-binomial undefined: (q; q) factor vanished")
         return tab, [1 / t for t in tab], 1, 1
-    f, w = _qfactors(q, q, n)  # f_i = v^i - u^i and w_i = v^i for i = 1..n
+    f, w = _qterms(1, -q, q, n)  # f_i = v^i - u^i and w_i = v^i for i = 1..n
     tab, tab_den = _padded_prefixes(f, w)
     if tab[n] == 0:
         raise DomainError("q-binomial undefined: (q; q) factor vanished")
@@ -129,24 +131,24 @@ def _powers(x, exponents, exact: bool) -> tuple:
 
 
 def _affine(x, a, q, n: int, exact: bool) -> tuple:
-    """(x + a q^i for i = 0..n, denominator); over t d v^n for x = s/t, a = c/d, q = u/v."""
-    q_pw, q_den = _powers(q, range(n + 1), exact)
+    """(x + a q^i for i = 0..n, denominators): on the scalar path the values and
+    None, on the integer path the integers of :func:`qfraclab.qseries._qterms`,
+    entry i over D v^i for x = s/t, a = c/d, q = u/v and D = t d."""
     if not exact:
-        return [x + a * p for p in q_pw], 1
-    s, t = _num_den(x)
-    c, d = _num_den(a)
-    base, scale = s * d * q_den, c * t
-    return [base + scale * p for p in q_pw], t * d * q_den
+        return [x + a * q**i for i in range(n + 1)], None
+    return _qterms(x, a, q, n + 1)
 
 
-def _centred_products(f, den, lo: int, hi: int, count: int) -> tuple:
+def _centred_products(f, dens, lo: int, hi: int, count: int) -> tuple:
     """(prod(f[lo + j : hi - j + 1]) for j = 0..count-1, denominator).
 
     Grown outward from the innermost range (zero or one factor), two factors
     per step; there is no division, so a zero factor is harmless.  Entry j
-    has 2j fewer factors than entry 0, so on the integer path it is padded
-    by den^(2j) to share entry 0's denominator den^(hi - lo + 1); a scalar
-    table has den 1 and its entries are left as they are.
+    lacks the 2j outer factors of entry 0, and on the integer path, where
+    f[i] is over dens[i] = D v^i, each pair f[lo + i], f[hi - i] is over the
+    same D^2 v^(lo + hi).  So entry j is padded by that j times, to share
+    entry 0's denominator dens[lo] ... dens[hi]; a scalar table has dens None
+    and its entries are left as they are.
     """
     out = [1] * count
     prod = 1
@@ -156,10 +158,10 @@ def _centred_products(f, den, lo: int, hi: int, count: int) -> tuple:
     for j in range(count - 2, -1, -1):
         prod *= f[lo + j] * f[hi - j]
         out[j] = prod
-    if den != 1:
-        pad = den * den
-        out = [p * pad**j for j, p in enumerate(out)]
-    return out, den ** (hi - lo + 1)
+    if dens is None:
+        return out, 1
+    pad = dens[lo] * dens[hi]
+    return [p * pad**j for j, p in enumerate(out)], math.prod(dens[lo : hi + 1])
 
 
 def _value(total, den, exact: bool):

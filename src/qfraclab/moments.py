@@ -34,7 +34,9 @@ from __future__ import annotations
 import cmath
 
 from .errors import DomainError, RangeError
-from .qseries import _brief, _require_finite, _within_range, phi, qpochhammer, qpochhammer_inf, sum_series
+from .qseries import (
+    _brief, _require_double, _require_finite, _within_range, phi, qpochhammer, qpochhammer_inf, sum_series,
+)
 from .measure import rho_select
 from .recurrence import Params
 
@@ -76,7 +78,8 @@ def qintegral(f, lower, upper, q: float):
 
     ``f`` is called once per node.  Both endpoint sums are truncated under
     the q-series truncation policy; equal endpoints cancel exactly.  The
-    definition is applied verbatim for complex endpoints.
+    definition is applied verbatim for complex endpoints; the nodes are
+    doubles, so a rational endpoint too large for one raises RangeError.
     :func:`moment_pk_integral` shares the endpoint sum but not the per-node
     calls: it evaluates the weight's products once per endpoint and steps
     the nodes by (a; q)_inf = (1 - a)(aq; q)_inf.
@@ -84,6 +87,8 @@ def qintegral(f, lower, upper, q: float):
     _require_finite("qintegral requires finite arguments", lower, upper, q)
     if not 0 < abs(q) < 1:
         raise DomainError("qintegral requires 0 < |q| < 1")
+    for e in (lower, upper):  # the node sums run in doubles
+        _require_double("qintegral endpoint", e, 1.0)
     return _jackson(upper, q, map(f, _nodes(upper, q))) - _jackson(lower, q, map(f, _nodes(lower, q)))
 
 
@@ -141,12 +146,15 @@ def _weight(w, p: Params):
 
 
 def weight_f(t, theta: float, p: Params):
-    """The product weight f(t) at x = cos theta."""
+    """The product weight f(t) at x = cos theta; a rational t too large for a
+    double raises RangeError."""
     _require_finite("weight_f requires finite arguments", t, theta)
     _require_moment_params(p)
     if t == 0:
         raise DomainError("weight_f requires t != 0")
-    return next(_weight(cmath.exp(1j * theta), p)(t))
+    w = cmath.exp(1j * theta)
+    _require_double("t", t, w)
+    return next(_weight(w, p)(t))
 
 
 def moment_pk_integral(k: int, x, p: Params) -> complex:

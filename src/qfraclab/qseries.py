@@ -10,15 +10,20 @@ rely on).  Infinite sums and products are truncated under one fixed policy
 see ``_REL_TOL``) and never silently: exhausting the term budget raises
 :class:`~qfraclab.errors.TruncationError`.
 
-Finite products on rationals run on integers.  When ``a`` and ``q`` are
-both an int or a Fraction, ``(a; q)_n`` with a = s/t and q = u/v is the
-product of the integer numerators t v^j - s u^j over t^n v^C(n, 2), and one
-Fraction is built and reduced at the end instead of one per factor.  The
-result keeps the type of the factor-by-factor product: the int 1 at n = 0,
-an int when ``a`` is an int and so is ``q`` (or n = 1), and otherwise a
-Fraction, even when its denominator is 1.  One private helper,
-:func:`_qfactors`, builds these factors, for :func:`qpochhammer` and for
-the (q; q)_m tables of :mod:`qfraclab.convergents`.
+Finite products and sums on rationals run on integers, by one rule.  With
+x = s/t, y = c/d and q = u/v, the term x + y q^j is (s d v^j + c t u^j) over
+D v^j with D = t d, for j = 0..n-1: two running powers of u and v (and the
+running D v^j) and no division per entry.  :func:`_qterms` is that rule,
+and no other loop of the package builds x + y q^j on integers: it gives the
+factors of :func:`qpochhammer` (negated, as -1 + a q^j), the factors
+1 - q^i of the (q; q)_m tables of :mod:`qfraclab.convergents`, the
+x + a q^i of its finite products, and (in two calls) the levels A x + B q^k
+and C0 + C1 q^k of both exact convergent routes of
+:mod:`qfraclab.recurrence` and :mod:`qfraclab.cfrac`.  Each caller multiplies the unreduced integers and
+builds one Fraction, reduced once, at the end.  ``(a; q)_n`` keeps the type
+of the factor-by-factor product: the int 1 at n = 0, an int when ``a`` is
+an int and so is ``q`` (or n = 1), and otherwise a Fraction, even when its
+denominator is 1.
 
 Conventions:
 
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Iterator, Sequence
 
 from .errors import DomainError, RangeError, TruncationError
@@ -97,14 +103,30 @@ def _within_range(what: str, compute):
     """``compute()`` where it is rational or a finite double, else RangeError
     ``"<what> leaves the double range"``.  Both ways out of the range are
     caught: a float or complex power (or an int one meeting a float) raises
-    OverflowError, and a finite power times a factor above 1 gives inf or NaN."""
+    OverflowError, and a finite power times a factor above 1 gives inf or NaN.
+    A RangeError raised inside ``compute()`` names its own cause and passes
+    through unchanged."""
     try:
         value = compute()
         if _rational(value) or cmath.isfinite(value):
             return value
+    except RangeError:
+        raise
     except OverflowError:
         pass
     raise RangeError(f"{what} leaves the double range")
+
+
+def _require_double(what: str, x, *values) -> None:
+    """The one check of a rational meeting a double where x is not converted up
+    front: RangeError ``"<what> leaves the double range"`` when a rational
+    ``x`` too large for a double meets a float or complex among ``values``,
+    whose arithmetic would convert it and raise a bare OverflowError.  x
+    itself is left as it is, so a rational inside the range keeps its bits
+    and one meeting only rationals stays exact.  Only a rational beyond the
+    largest double can fail to convert, and the comparison with it is exact."""
+    if _rational(x) and abs(x) > sys.float_info.max and not all(map(_rational, values)):
+        _within_range(what, lambda: float(x))
 
 
 def sum_series(terms: Iterator, what: str = "series"):
@@ -139,22 +161,22 @@ def _num_den(x) -> tuple:
     return int(x.numerator), int(x.denominator)
 
 
-def _qfactors(a, q, n: int) -> tuple:
-    """(tops, bottoms): the factors 1 - a q^j of ``(a; q)_n`` on integers.
+def _qterms(x, y, q, n: int) -> tuple:
+    """(tops, bottoms): x + y q^j = tops[j] / bottoms[j] for j = 0..n-1, on integers.
 
-    With rational a = s/t and q = u/v, factor j is (t v^j - s u^j) / (t v^j)
-    for j = 0..n-1, from running powers and unreduced.  This is the
-    package's one integer factor rule: :func:`qpochhammer` multiplies the
-    tops, and :mod:`qfraclab.convergents` reads (q; q)_m from
-    ``_qfactors(q, q, n)``, whose factors are v^i - u^i over v^i, i = 1..n.
+    The package's one integer rule (see the module docstring): with x = s/t,
+    y = c/d and q = u/v, tops[j] = s d v^j + c t u^j and bottoms[j] = D v^j,
+    D = t d, from running powers and unreduced.
     """
-    s, t = _num_den(a)
+    s, t = _num_den(x)
+    c, d = _num_den(y)
     u, v = _num_den(q)
+    xv, yu, dv = s * d, c * t, t * d
     tops, bottoms = [], []
     for _ in range(n):
-        tops.append(t - s)
-        bottoms.append(t)
-        t, s = t * v, s * u
+        tops.append(xv + yu)
+        bottoms.append(dv)
+        xv, yu, dv = xv * v, yu * u, dv * v
     return tops, bottoms
 
 
@@ -163,8 +185,8 @@ def qpochhammer(a, q, n: int):
 
     ``n = 0`` returns the int 1.  When ``a`` and ``q`` are both rational (int
     or Fraction), the value is exact and computed on integers: with a = s/t
-    and q = u/v it is prod_j (t v^j - s u^j) over t^n v^C(n, 2) (see
-    :func:`_qfactors`), reduced once into one Fraction.  The result has the
+    and q = u/v it is prod_j (t v^j - s u^j) over t^n v^C(n, 2) (from
+    :func:`_qterms`), reduced once into one Fraction.  The result has the
     type the factor-by-factor product would have: an int when ``a`` is an
     int and so is ``q`` (or n = 1, where q does not enter), else a Fraction,
     even with denominator 1.  Float, complex and mixed arguments are
@@ -173,8 +195,9 @@ def qpochhammer(a, q, n: int):
     if n < 0:
         raise DomainError("qpochhammer requires n >= 0")
     if _require_finite("qpochhammer requires finite arguments", a, q) and n:
-        tops, bottoms = _qfactors(a, q, n)
-        num = math.prod(tops)
+        # the terms -1 + a q^j are the factors negated, which spares negating a
+        tops, bottoms = _qterms(-1, a, q, n)
+        num = -math.prod(tops) if n % 2 else math.prod(tops)
         if isinstance(a, int) and (n == 1 or isinstance(q, int)):
             return num
         # imported here, so that float callers such as the CLI do not load

@@ -28,46 +28,47 @@ which is a Nevai-class recurrence (alpha_k -> 0, beta_k -> 1/4) whenever
 ``A_k = 1, B_k = -alpha_k, C_k = beta_k`` (:func:`monic_family`): P_k is its
 D solution and the numerator polynomials P*_k its N solution.
 
-Each built-in family states its constants ``(A, B, C0, C1, q)`` once, as
-the ``constants`` field of its :class:`JFamily`; its stream is the one level
-generator :func:`_affine` of them, which steps q^k by a running product, and
-its ``coeffs(k)`` is the k-th triple of a fresh stream.  One kernel,
-:func:`_run`, steps every float, complex or mixed run: it reads the level
-triples from an iterator (:func:`_levels`: the family's stream, or
-``coeffs`` once per level for a family built from ``coeffs`` alone) and
-advances N and D together.  Float and complex runs keep one power-of-two
-exponent ledger for both solutions: once a new value passes 2^512, or one
-step leaves the double range, the step is redone from the previous pair
-scaled below 1/8 by a power of two, which changes no value short of
-underflow.  Fraction and int runs of a family without constants (the type
-of ``D_1`` decides) are exact and never rescaled.
+Each built-in family is described by its constants ``(A, B, C0, C1, q)``
+alone, the ``constants`` field of its :class:`JFamily`: its levels are the
+one level generator :func:`_affine` of them, which steps q^k by a running
+product, and its ``coeffs(k)`` is the k-th triple of a fresh generator.
+Both convergent routes read a family through one reader, :func:`_levels`,
+which calls ``constants()`` once and returns either the constants, for the
+integer route below, or the level triples: :func:`_affine` of them, or
+``coeffs`` once per level for a family built from ``coeffs`` alone.  One
+kernel, :func:`_run`, steps every float, complex or mixed run from those
+triples, and advances N and D together.  Float and complex runs keep one
+power-of-two exponent ledger for both solutions: once a new value passes
+2^512, or one step leaves the double range, the step is redone from the
+previous pair scaled below 1/8 by a power of two, which changes no value
+short of underflow.  Fraction and int runs of a family without constants
+(the type of ``D_1`` decides) are exact and never rescaled.
 
 Exact runs of a built-in family run on integers.  When x and every
-constant are rational (an int or a Fraction), take q = u/v and delta the
-product of the denominators of A x, B, C0 and C1.  Level k times
-W_k = delta v^k then has the integer parts lin_k = alpha v^k + beta u^k
-(of A x + B q^k) and c_k = gamma0 v^k + gamma1 u^k (of C_k), from running
-powers of u and v; this is the one integer level rule
-(:func:`_integer_levels`), which both convergent routes read.  The forward
-route steps Y_(k+1) = lin_k Y_k - c_k W_(k-1) Y_(k-1), so that
-y_k = Y_k / (delta^k v^C(k,2)), and builds one reduced Fraction per returned
-value (:func:`_run_exact`); the backward route of :mod:`qfraclab.cfrac`
-reduces once at the end.  The results have the values and types of the
-Fraction loop: ``N_0 = 0`` and ``D_0 = 1`` as ints, ``N_1 = A`` as the
-family gives it, and Fractions after that.
+constant are rational (an int or a Fraction), :func:`_integer_levels` reads
+A x + B q^k and C0 + C1 q^k from the integer rule of :mod:`qfraclab.qseries`
+(``_qterms``), one call each, and scales each by the other's denominator.
+With q = u/v, level k times W_k = delta v^k is then the pair of integers
+(lin_k, c_k), delta being the product of the denominators of A x, B, C0
+and C1; both convergent routes read it.  The forward route steps
+Y_(k+1) = lin_k Y_k - c_k W_(k-1) Y_(k-1), so that
+y_k = Y_k / (delta^k v^C(k,2)), and builds one reduced Fraction per
+returned value (:func:`_run_exact`); the backward route of
+:mod:`qfraclab.cfrac` reduces once at the end.  The results have the
+values and types of the Fraction loop: ``N_0 = 0`` and ``D_0 = 1`` as ints,
+``N_1 = A`` as the family gives it, and Fractions after that.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from itertools import count, islice
 from operator import attrgetter
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, PoleError, RangeError
-from .qseries import _brief, _num_den, _rational, _require_finite, _within_range
+from .qseries import _brief, _num_den, _qterms, _rational, _require_double, _require_finite
 
 __all__ = [
     "Params",
@@ -204,16 +205,13 @@ class JCoeffs(NamedTuple):
 class JFamily(NamedTuple):
     """A J-fraction family: its level triples ``(A_k, B_k, C_k)`` for k = 0, 1, 2, ...
 
-    ``coeffs(k)`` gives level k.  ``stream``, when given, makes a fresh
-    iterator of the same triples, which both convergent routes read (through
-    :func:`_levels`) without a Python call per level.  A family built from
-    ``coeffs`` alone is read one call per level.
-
-    ``constants``, when given, returns the family's ``(A, B, C0, C1, q)``:
-    its levels are ``(A, B q^k, C0 + C1 q^k)``.  The built-in families set
-    all three fields from it (see :func:`_family`), and when x and the
-    constants are all rational both convergent routes run on integers (see
-    the module docstring).  A family given by ``coeffs`` or ``stream`` alone
+    ``coeffs(k)`` gives level k.  ``constants``, when given, returns the
+    family's ``(A, B, C0, C1, q)``, and then describes it alone: its levels
+    are ``(A, B q^k, C0 + C1 q^k)``, which both convergent routes read from
+    :func:`_affine` of them without a Python call per level, or, when x and
+    the constants are all rational, on integers (see the module docstring).
+    The built-in families set ``coeffs`` from it too (see :func:`_family`).
+    A family built from ``coeffs`` alone is read one call per level and
     keeps the one loop.
 
     ``index_shift`` maps the family's conventional convergent index onto the
@@ -225,15 +223,25 @@ class JFamily(NamedTuple):
     name: str
     coeffs: Callable[[int], JCoeffs]
     index_shift: int = 0
-    stream: Optional[Callable[[], Iterator[tuple]]] = None
     constants: Optional[Callable[[], tuple]] = None
 
 
-def _levels(family: JFamily) -> Iterator[tuple]:
-    """The level triples of ``family`` for k = 0, 1, 2, ...: its stream, else its ``coeffs``."""
-    if family.stream is not None:
-        return family.stream()
-    return map(family.coeffs, count())
+def _levels(family: JFamily, x) -> tuple:
+    """(constants, levels): how both convergent routes read ``family`` at ``x``.
+
+    ``constants()`` is called once, so a family's hypotheses (b = 0 for
+    :func:`b0_family`, :meth:`Params.require_monic`) are checked there.  When
+    x and the constants are all rational, ``constants`` is them, for the
+    integer route, and ``levels`` None; otherwise ``constants`` is None and
+    ``levels`` the level triples for k = 0, 1, 2, ...: :func:`_affine` of the
+    constants, or ``coeffs`` once per level for a family without them.
+    """
+    if family.constants is None:
+        return None, map(family.coeffs, count())
+    constants = family.constants()
+    if _rational(x) and all(map(_rational, constants)):
+        return constants, None
+    return None, _affine(*constants)
 
 
 def _affine(A, B, C0, C1, q):
@@ -247,13 +255,9 @@ def _affine(A, B, C0, C1, q):
 
 def _family(name: str, constants) -> JFamily:
     """A built-in family from ``constants()``, which returns its (A, B, C0, C1, q)
-    (or raises where the family's hypotheses fail): its stream is :func:`_affine` of
-    them, and its ``coeffs(k)`` the k-th triple of a fresh stream."""
-
-    def stream():
-        return _affine(*constants())
-
-    return JFamily(name, lambda k: JCoeffs(*next(islice(stream(), k, None))), stream=stream, constants=constants)
+    (or raises where the family's hypotheses fail): its ``coeffs(k)`` is the k-th
+    triple of a fresh :func:`_affine` of them."""
+    return JFamily(name, lambda k: JCoeffs(*next(islice(_affine(*constants()), k, None))), constants=constants)
 
 
 def hirschhorn_family(p: Params) -> JFamily:
@@ -294,37 +298,20 @@ def monic_family(p: Params) -> JFamily:
     return _family("monic", lambda: _monic_constants(p))
 
 
-def _rational_constants(family: JFamily, x):
-    """The constants (A, B, C0, C1, q) of ``family`` when it has them and they and
-    ``x`` are all rational, so that both convergent routes run on integers; else None."""
-    if family.constants is None or not _rational(x):
-        return None
-    constants = family.constants()
-    return constants if all(map(_rational, constants)) else None
-
-
 def _integer_levels(constants, x, n: int) -> tuple:
     """(levels, v): levels 0..n-1 of ``(A, B q^k, C0 + C1 q^k)`` at x, on integers.
 
-    x and the constants are rational.  With q = u/v and delta the product of
-    the denominators of A x, B, C0 and C1, entry k of ``levels`` is
-    (lin_k, c_k, W_k): W_k = delta v^k, and lin_k = alpha v^k + beta u^k and
-    c_k = gamma0 v^k + gamma1 u^k are W_k times A x + B q^k and times
-    C0 + C1 q^k, from running powers and unreduced.  This is the package's
-    one integer level rule: :func:`_run_exact` and
-    :func:`qfraclab.cfrac.backward_convergent` read it.
+    x and the constants are rational, and q = u/v.  Two calls of the integer
+    rule give A x + B q^k over d_lin v^k and C0 + C1 q^k over d_c v^k, and
+    each is scaled by the other's d: entry k of ``levels`` is
+    (lin_k, c_k, W_k) with W_k = d_lin d_c v^k, lin_k = W_k (A x + B q^k) and
+    c_k = W_k (C0 + C1 q^k), unreduced.  Both convergent routes read it.
     """
     A, B, C0, C1, q = constants
-    nums, dens = zip(*map(_num_den, (A * x, B, C0, C1)))
-    delta = math.prod(dens)
-    alpha, beta, gamma0, gamma1 = (s * (delta // t) for s, t in zip(nums, dens))
-    u, v = _num_den(q)
-    levels = []
-    uk, vk = 1, 1
-    for _ in range(n):
-        levels.append((alpha * vk + beta * uk, gamma0 * vk + gamma1 * uk, delta * vk))
-        uk, vk = uk * u, vk * v
-    return levels, v
+    lins, dens = _qterms(A * x, B, q, n)
+    cs, c_dens = _qterms(C0, C1, q, n)
+    d_lin, d_c = dens[0], c_dens[0]
+    return [(t * d_c, c * d_lin, w * d_c) for t, c, w in zip(lins, cs, dens)], _num_den(q)[1]
 
 
 class ConvergentSeq:
@@ -360,16 +347,6 @@ def _require_depth(depth: int) -> None:
         raise DomainError(f"a recurrence run requires depth >= 1, got {depth}")
 
 
-def _require_double_x(x, A, B) -> None:
-    """RangeError ``"x leaves the double range"`` when a rational ``x`` too large
-    for a double meets a float or complex level 0, whose arithmetic would
-    convert it and raise a bare OverflowError.  x itself is left as it is, so
-    every value keeps its bits.  Only a rational beyond the largest double
-    can fail to convert, and the comparison with it is exact."""
-    if _rational(x) and abs(x) > sys.float_info.max and not _rational(A + B):
-        _within_range("x", lambda: float(x))
-
-
 def _run(levels, x, depth: int):
     """The one recurrence loop: N and D of the J-fraction whose level triples
     ``levels`` yields, to ``depth``, as mantissa lists and their shared
@@ -377,7 +354,7 @@ def _run(levels, x, depth: int):
     _require_depth(depth)
     _require_finite("x must be finite", x)
     A, B, _ = next(levels)
-    _require_double_x(x, A, B)
+    _require_double("x", x, A, B)
     n0, n1, d0, d1 = 0, A, 1, A * x + B
     N, D, E = [n0, n1], [d0, d1], [0, 0]
     scaled = isinstance(d1, (float, complex))
@@ -453,10 +430,10 @@ def run_jfraction(family: JFamily, x, depth: int) -> ConvergentSeq:
     infinite, and a rational x too large for a double meeting float levels
     raises RangeError.
     """
-    constants = _rational_constants(family, x)
+    constants, levels = _levels(family, x)
     if constants is not None:
         return _run_exact(constants, x, depth)
-    N, D, E = _run(_levels(family), x, depth)
+    N, D, E = _run(levels, x, depth)
     return ConvergentSeq(_values(N, E), _values(D, E), x)
 
 

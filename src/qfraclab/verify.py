@@ -202,7 +202,8 @@ def check_entry16_identity() -> CheckResult:
         q = _draw_q(rng)
         lam = rng.uniform(-2, 2)
         # the n-th convergent is the backward value of the first n + 1 levels
-        nums, dens = cfrac._jfraction_levels(recurrence.entry16_family(lam, q), 1, 31)
+        levels = recurrence._affine(*recurrence.entry16_family(lam, q).constants())
+        nums, dens = cfrac._jfraction_levels(levels, 1, 31)
         for n in range(0, 31):
             N, D = convergents.entry16(n, lam, q)
             errs.append(_rel_err(N / D, cfrac.eval_backward(nums, dens, n + 1)))
@@ -210,7 +211,8 @@ def check_entry16_identity() -> CheckResult:
     for _ in range(5):
         q = Fraction(rng.randint(1, 8), rng.randint(9, 20))
         lam = Fraction(rng.randint(-6, 6) or 1, rng.randint(2, 9))
-        nums, dens = cfrac._jfraction_levels(recurrence.entry16_family(lam, q), Fraction(1), 13)
+        levels = recurrence._affine(*recurrence.entry16_family(lam, q).constants())
+        nums, dens = cfrac._jfraction_levels(levels, Fraction(1), 13)
         for n in range(0, 13):
             N, D = convergents.entry16(n, lam, q)
             mismatches += N / D != cfrac.eval_backward(nums, dens, n + 1)
@@ -340,7 +342,7 @@ def check_moment_solutions() -> CheckResult:
     p = ACCEPT_PARAMS
     x = 0.3
     pkc = [moments.moment_pk_closed(k, x, p) for k in range(17)]
-    levels = list(islice(recurrence.monic_family(p).stream(), 16))
+    levels = list(islice(recurrence._affine(*recurrence.monic_family(p).constants()), 16))
     residuals = []
     for k in range(1, 16):
         _, B, beta = levels[k]  # B = -alpha_k

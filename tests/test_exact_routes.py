@@ -23,6 +23,7 @@ from qfraclab.recurrence import (
     ConvergentSeq,
     JFamily,
     Params,
+    _levels,
     b0_family,
     entry16_family,
     hirschhorn_family,
@@ -33,8 +34,9 @@ HUGE = 10**400
 
 
 def _reference(fam: JFamily, depth: int) -> JFamily:
-    """A coeffs-only family over the first levels of ``fam``: the Fraction loop."""
-    levels = list(islice(fam.stream(), depth + 2))
+    """A coeffs-only family over the first levels of ``fam``, as the family
+    reader gives them at a float x: the Fraction loop."""
+    levels = list(islice(_levels(fam, 0.5)[1], depth + 2))
     return JFamily(fam.name, levels.__getitem__, fam.index_shift)
 
 
@@ -179,11 +181,46 @@ def test_families_without_constants_keep_the_fraction_loop(monkeypatch):
     monkeypatch.setattr(recurrence, "_integer_levels", fail)
     monkeypatch.setattr(cfrac, "_integer_levels", fail)
     for _, fam, x, n in RATIONAL_DRAWS[:60]:
-        streamed = fam._replace(constants=None)
+        builtin_coeffs = fam._replace(constants=None)
         coeffs_only = _reference(fam, max(1, n + fam.index_shift))
-        for f in (streamed, coeffs_only):
+        for f in (builtin_coeffs, coeffs_only):
             _outcome(backward_convergent, f, x, n)
             _outcome(convergent, f, x, n)
+
+
+def _counted(fam: JFamily) -> tuple:
+    """``fam`` with a ``constants`` that logs each call, and the log."""
+    calls = []
+
+    def constants():
+        calls.append(None)
+        return fam.constants()
+
+    return fam._replace(constants=constants), calls
+
+
+@pytest.mark.parametrize("x", [0.7, Fraction(3, 7)], ids=["float-x", "rational-x"])
+@pytest.mark.parametrize(
+    "p", [Params(0.4, 0.3, -0.25, 0.2), Params(Fraction(2, 5), Fraction(3, 10), Fraction(-1, 4), Fraction(1, 5))],
+    ids=["float-params", "rational-params"],
+)
+def test_each_route_reads_the_constants_once(monkeypatch, p, x):
+    # the route is decided on one read, which also checks the family's hypotheses
+    for route in (run_jfraction, convergent, backward_convergent):
+        fam, calls = _counted(hirschhorn_family(p))
+        route(fam, x, 6)
+        assert len(calls) == 1, route
+    counted = []
+    real = cfrac.hirschhorn_family
+
+    def family(params):
+        fam, calls = _counted(real(params))
+        counted.append(calls)
+        return fam
+
+    monkeypatch.setattr(cfrac, "hirschhorn_family", family)
+    hirschhorn_cf(p, 6)  # at x = 1
+    assert [len(calls) for calls in counted] == [1]
 
 
 def _float_draws():

@@ -19,7 +19,7 @@ from qfraclab.convergents import hirschhorn_closed
 from qfraclab.errors import DomainError, QFracError, RangeError
 from qfraclab.genfun import gf_radius
 from qfraclab.measure import norm_squared, rho_select, stieltjes_transform
-from qfraclab.moments import moment_pk_closed, moment_pk_integral, weight_f
+from qfraclab.moments import moment_pk_closed, moment_pk_integral, qintegral, weight_f
 from qfraclab.qseries import qpochhammer
 from qfraclab.recurrence import Params, b0_family, hirschhorn_family, monic_ratio, run_jfraction, run_monic
 
@@ -171,6 +171,9 @@ PAST_RANGE_SITES = {
     "gf_radius-D-b0": lambda x: gf_radius("D", x, P_B0),
     "gf_radius-P": lambda x: gf_radius("P", x, P),
     "moment_pk_integral": lambda x: moment_pk_integral(2, x, P),
+    "stieltjes_b0": lambda x: stieltjes_b0(x, P_B0),
+    "qintegral": lambda x: qintegral(lambda t: t, 0, x, 0.5),
+    "weight_f": lambda x: weight_f(x, 0.3, P),
     # the recurrence routes on float levels, which would convert x at every level
     "run_jfraction": lambda x: run_jfraction(FAMILY, x, 5),
     "run_jfraction-b0": lambda x: run_jfraction(b0_family(P_B0), x, 5),
@@ -202,6 +205,15 @@ def test_exact_families_keep_rationals_past_the_double_range():
             assert type(run_jfraction(family, x, 5).D[5]) is Fraction
             assert type(convergent(family, x, 5)) is Fraction
             assert backward_convergent(family, x, 5) == convergent(family, x, 5)
+        assert type(stieltjes_b0(x, p)) is Fraction
+
+
+def test_a_range_error_inside_a_range_guard_keeps_its_cause():
+    # rho_select names x; the closed form's guard around it does not rename it
+    for x in (10**400, Fraction(10**400, 3)):
+        with pytest.raises(RangeError) as info:
+            moment_pk_closed(2, x, P)
+        assert str(info.value) == "x leaves the double range"
 
 
 # the closed-form moment and the large-n form name x in their RangeError; a

@@ -291,3 +291,29 @@ def test_convergents_qfac_tables_are_qpochhammer():
         tab, _, tab_den, _ = convergents._qfac_tables(q, n, True)
         for m in range(n + 1):
             assert Fraction(tab[m], tab_den) == qpochhammer(q, q, m)
+
+
+def _qterm_draws(rng):
+    """Seeded (x, y, q, n): Fractions and ints, q of either sign, y = 0, n from 0."""
+    def value():
+        if rng.random() < 0.3:
+            return rng.randint(-6, 6)
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 15))
+
+    for i in range(300):
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(13, 20))
+        if i % 5 == 4:
+            q = rng.choice([-3, -1, 2])
+        y = 0 if i % 7 == 3 else value()
+        yield value(), y, q, 0 if i % 11 == 5 else rng.randint(1, 25)
+
+
+def test_the_integer_rule_gives_x_plus_y_q_to_the_j():
+    for x, y, q, n in _qterm_draws(random.Random(2301)):
+        tops, bottoms = qseries._qterms(x, y, q, n)
+        assert len(tops) == len(bottoms) == n
+        v = Fraction(q).denominator
+        for j, (top, bottom) in enumerate(zip(tops, bottoms)):
+            assert type(top) is int and type(bottom) is int
+            assert Fraction(top, bottom) == x + y * Fraction(q) ** j, (x, y, q, j)
+            assert bottom == bottoms[0] * v**j, (x, y, q, j)

@@ -379,19 +379,24 @@ def _no_coeffs(k):
     raise AssertionError(f"coeffs({k}) called")
 
 
+def _triples(fam, count):
+    """The first ``count`` level triples of ``fam``, as the family reader gives them at a float x."""
+    return list(islice(_levels(fam, 0.5)[1], count))
+
+
 class TestLevelStreams:
     @pytest.mark.parametrize("fam", BUILTIN_FAMILIES, ids=lambda fam: fam.name)
     def test_stream_yields_the_coeffs_triples(self, fam):
-        triples = list(islice(fam.stream(), 50))
+        triples = _triples(fam, 50)
         reference = [fam.coeffs(k) for k in range(50)]
         assert triples == reference
         assert [list(map(type, t)) for t in triples] == [list(map(type, t)) for t in reference]
 
     @pytest.mark.parametrize("name,p", BUILTIN_CASES, ids=[name for name, _ in BUILTIN_CASES])
     def test_levels_are_the_papers_coefficients(self, name, p):
-        # exact for Fraction parameters; for floats the running q^k of the stream
+        # exact for Fraction parameters; for floats the running q^k of the levels
         # and the ``**`` of the reference each round, k + 2 roundings at most
-        for k, (A, B, C) in enumerate(islice(FAMILY_OF[name](p).stream(), 80)):
+        for k, (A, B, C) in enumerate(_triples(FAMILY_OF[name](p), 80)):
             (a, b, c), c_size = _paper_levels(name, p, k)
             if isinstance(p.q, Fraction):
                 assert (A, B, C) == (a, b, c)
@@ -403,8 +408,8 @@ class TestLevelStreams:
 
     def test_run_jfraction_equals_the_per_level_reference(self, family_draws):
         for _, fam, x, depth in family_draws:
-            # a coeffs-only family, read one call per level, over one read of the stream
-            levels = list(islice(fam.stream(), depth + 2))
+            # a coeffs-only family, read one call per level, over one read of the levels
+            levels = _triples(fam, depth + 2)
             per_level = JFamily(fam.name, levels.__getitem__, fam.index_shift)
             seq, ref = run_jfraction(fam, x, depth), run_jfraction(per_level, x, depth)
             assert (seq.N, seq.D) == (ref.N, ref.D), (fam, x, depth)
@@ -438,9 +443,9 @@ class TestLevelStreams:
 
 
 def _monic_kernel(p, x, depth):
-    """``(N, D, E)`` of the one recurrence kernel on the monic stream: the P*
+    """``(N, D, E)`` of the one recurrence kernel on the monic levels: the P*
     and P mantissas and their shared exponent ledger."""
-    return _run(_levels(monic_family(p)), x, depth)
+    return _run(_levels(monic_family(p), x)[1], x, depth)
 
 
 class TestScaledRun:

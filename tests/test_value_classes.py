@@ -84,8 +84,8 @@ def _coeffs(k):
     return JCoeffs(1, 0.5, 0.25)
 
 
-def _stream():
-    return iter(lambda: (1, 0.5, 0.25), None)
+def _constants():
+    return 1, 0.5, 0.25, 0, 0.5
 
 
 @pytest.mark.parametrize(
@@ -93,10 +93,10 @@ def _stream():
     [
         (lambda: JFamily("f", _coeffs), lambda: JFamily(name="f", coeffs=_coeffs, index_shift=0)),
         (lambda: JFamily("f", _coeffs, 1), lambda: JFamily(coeffs=_coeffs, name="f", index_shift=1)),
-        (lambda: JFamily("f", _coeffs, 0, _stream), lambda: JFamily(stream=_stream, coeffs=_coeffs, name="f")),
+        (lambda: JFamily("f", _coeffs, 0, _constants), lambda: JFamily(constants=_constants, coeffs=_coeffs, name="f")),
         (lambda: CheckResult("c", True, "d"), lambda: CheckResult(name="c", passed=True, detail="d")),
     ],
-    ids=["JFamily", "JFamily-shifted", "JFamily-streamed", "CheckResult"],
+    ids=["JFamily", "JFamily-shifted", "JFamily-constants", "CheckResult"],
 )
 def test_named_tuples_build_positionally_or_by_keyword(positional, keyword):
     u, v = positional(), keyword()
@@ -106,6 +106,7 @@ def test_named_tuples_build_positionally_or_by_keyword(positional, keyword):
 
 def test_named_tuple_fields():
     fam = JFamily("f", _coeffs)
-    assert (fam.name, fam.coeffs, fam.index_shift, fam.stream, fam.constants) == ("f", _coeffs, 0, None, None)
+    assert (fam.name, fam.coeffs, fam.index_shift, fam.constants) == ("f", _coeffs, 0, None)
+    assert JFamily._fields == ("name", "coeffs", "index_shift", "constants")
     res = CheckResult("c", False, "d")
     assert (res.name, res.passed, res.detail, res.rows) == ("c", False, "d", ())

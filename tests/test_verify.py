@@ -123,15 +123,15 @@ def test_qseries_kernel_fails_when_phi_is_off_by_1e_10(monkeypatch):
 
 
 def test_qseries_kernel_exact_row_counts_each_draw_with_one_factor_off(monkeypatch):
-    real = qseries._qfactors
+    real = qseries._qterms
 
-    def first_factor_off(a, q, n):
-        tops, bottoms = real(a, q, n)
+    def first_factor_off(x, y, q, n):
+        tops, bottoms = real(x, y, q, n)
         if tops:
             tops[0] += 1
         return tops, bottoms
 
-    monkeypatch.setattr(qseries, "_qfactors", first_factor_off)
+    monkeypatch.setattr(qseries, "_qterms", first_factor_off)
     result = verify.check_qseries_kernel()
     assert not result.passed
     # the one draw with n = 0 has no factor to change
