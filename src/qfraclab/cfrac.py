@@ -5,9 +5,15 @@ recurrence (ratio ``N_n / D_n`` from :mod:`qfraclab.recurrence`) and
 backward evaluation of the truncated fraction from its innermost level.
 They must agree to rounding, which is the main cross-check used throughout
 the test suite.  Both read a family through the same reader,
-:func:`qfraclab.recurrence._levels`, which calls its ``constants()`` once,
-so a built-in family's levels feed either route without a Python call per
-level.  The base fraction :func:`hirschhorn_cf` is the backward route on the
+:func:`qfraclab.recurrence._read`, which calls its ``constants()`` once,
+and take the same three routes.  On a float, complex or mixed run, the
+backward route of a built-in family forms A x + B q^k and C0 + C1 q^k
+inline (:func:`_backward_affine`): the running q^k of the level generator is
+stored on the way in, and each level does the operations of
+:func:`eval_backward` on the level lists, in their order, so the value is
+bit for bit the one those lists give; it needs no exponent ledger.  A
+family built from ``coeffs`` alone keeps :func:`eval_backward` on the level
+lists.  The base fraction :func:`hirschhorn_cf` is the backward route on the
 base family; it has no level loop of its own.
 
 Exact runs of a built-in family run on integers: when x and the family's
@@ -20,17 +26,16 @@ and with the same message as :func:`eval_backward` when P = 0, and builds
 one Fraction, reduced once, at the end: A Q / P for
 :func:`backward_convergent` and Q / P for :func:`hirschhorn_cf`, whose
 leading numerator A = 1 - b and final division by 1 - b cancel.  The result
-is a Fraction, as the Fraction loop gives.  Float, complex and mixed runs,
-and families given by ``coeffs`` alone, keep :func:`eval_backward`.
+is a Fraction, as the Fraction loop gives.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, islice
 
 from .errors import DomainError, PoleError
 from .qseries import _num_den, _require_double, _require_finite
-from .recurrence import JFamily, Params, _integer_levels, _levels, hirschhorn_family, run_jfraction
+from .recurrence import JFamily, Params, _integer_levels, _read, hirschhorn_family, run_jfraction
 
 __all__ = ["eval_backward", "backward_convergent", "convergent", "hirschhorn_cf"]
 
@@ -82,6 +87,32 @@ def _backward_exact(constants, x, m: int, lead):
     return Fraction(num * Q, den * P)
 
 
+def _backward_affine(constants, x, m: int):
+    """:func:`eval_backward` of the m-level fraction whose levels are
+    ``(A, B q^k, C0 + C1 q^k)``, formed inline: q^k is the running product of
+    :func:`qfraclab.recurrence._affine`, stored on the way in, and every
+    operation is the one the level lists would give, in the same order."""
+    A, B, C0, C1, q = constants
+    qk = q**0
+    _require_double("x", x, A, B * qk)
+    Ax = A * x
+    qks = [qk]
+    for _ in range(m - 1):
+        qk *= q
+        qks.append(qk)
+    powers = reversed(qks)
+    qc = next(powers)
+    t = Ax + B * qc  # the innermost denominator A x + B q^(m-1)
+    for lvl, ql in zip(range(m, 1, -1), powers):  # t = (A x + B q^(lvl-2)) - C_(lvl-1) / t
+        if t == 0:
+            raise _pole(lvl)
+        t = Ax + B * ql + -(C0 + C1 * qc) / t
+        qc = ql
+    if t == 0:
+        raise _pole(1)
+    return 0 + A / t
+
+
 def _jfraction_levels(levels, x, m: int):
     """Partial numerators A_0, -C_1, ..., -C_{m-1} and denominators 0, A_k x + B_k
     of the level triples ``levels``, in one pass."""
@@ -115,10 +146,12 @@ def backward_convergent(family: JFamily, x, n: int):
     m = _level_count(family, n)
     if m == 0:
         return 0
-    constants, levels = _levels(family, x)
+    constants, exact = _read(family, x)
+    if exact:
+        return _backward_exact(constants, x, m, constants[0])
     if constants is None:
-        return eval_backward(*_jfraction_levels(levels, x, m), m)
-    return _backward_exact(constants, x, m, constants[0])
+        return eval_backward(*_jfraction_levels(map(family.coeffs, count()), x, m), m)
+    return _backward_affine(constants, x, m)
 
 
 def convergent(family: JFamily, x, n: int):
@@ -145,7 +178,7 @@ def hirschhorn_cf(p: Params, depth: int):
     """
     if depth < 1:
         raise DomainError("hirschhorn_cf requires depth >= 1")
-    constants, levels = _levels(hirschhorn_family(p), 1)
-    if constants is None:
-        return eval_backward(*_jfraction_levels(levels, 1, depth), depth) / (1 - p.b)
-    return _backward_exact(constants, 1, depth, 1)
+    constants, exact = _read(hirschhorn_family(p), 1)
+    if exact:
+        return _backward_exact(constants, 1, depth, 1)
+    return _backward_affine(constants, 1, depth) / (1 - p.b)

@@ -33,7 +33,7 @@ import cmath
 
 from .errors import DomainError
 from .measure import rho_select
-from .qseries import _require_finite, _within_range, sum_series
+from .qseries import _require_double, _require_finite, _within_range, sum_series
 from .recurrence import Params
 
 __all__ = ["KINDS", "gf_radius", "gf_eval"]
@@ -80,6 +80,7 @@ def gf_eval(kind: str, t, x, p: Params):
         raise DomainError(f"unknown generating-function kind {kind!r}")
     _require_finite("gf_eval requires finite arguments", t, x)
     radius = gf_radius(kind, x, p)
+    _require_double("t", t, 0j)  # t is taken as a complex number
     tc = complex(t)
     if abs(tc) >= _RADIUS_SAFETY * radius:
         raise DomainError(

@@ -207,9 +207,14 @@ def qpochhammer(a, q, n: int):
         return Fraction(num, math.prod(bottoms))
     out = 1
     pw = 1  # q^j
-    for _ in range(n):
-        out *= 1 - a * pw
-        pw *= q
+    try:
+        for _ in range(n):
+            out *= 1 - a * pw
+            pw *= q
+    except OverflowError:  # a rational past the double range met a double
+        _require_double("a", a, q)
+        _require_double("q", q, a)
+        raise
     return out
 
 
@@ -225,15 +230,19 @@ def qpochhammer_inf(a, q):
     out = 1
     term = a  # a q^k
     small = 0
-    for _ in range(_MAX_TERMS):
-        out *= 1 - term
-        if abs(term) < _REL_TOL:
-            small += 1
-            if small >= _SMALL_RUN:
-                return out
-        else:
-            small = 0
-        term *= q
+    try:
+        for _ in range(_MAX_TERMS):
+            out *= 1 - term
+            if abs(term) < _REL_TOL:
+                small += 1
+                if small >= _SMALL_RUN:
+                    return out
+            else:
+                small = 0
+            term *= q
+    except OverflowError:  # a rational past the double range met q
+        _require_double("a", a, q)
+        raise
     raise TruncationError(f"(a; q)_inf did not converge within {_MAX_TERMS} factors")
 
 
@@ -247,7 +256,11 @@ def theta(z, q):
         raise DomainError("theta requires z != 0")
     if not 0 < abs(q) < 1:
         raise DomainError("theta requires 0 < |q| < 1")
-    return qpochhammer_inf(z, q) * qpochhammer_inf(q / z, q)
+    try:
+        return qpochhammer_inf(z, q) * qpochhammer_inf(q / z, q)
+    except OverflowError:  # a rational past the double range met q (RangeError is one)
+        _require_double("z", z, q)
+        raise
 
 
 # Relative tolerance within which a lower phi parameter counts as q^(-m).
@@ -287,10 +300,17 @@ def phi(upper: Sequence, lower: Sequence, q, z):
     _require_finite("phi requires finite arguments", *upper, *lower, q, z)
     if not 0 < abs(q) < 1:
         raise DomainError("phi requires 0 < |q| < 1")
-    for b in lower:
-        if _is_nonneg_q_power(b, q):
-            raise DomainError(f"lower parameter {b!r} is q^(-m); denominator would vanish")
-    return sum_series(_phi_terms(upper, lower, q, z), "basic hypergeometric series")
+    try:
+        for b in lower:
+            if _is_nonneg_q_power(b, q):
+                raise DomainError(f"lower parameter {b!r} is q^(-m); denominator would vanish")
+        return sum_series(_phi_terms(upper, lower, q, z), "basic hypergeometric series")
+    except OverflowError:  # a rational past the double range met a double
+        values = (*upper, *lower, q, z)
+        for i, v in enumerate(values[:-2]):  # named a_1..a_r and b_1..b_s, as in the series
+            _require_double(f"a_{i + 1}" if i < len(upper) else f"b_{i - len(upper) + 1}", v, *values)
+        _require_double("z", z, *values)
+        raise
 
 
 def _phi_terms(upper: Sequence, lower: Sequence, q, z) -> Iterator:

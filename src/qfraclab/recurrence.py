@@ -30,19 +30,37 @@ D solution and the numerator polynomials P*_k its N solution.
 
 Each built-in family is described by its constants ``(A, B, C0, C1, q)``
 alone, the ``constants`` field of its :class:`JFamily`: its levels are the
-one level generator :func:`_affine` of them, which steps q^k by a running
+level generator :func:`_affine` of them, which steps q^k by a running
 product, and its ``coeffs(k)`` is the k-th triple of a fresh generator.
-Both convergent routes read a family through one reader, :func:`_levels`,
-which calls ``constants()`` once and returns either the constants, for the
-integer route below, or the level triples: :func:`_affine` of them, or
-``coeffs`` once per level for a family built from ``coeffs`` alone.  One
-kernel, :func:`_run`, steps every float, complex or mixed run from those
-triples, and advances N and D together.  Float and complex runs keep one
-power-of-two exponent ledger for both solutions: once a new value passes
+Both convergent routes read a family through one reader, :func:`_read`,
+which calls ``constants()`` once and says whether x and the constants are
+all rational.  That gives each run one of three routes:
+
+* exact runs of a built-in family run on integers (below);
+* float, complex and mixed runs of a built-in family form A x + B q^k and
+  C0 + C1 q^k inline from one running q^k, with no generator and no level
+  tuples, doing every operation of the generic loop in its order, so that
+  every value is the generic loop's bit for bit, short of underflow in a
+  rescaled mantissa (:func:`_run_affine`, and ``cfrac._backward_affine``
+  backward, which keeps no ledger);
+* a family built from ``coeffs`` alone is read one call per level by the
+  generic loop :func:`_run` (and ``cfrac.eval_backward``).
+
+Both forward loops advance N and D together.  Float and complex runs keep
+one power-of-two exponent ledger for both solutions: a pair past 2^512 is
+scaled below 1/8 by a power of two, which changes no value short of
+underflow.  :func:`_run` checks it at every level: once a new value passes
 2^512, or one step leaves the double range, the step is redone from the
-previous pair scaled below 1/8 by a power of two, which changes no value
-short of underflow.  Fraction and int runs of a family without constants
-(the type of ``D_1`` decides) are exact and never rescaled.
+previous pair scaled.  :func:`_run_affine` checks it once per chunk of
+levels.  For |q| <= 1 every level multiplies the larger of |y_k|, |y_(k-1)|
+by at most g = (|A x| + |B| + |C0| + |C1|)(1 + 1e-9), so a chunk of
+max(1, floor(500 / max(1, log2 g))) levels that starts with all four values
+at or below 2^512 keeps them below 2^1012; at the start of each chunk a pair
+past 2^512 is scaled.  A bound that is NaN, overflows or reaches 2^400, or
+one with |q| > 1, bounds nothing, and such a run (possible through the
+public ``constants`` field) keeps the per-level loop, as does a run whose
+``D_1`` is rational.  Fraction and int runs (the type of ``D_1`` decides)
+are never rescaled.
 
 Exact runs of a built-in family run on integers.  When x and every
 constant are rational (an int or a Fraction), :func:`_integer_levels` reads
@@ -207,12 +225,11 @@ class JFamily(NamedTuple):
 
     ``coeffs(k)`` gives level k.  ``constants``, when given, returns the
     family's ``(A, B, C0, C1, q)``, and then describes it alone: its levels
-    are ``(A, B q^k, C0 + C1 q^k)``, which both convergent routes read from
-    :func:`_affine` of them without a Python call per level, or, when x and
-    the constants are all rational, on integers (see the module docstring).
-    The built-in families set ``coeffs`` from it too (see :func:`_family`).
-    A family built from ``coeffs`` alone is read one call per level and
-    keeps the one loop.
+    are ``(A, B q^k, C0 + C1 q^k)``, which both convergent routes form inline
+    without a Python call per level, or, when x and the constants are all
+    rational, on integers (see the module docstring).  The built-in families
+    set ``coeffs`` from it too (see :func:`_family`).  A family built from
+    ``coeffs`` alone is read one call per level and keeps the generic loops.
 
     ``index_shift`` maps the family's conventional convergent index onto the
     recurrence index (1 for the Rogers-Ramanujan-type family, whose n-th
@@ -226,22 +243,19 @@ class JFamily(NamedTuple):
     constants: Optional[Callable[[], tuple]] = None
 
 
-def _levels(family: JFamily, x) -> tuple:
-    """(constants, levels): how both convergent routes read ``family`` at ``x``.
+def _read(family: JFamily, x) -> tuple:
+    """(constants, exact): how both convergent routes read ``family`` at ``x``.
 
     ``constants()`` is called once, so a family's hypotheses (b = 0 for
-    :func:`b0_family`, :meth:`Params.require_monic`) are checked there.  When
-    x and the constants are all rational, ``constants`` is them, for the
-    integer route, and ``levels`` None; otherwise ``constants`` is None and
-    ``levels`` the level triples for k = 0, 1, 2, ...: :func:`_affine` of the
-    constants, or ``coeffs`` once per level for a family without them.
+    :func:`b0_family`, :meth:`Params.require_monic`) are checked there;
+    ``constants`` is None for a family without them, which is read through
+    ``coeffs`` once per level.  ``exact`` says whether x and the constants
+    are all rational, so whether the integer route applies.
     """
     if family.constants is None:
-        return None, map(family.coeffs, count())
+        return None, False
     constants = family.constants()
-    if _rational(x) and all(map(_rational, constants)):
-        return constants, None
-    return None, _affine(*constants)
+    return constants, _rational(x) and all(map(_rational, constants))
 
 
 def _affine(A, B, C0, C1, q):
@@ -332,7 +346,9 @@ class ConvergentSeq:
         return self.N[k] / self.D[k]
 
 
-_LEDGER_LIMIT = 2.0**512  # a new value past it (in modulus) triggers a rescale
+_LEDGER_LIMIT = 2.0**512  # a value past it (in modulus) triggers a rescale
+_CHUNK_BITS = 500  # growth allowed within one chunk: from 2^512 to below 2^1012
+_BOUND_LIMIT = 2.0**400  # a growth bound at or past it keeps the per-level loop
 
 
 def _exponent(v) -> int:
@@ -348,7 +364,7 @@ def _require_depth(depth: int) -> None:
 
 
 def _run(levels, x, depth: int):
-    """The one recurrence loop: N and D of the J-fraction whose level triples
+    """The generic recurrence loop: N and D of the J-fraction whose level triples
     ``levels`` yields, to ``depth``, as mantissa lists and their shared
     exponent list ``E`` (all zero for Fraction and int runs)."""
     _require_depth(depth)
@@ -377,6 +393,60 @@ def _run(levels, x, depth: int):
         N.append(nn)
         D.append(dn)
         E.append(e)
+    return N, D, E
+
+
+def _run_affine(constants, x, depth: int):
+    """:func:`_run` on the levels ``(A, B q^k, C0 + C1 q^k)`` of ``constants``,
+    formed inline from one running q^k, with the exponent ledger checked
+    once per chunk of levels (see the module docstring).  Every value is the
+    one :func:`_run` gives on ``_affine(*constants)``, short of underflow; a
+    rescale may fall at another level.  A run that is not scaled, or whose
+    growth bound fails, is that per-level loop."""
+    _require_depth(depth)
+    _require_finite("x must be finite", x)
+    A, B, C0, C1, q = constants
+    qk = q**0
+    B0 = B * qk
+    _require_double("x", x, A, B0)
+    Ax = A * x
+    d1 = Ax + B0
+    if depth == 1:  # no level is stepped, and no ledger check made
+        return [0, A], [1, d1], [0, 0]
+    try:
+        g = (abs(Ax) + abs(B) + abs(C0) + abs(C1)) * (1 + 1e-9)
+    except OverflowError:  # a modulus or a rational past the double range
+        g = math.inf
+    if not (isinstance(d1, (float, complex)) and g < _BOUND_LIMIT and abs(q) <= 1):
+        # an unscaled run, or g NaN, too large or from |q| > 1, where it bounds nothing
+        return _run(_affine(*constants), x, depth)
+    chunk = _CHUNK_BITS if g <= 2 else int(_CHUNK_BITS / math.log2(g))
+    n0, n1, d0 = 0, A, 1
+    N, D, E = [n0, n1], [d0, d1], [0, 0]
+    e = 0
+    qk *= q
+    left = depth - 1
+    while left:
+        try:
+            small = abs(n0) <= _LEDGER_LIMIT >= abs(n1) and abs(d0) <= _LEDGER_LIMIT >= abs(d1)
+        except OverflowError:  # a complex seed A past the double range in modulus
+            small = False
+        if not small:
+            k = max(map(_exponent, (n0, n1, d0, d1))) + 3
+            s = 2.0**-k
+            n0, n1, d0, d1 = n0 * s, n1 * s, d0 * s, d1 * s
+            e += k
+        steps = min(chunk, left)
+        left -= steps
+        for _ in range(steps):
+            lin = Ax + B * qk
+            C = C0 + C1 * qk
+            n0, n1 = n1, lin * n1 - C * n0
+            d0, d1 = d1, lin * d1 - C * d0
+            N.append(n1)
+            D.append(d1)
+            qk *= q
+        E += [e] * steps
     return N, D, E
 
 
@@ -430,10 +500,13 @@ def run_jfraction(family: JFamily, x, depth: int) -> ConvergentSeq:
     infinite, and a rational x too large for a double meeting float levels
     raises RangeError.
     """
-    constants, levels = _levels(family, x)
-    if constants is not None:
+    constants, exact = _read(family, x)
+    if exact:
         return _run_exact(constants, x, depth)
-    N, D, E = _run(levels, x, depth)
+    if constants is None:
+        N, D, E = _run(map(family.coeffs, count()), x, depth)
+    else:
+        N, D, E = _run_affine(constants, x, depth)
     return ConvergentSeq(_values(N, E), _values(D, E), x)
 
 
@@ -455,7 +528,7 @@ def run_monic(p: Params, x, depth: int) -> list:
     rational x too large for a double; the numerator solution P*_k is
     ``run_jfraction(monic_family(p), x, depth).N``.
     """
-    _, D, E = _run(_affine(*_monic_constants(p)), x, depth)
+    _, D, E = _run_affine(_monic_constants(p), x, depth)
     vals = _values(D, E)
     if not all(map(cmath.isfinite, vals)):
         raise RangeError(f"P({_brief(x)}) leaves the double range by depth {depth}")
@@ -465,7 +538,7 @@ def run_monic(p: Params, x, depth: int) -> list:
 def monic_ratio(p: Params, x, depth: int):
     """Markov-limit ratio ``Pstar_depth(x) / P_depth(x)`` from one scaled run;
     both solutions share the exponent ledger, so their mantissas give the ratio."""
-    N, D, _ = _run(_affine(*_monic_constants(p)), x, depth)
+    N, D, _ = _run_affine(_monic_constants(p), x, depth)
     if D[depth] == 0:
         raise PoleError(f"P_{depth}(x) = 0 at x = {x}", level=depth)
     ratio = N[depth] / D[depth]

@@ -9,7 +9,7 @@ from qfraclab.errors import DomainError, PoleError
 from qfraclab.recurrence import (
     JFamily,
     Params,
-    _levels,
+    _affine,
     b0_family,
     entry16_family,
     hirschhorn_family,
@@ -136,9 +136,9 @@ def _outcome(f, *args):
 class TestLevelStreams:
     def test_routes_equal_the_per_level_reference(self, family_draws):
         for _, fam, x, depth in family_draws:
-            # a coeffs-only family, read one call per level, over the level triples
-            # the family reader gives at a float x
-            levels = list(islice(_levels(fam, 0.5)[1], depth + 2))
+            # a coeffs-only family, read one call per level (eval_backward), over the
+            # level triples of the family's constants, which the inline loop forms
+            levels = list(islice(_affine(*fam.constants()), depth + 2))
             ref = JFamily(fam.name, levels.__getitem__, fam.index_shift)
             for route in (backward_convergent, convergent):
                 assert _outcome(route, fam, x, depth) == _outcome(route, ref, x, depth), (route, fam, x, depth)

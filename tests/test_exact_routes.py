@@ -4,10 +4,11 @@ A built-in family states its constants (A, B, C0, C1, q).  When x and the
 constants are all rational, ``run_jfraction`` (and so ``convergent``) and
 ``backward_convergent`` (and so ``hirschhorn_cf``) run on integers and
 reduce once per returned value.  A ``JFamily`` built from ``coeffs`` alone
-over the same level triples keeps the Fraction loop (the recurrence kernel
-and ``eval_backward``), so it is the reference: every value must equal it in
+over the same level triples keeps the Fraction loop (the generic recurrence
+loop and ``eval_backward``), so it is the reference: every value must equal it in
 value and type, and every pole must raise at the same level with the same
-message.  Float, complex and mixed runs keep the one loop, bit for bit.
+message.  Float, complex and mixed runs, bit for bit the generic loops'
+values, are checked in ``test_inline_routes.py``.
 """
 
 import random
@@ -23,7 +24,7 @@ from qfraclab.recurrence import (
     ConvergentSeq,
     JFamily,
     Params,
-    _levels,
+    _affine,
     b0_family,
     entry16_family,
     hirschhorn_family,
@@ -34,9 +35,9 @@ HUGE = 10**400
 
 
 def _reference(fam: JFamily, depth: int) -> JFamily:
-    """A coeffs-only family over the first levels of ``fam``, as the family
-    reader gives them at a float x: the Fraction loop."""
-    levels = list(islice(_levels(fam, 0.5)[1], depth + 2))
+    """A coeffs-only family over the first level triples of ``fam``'s constants:
+    the Fraction loop."""
+    levels = list(islice(_affine(*fam.constants()), depth + 2))
     return JFamily(fam.name, levels.__getitem__, fam.index_shift)
 
 
@@ -162,10 +163,12 @@ def test_poles_raise_at_the_same_level_with_the_same_message():
 
 def test_rational_runs_take_the_integer_route(monkeypatch):
     def fail(*args):
-        raise AssertionError("the Fraction loop ran")
+        raise AssertionError("a float or Fraction loop ran")
 
-    monkeypatch.setattr(recurrence, "_run", fail)
-    monkeypatch.setattr(cfrac, "eval_backward", fail)
+    # neither the Fraction loops nor the inline float routes
+    for module, name in ((recurrence, "_run"), (recurrence, "_run_affine"),
+                         (cfrac, "eval_backward"), (cfrac, "_backward_affine")):
+        monkeypatch.setattr(module, name, fail)
     for p, fam, x, n in RATIONAL_DRAWS[:60]:
         _outcome(run_jfraction, fam, x, max(1, n))
         _outcome(backward_convergent, fam, x, n)

@@ -17,10 +17,10 @@ from qfraclab.asymptotics import asymptotic_P, asymptotic_Q, stieltjes_b0
 from qfraclab.cfrac import backward_convergent, convergent
 from qfraclab.convergents import hirschhorn_closed
 from qfraclab.errors import DomainError, QFracError, RangeError
-from qfraclab.genfun import gf_radius
+from qfraclab.genfun import gf_eval, gf_radius
 from qfraclab.measure import norm_squared, rho_select, stieltjes_transform
 from qfraclab.moments import moment_pk_closed, moment_pk_integral, qintegral, weight_f
-from qfraclab.qseries import qpochhammer
+from qfraclab.qseries import phi, qpochhammer, qpochhammer_inf, theta
 from qfraclab.recurrence import Params, b0_family, hirschhorn_family, monic_ratio, run_jfraction, run_monic
 
 P = Params(0.4, 0.3, -0.25, 0.2)
@@ -189,6 +189,36 @@ PAST_RANGE_SITES = {
 def test_a_rational_past_the_double_range_is_a_range_error_on_the_float_routes(site, x):
     with pytest.raises(RangeError, match="leaves the double range"):
         PAST_RANGE_SITES[site](x)
+
+
+# the float q-series kernels and gf_eval, each naming the argument that meets a
+# double: (site, argument named)
+KERNEL_SITES = {
+    "gf_eval": (lambda x: gf_eval("D", x, 0.3, P_B0), "t"),
+    "theta": (lambda x: theta(x, 0.4), "z"),
+    "qpochhammer_inf": (lambda x: qpochhammer_inf(x, 0.4), "a"),
+    "phi-upper": (lambda x: phi((0.5, x), (0.25,), 0.4, 0.1), "a_2"),
+    "phi-lower": (lambda x: phi((0.5,), (0.25, x), 0.4, 0.1), "b_2"),
+    "phi-z": (lambda x: phi((0.5,), (0.25,), 0.4, x), "z"),
+    "qpochhammer-a": (lambda x: qpochhammer(x, 0.4, 3), "a"),
+    "qpochhammer-q": (lambda x: qpochhammer(0.5, x, 3), "q"),
+}
+
+
+@pytest.mark.parametrize("x", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "-int", "fraction"])
+@pytest.mark.parametrize("site", KERNEL_SITES)
+def test_a_rational_past_the_double_range_meeting_a_float_kernel_names_the_argument(site, x):
+    call, argument = KERNEL_SITES[site]
+    with pytest.raises(RangeError) as info:
+        call(x)
+    assert str(info.value) == f"{argument} leaves the double range"
+
+
+def test_kernels_keep_a_rational_past_the_double_range_where_no_double_meets_it():
+    x = Fraction(10**400, 3)
+    # one factor multiplies a by q^0 only, so the product stays exact
+    assert qpochhammer(x, 0.4, 1) == 1 - x
+    assert qpochhammer(x, Fraction(2, 5), 3) == (1 - x) * (1 - x * Fraction(2, 5)) * (1 - x * Fraction(4, 25))
 
 
 def test_rationals_inside_the_double_range_convert_as_before():

@@ -16,8 +16,8 @@ from qfraclab.recurrence import (
     JCoeffs,
     JFamily,
     Params,
-    _levels,
-    _run,
+    _affine,
+    _run_affine,
     b0_family,
     entry16_family,
     hirschhorn_family,
@@ -380,8 +380,8 @@ def _no_coeffs(k):
 
 
 def _triples(fam, count):
-    """The first ``count`` level triples of ``fam``, as the family reader gives them at a float x."""
-    return list(islice(_levels(fam, 0.5)[1], count))
+    """The first ``count`` level triples of ``fam``'s constants, as the generic loop reads them."""
+    return list(islice(_affine(*fam.constants()), count))
 
 
 class TestLevelStreams:
@@ -443,9 +443,9 @@ class TestLevelStreams:
 
 
 def _monic_kernel(p, x, depth):
-    """``(N, D, E)`` of the one recurrence kernel on the monic levels: the P*
-    and P mantissas and their shared exponent ledger."""
-    return _run(_levels(monic_family(p), x)[1], x, depth)
+    """``(N, D, E)`` of the inline recurrence kernel on the monic constants: the
+    P* and P mantissas and their shared exponent ledger."""
+    return _run_affine(monic_family(p).constants(), x, depth)
 
 
 class TestScaledRun:
