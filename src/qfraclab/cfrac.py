@@ -6,15 +6,18 @@ backward evaluation of the truncated fraction from its innermost level.
 They must agree to rounding, which is the main cross-check used throughout
 the test suite.  Both read a family through the same reader,
 :func:`qfraclab.recurrence._read`, which calls its ``constants()`` once,
-and take the same three routes.  On a float, complex or mixed run, the
-backward route of a built-in family forms A x + B q^k and C0 + C1 q^k
-inline (:func:`_backward_affine`): the running q^k of the level generator is
-stored on the way in, and each level does the operations of
-:func:`eval_backward` on the level lists, in their order, so the value is
-bit for bit the one those lists give; it needs no exponent ledger.  A
-family built from ``coeffs`` alone keeps :func:`eval_backward` on the level
-lists.  The base fraction :func:`hirschhorn_cf` is the backward route on the
-base family; it has no level loop of its own.
+and both have two routes for a family with constants: the integer route
+(below) and the inline one.  On a float, complex or mixed run, the backward
+route forms A x + B q^k and C0 + C1 q^k inline (:func:`_backward_affine`):
+the running q^k of the level generator is stored on the way in, and each
+level does the operations of :func:`eval_backward` on the level lists, in
+their order, so the value is bit for bit the one those lists give; it needs
+no exponent ledger.  A family built from ``coeffs`` alone (the benchmark's
+monic family is one) has no forward route, and :func:`convergent` raises
+DomainError on it; :func:`backward_convergent` reads it one ``coeffs`` call
+per level into :func:`eval_backward`.  The base fraction
+:func:`hirschhorn_cf` is the backward route on the base family; it has no
+level loop of its own.
 
 Exact runs of a built-in family run on integers: when x and the family's
 constants are all rational, level k times W_k = delta v^k, with q = u/v, is
@@ -155,7 +158,10 @@ def backward_convergent(family: JFamily, x, n: int):
 
 
 def convergent(family: JFamily, x, n: int):
-    """n-th convergent of ``family`` at ``x`` via the recurrence: N_m(x)/D_m(x)."""
+    """n-th convergent of ``family`` at ``x`` via the recurrence: N_m(x)/D_m(x).
+
+    A family without constants raises DomainError (see the module docstring).
+    """
     _require_finite("x must be finite", x)
     m = _level_count(family, n)
     if m == 0:

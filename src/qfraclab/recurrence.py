@@ -34,33 +34,35 @@ level generator :func:`_affine` of them, which steps q^k by a running
 product, and its ``coeffs(k)`` is the k-th triple of a fresh generator.
 Both convergent routes read a family through one reader, :func:`_read`,
 which calls ``constants()`` once and says whether x and the constants are
-all rational.  That gives each run one of three routes:
+all rational.  The forward route has two loops, one per kind of arithmetic:
 
-* exact runs of a built-in family run on integers (below);
-* float, complex and mixed runs of a built-in family form A x + B q^k and
-  C0 + C1 q^k inline from one running q^k, with no generator and no level
-  tuples, doing every operation of the generic loop in its order, so that
-  every value is the generic loop's bit for bit, short of underflow in a
-  rescaled mantissa (:func:`_run_affine`, and ``cfrac._backward_affine``
-  backward, which keeps no ledger);
-* a family built from ``coeffs`` alone is read one call per level by the
-  generic loop :func:`_run` (and ``cfrac.eval_backward``).
+* exact runs run on integers (below);
+* float, complex, mixed and other scalar runs (mpmath, say) form
+  A x + B q^k and C0 + C1 q^k inline from one running q^k, with no
+  generator and no level tuples (:func:`_run_affine`).
 
-Both forward loops advance N and D together.  Float and complex runs keep
-one power-of-two exponent ledger for both solutions: a pair past 2^512 is
-scaled below 1/8 by a power of two, which changes no value short of
-underflow.  :func:`_run` checks it at every level: once a new value passes
-2^512, or one step leaves the double range, the step is redone from the
-previous pair scaled.  :func:`_run_affine` checks it once per chunk of
-levels.  For |q| <= 1 every level multiplies the larger of |y_k|, |y_(k-1)|
-by at most g = (|A x| + |B| + |C0| + |C1|)(1 + 1e-9), so a chunk of
+It needs the constants: :func:`run_jfraction` (and so ``cfrac.convergent``)
+raises DomainError on a family built from ``coeffs`` alone.  The backward
+route forms the same levels inline (``cfrac._backward_affine``, which keeps
+no ledger) and reads a family without constants one ``coeffs`` call per
+level into ``cfrac.eval_backward``.
+
+The forward loop advances N and D together.  Float and complex runs (the
+type of ``D_1`` decides) keep one power-of-two exponent ledger for both
+solutions: a pair past 2^512 is scaled below 1/8 by a power of two, which
+changes no value short of underflow, so where the ledger is checked moves
+no value.  It is checked at the start of each chunk of levels.  For
+|q| <= 1 every level multiplies the larger of |y_k|, |y_(k-1)| by at most
+g = (|A x| + |B| + |C0| + |C1|)(1 + 1e-9), so a chunk of
 max(1, floor(500 / max(1, log2 g))) levels that starts with all four values
-at or below 2^512 keeps them below 2^1012; at the start of each chunk a pair
-past 2^512 is scaled.  A bound that is NaN, overflows or reaches 2^400, or
-one with |q| > 1, bounds nothing, and such a run (possible through the
-public ``constants`` field) keeps the per-level loop, as does a run whose
-``D_1`` is rational.  Fraction and int runs (the type of ``D_1`` decides)
-are never rescaled.
+at or below 2^512 keeps them below 2^1012.  A bound that is NaN, overflows
+or reaches 2^400, or one with |q| > 1, bounds nothing (possible through the
+public ``constants`` field): such a run takes one level per chunk, and a
+step that leaves the double range there is done once more from its first
+pair scaled.  Any other run, a Fraction or mpmath one say, is one chunk and
+never rescaled.  Every value is the one a loop checking the ledger at every
+level gives, bit for bit short of underflow in a rescaled mantissa; the
+tests keep that loop as their reference.
 
 Exact runs of a built-in family run on integers.  When x and every
 constant are rational (an int or a Fraction), :func:`_integer_levels` reads
@@ -81,7 +83,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import count, islice
+from itertools import islice
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -229,7 +231,8 @@ class JFamily(NamedTuple):
     without a Python call per level, or, when x and the constants are all
     rational, on integers (see the module docstring).  The built-in families
     set ``coeffs`` from it too (see :func:`_family`).  A family built from
-    ``coeffs`` alone is read one call per level and keeps the generic loops.
+    ``coeffs`` alone has no forward route; the backward route reads it one
+    call per level.
 
     ``index_shift`` maps the family's conventional convergent index onto the
     recurrence index (1 for the Rogers-Ramanujan-type family, whose n-th
@@ -248,9 +251,10 @@ def _read(family: JFamily, x) -> tuple:
 
     ``constants()`` is called once, so a family's hypotheses (b = 0 for
     :func:`b0_family`, :meth:`Params.require_monic`) are checked there;
-    ``constants`` is None for a family without them, which is read through
-    ``coeffs`` once per level.  ``exact`` says whether x and the constants
-    are all rational, so whether the integer route applies.
+    ``constants`` is None for a family without them, which only the backward
+    route reads, through ``coeffs`` once per level.  ``exact`` says whether
+    x and the constants are all rational, so whether the integer route
+    applies.
     """
     if family.constants is None:
         return None, False
@@ -348,7 +352,7 @@ class ConvergentSeq:
 
 _LEDGER_LIMIT = 2.0**512  # a value past it (in modulus) triggers a rescale
 _CHUNK_BITS = 500  # growth allowed within one chunk: from 2^512 to below 2^1012
-_BOUND_LIMIT = 2.0**400  # a growth bound at or past it keeps the per-level loop
+_BOUND_LIMIT = 2.0**400  # a growth bound at or past it bounds nothing: one level per chunk
 
 
 def _exponent(v) -> int:
@@ -363,46 +367,21 @@ def _require_depth(depth: int) -> None:
         raise DomainError(f"a recurrence run requires depth >= 1, got {depth}")
 
 
-def _run(levels, x, depth: int):
-    """The generic recurrence loop: N and D of the J-fraction whose level triples
-    ``levels`` yields, to ``depth``, as mantissa lists and their shared
-    exponent list ``E`` (all zero for Fraction and int runs)."""
-    _require_depth(depth)
-    _require_finite("x must be finite", x)
-    A, B, _ = next(levels)
-    _require_double("x", x, A, B)
-    n0, n1, d0, d1 = 0, A, 1, A * x + B
-    N, D, E = [n0, n1], [d0, d1], [0, 0]
-    scaled = isinstance(d1, (float, complex))
-    e = 0
-    for A, B, C in islice(levels, depth - 1):
-        lin = A * x + B
-        nn, dn = lin * n1 - C * n0, lin * d1 - C * d0
-        if scaled:
-            try:
-                small = abs(nn) <= _LEDGER_LIMIT >= abs(dn)
-            except OverflowError:  # a complex modulus past the double range
-                small = False
-            if not small:
-                k = max(map(_exponent, (n0, n1, d0, d1))) + 3
-                s = 2.0**-k
-                n0, n1, d0, d1 = n0 * s, n1 * s, d0 * s, d1 * s
-                nn, dn = lin * n1 - C * n0, lin * d1 - C * d0
-                e += k
-        n0, n1, d0, d1 = n1, nn, d1, dn
-        N.append(nn)
-        D.append(dn)
-        E.append(e)
-    return N, D, E
+def _scaled(n0, n1, d0, d1, e: int) -> tuple:
+    """The pair scaled below 1/8 by a power of two 2^-k, and its ledger exponent e + k."""
+    k = max(map(_exponent, (n0, n1, d0, d1))) + 3
+    s = 2.0**-k
+    return n0 * s, n1 * s, d0 * s, d1 * s, e + k
 
 
 def _run_affine(constants, x, depth: int):
-    """:func:`_run` on the levels ``(A, B q^k, C0 + C1 q^k)`` of ``constants``,
-    formed inline from one running q^k, with the exponent ledger checked
-    once per chunk of levels (see the module docstring).  Every value is the
-    one :func:`_run` gives on ``_affine(*constants)``, short of underflow; a
-    rescale may fall at another level.  A run that is not scaled, or whose
-    growth bound fails, is that per-level loop."""
+    """N and D of the J-fraction whose levels are ``(A, B q^k, C0 + C1 q^k)`` for
+    ``constants``, to ``depth``, as mantissa lists and their shared exponent
+    list ``E`` (all zero for an unscaled run).  The levels are formed inline
+    from one running q^k, and the exponent ledger is checked at the start of
+    each chunk of levels; a run with no growth bound takes one level per
+    chunk and redoes a step that leaves the double range (see the module
+    docstring)."""
     _require_depth(depth)
     _require_finite("x must be finite", x)
     A, B, C0, C1, q = constants
@@ -413,29 +392,31 @@ def _run_affine(constants, x, depth: int):
     d1 = Ax + B0
     if depth == 1:  # no level is stepped, and no ledger check made
         return [0, A], [1, d1], [0, 0]
-    try:
-        g = (abs(Ax) + abs(B) + abs(C0) + abs(C1)) * (1 + 1e-9)
-    except OverflowError:  # a modulus or a rational past the double range
-        g = math.inf
-    if not (isinstance(d1, (float, complex)) and g < _BOUND_LIMIT and abs(q) <= 1):
-        # an unscaled run, or g NaN, too large or from |q| > 1, where it bounds nothing
-        return _run(_affine(*constants), x, depth)
-    chunk = _CHUNK_BITS if g <= 2 else int(_CHUNK_BITS / math.log2(g))
+    scaled = isinstance(d1, (float, complex))
+    chunk, redo = depth - 1, False  # an unscaled run is one chunk
+    if scaled:
+        try:
+            g = (abs(Ax) + abs(B) + abs(C0) + abs(C1)) * (1 + 1e-9)
+        except OverflowError:  # a modulus or a rational past the double range
+            g = math.inf
+        # g NaN, too large or from |q| > 1 bounds nothing: one level per chunk
+        redo = not (g < _BOUND_LIMIT and abs(q) <= 1)
+        chunk = 1 if redo else _CHUNK_BITS if g <= 2 else int(_CHUNK_BITS / math.log2(g))
     n0, n1, d0 = 0, A, 1
     N, D, E = [n0, n1], [d0, d1], [0, 0]
     e = 0
     qk *= q
     left = depth - 1
     while left:
-        try:
-            small = abs(n0) <= _LEDGER_LIMIT >= abs(n1) and abs(d0) <= _LEDGER_LIMIT >= abs(d1)
-        except OverflowError:  # a complex seed A past the double range in modulus
-            small = False
-        if not small:
-            k = max(map(_exponent, (n0, n1, d0, d1))) + 3
-            s = 2.0**-k
-            n0, n1, d0, d1 = n0 * s, n1 * s, d0 * s, d1 * s
-            e += k
+        if scaled:
+            try:
+                small = abs(n0) <= _LEDGER_LIMIT >= abs(n1) and abs(d0) <= _LEDGER_LIMIT >= abs(d1)
+            except OverflowError:  # a complex modulus past the double range
+                small = False
+            if not small:
+                n0, n1, d0, d1, e = _scaled(n0, n1, d0, d1, e)
+            if redo:
+                first = n0, n1, d0, d1
         steps = min(chunk, left)
         left -= steps
         for _ in range(steps):
@@ -446,6 +427,11 @@ def _run_affine(constants, x, depth: int):
             N.append(n1)
             D.append(d1)
             qk *= q
+        if redo and not (cmath.isfinite(n1) and cmath.isfinite(d1)):
+            # the one step left the double range: again from its first pair scaled
+            m0, n0, c0, d0, e = _scaled(*first, e)
+            n1, d1 = lin * n0 - C * m0, lin * d0 - C * c0
+            N[-1], D[-1] = n1, d1
         E += [e] * steps
     return N, D, E
 
@@ -461,7 +447,7 @@ def _ldexp(m, e: int):
 
 
 def _values(M: list, E: list) -> list:
-    """The values ``M[k] * 2**E[k]`` of one solution of :func:`_run`."""
+    """The values ``M[k] * 2**E[k]`` of one solution of :func:`_run_affine`."""
     if not any(E):
         return M
     return [m if e == 0 else _ldexp(m, e) for m, e in zip(M, E)]
@@ -495,18 +481,17 @@ def _run_exact(constants, x, depth: int) -> ConvergentSeq:
 def run_jfraction(family: JFamily, x, depth: int) -> ConvergentSeq:
     """Unroll the J-fraction recurrence to ``depth``, seeding both solutions.
 
-    Exact for Fraction-valued coefficients and evaluation points, on integers
-    for a built-in family; float values past the double range come back
-    infinite, and a rational x too large for a double meeting float levels
-    raises RangeError.
+    Exact, on integers, when x and the family's constants are rational; float
+    values past the double range come back infinite, and a rational x too
+    large for a double meeting float levels raises RangeError.  A family
+    without constants raises DomainError.
     """
     constants, exact = _read(family, x)
     if exact:
         return _run_exact(constants, x, depth)
     if constants is None:
-        N, D, E = _run(map(family.coeffs, count()), x, depth)
-    else:
-        N, D, E = _run_affine(constants, x, depth)
+        raise DomainError(f"the forward route reads a family through its constants; {family.name!r} has none")
+    N, D, E = _run_affine(constants, x, depth)
     return ConvergentSeq(_values(N, E), _values(D, E), x)
 
 

@@ -315,10 +315,19 @@ def check_markov_limit() -> CheckResult:
         ratios += [float(errs[i + 1] / errs[i]) for i in range(len(ks) - 1)]
         mp_errs += errs
         oracle_gaps.append(abs(X - X_mp) / max(1.0, abs(X_mp)))
+    # the forward ratio against the backward fraction where the forward run
+    # rescales: chunks at x = +-2 past P_k's overflow near k = 1130, and one
+    # level per chunk at |x| = 1e150, where the growth bound fails
+    rescaled = []
+    for x, d in ((2.0, 1200), (-2.0, 1200), (1e150, 40), (1e150 + 3e149j, 40)):
+        back = cfrac.backward_convergent(recurrence.monic_family(p), x, d)
+        rescaled.append(abs(recurrence.monic_ratio(p, x, d) - back) / abs(back))
     return _result(
         "markov-limit",
         ("max |Pstar_300/P_300 - X| (double)", errs300, 1e-9),
         ("max |X - oracle X| / max(1, |X|)", oracle_gaps, 1e-12),
+        ("x = +-2, d = 1200: |Pstar_d/P_d - backward| / |backward|", rescaled[:2], 1e-13),
+        ("x = 1e150, 1e150+3e149i, d = 40 (no growth bound): same", rescaled[2:], 1e-13),
         (f"extended precision, k in {ks}: largest ratio of successive errors", ratios, 1),
         ("smallest error", min(mp_errs), math.inf),
     )

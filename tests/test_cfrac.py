@@ -1,15 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import islice
 
 import pytest
+import reference
+from reference import coeffs_only, outcome
 
 from qfraclab.cfrac import backward_convergent, convergent, eval_backward, hirschhorn_cf
 from qfraclab.errors import DomainError, PoleError
 from qfraclab.recurrence import (
-    JFamily,
     Params,
-    _affine,
     b0_family,
     entry16_family,
     hirschhorn_family,
@@ -125,23 +124,14 @@ class TestHirschhornCF:
             )
 
 
-def _outcome(f, *args):
-    """The value of ``f(*args)``, or the type of the QFracError it raises."""
-    try:
-        return f(*args)
-    except (DomainError, PoleError) as exc:
-        return type(exc)
-
-
 class TestLevelStreams:
     def test_routes_equal_the_per_level_reference(self, family_draws):
         for _, fam, x, depth in family_draws:
-            # a coeffs-only family, read one call per level (eval_backward), over the
-            # level triples of the family's constants, which the inline loop forms
-            levels = list(islice(_affine(*fam.constants()), depth + 2))
-            ref = JFamily(fam.name, levels.__getitem__, fam.index_shift)
-            for route in (backward_convergent, convergent):
-                assert _outcome(route, fam, x, depth) == _outcome(route, ref, x, depth), (route, fam, x, depth)
+            # a coeffs-only family over the level triples of the family's constants,
+            # which the inline loops form: eval_backward backward, the generic loop forward
+            ref = coeffs_only(fam, depth)
+            for route, ref_route in ((backward_convergent, backward_convergent), (convergent, reference.convergent)):
+                assert outcome(route, fam, x, depth) == outcome(ref_route, ref, x, depth), (route, fam, x, depth)
 
     def test_hirschhorn_cf_equals_the_per_level_lists(self, family_draws):
         # the base fraction's levels written out, q^k as a running product, at
@@ -152,7 +142,7 @@ class TestLevelStreams:
                 qk.append(qk[-1] * p.q)
             dens = [0] + [1 - p.b + p.a * qk[k] for k in range(depth)]
             nums = [1 - p.b] + [p.b + p.lam * qk[k] for k in range(1, depth)]
-            expected = _outcome(lambda: eval_backward(nums, dens, depth) / (1 - p.b))
-            assert _outcome(hirschhorn_cf, p, depth) == expected, (p, depth)
+            expected = outcome(lambda: eval_backward(nums, dens, depth) / (1 - p.b))
+            assert outcome(hirschhorn_cf, p, depth) == expected, (p, depth)
             if isinstance(p.q, Fraction):  # and exactly the fraction with numerator 1
-                assert expected == _outcome(eval_backward, [1] + nums[1:], dens, depth), (p, depth)
+                assert expected == outcome(eval_backward, [1] + nums[1:], dens, depth), (p, depth)

@@ -3,28 +3,28 @@
 A built-in family states its constants (A, B, C0, C1, q).  When x and the
 constants are all rational, ``run_jfraction`` (and so ``convergent``) and
 ``backward_convergent`` (and so ``hirschhorn_cf``) run on integers and
-reduce once per returned value.  A ``JFamily`` built from ``coeffs`` alone
-over the same level triples keeps the Fraction loop (the generic recurrence
-loop and ``eval_backward``), so it is the reference: every value must equal it in
-value and type, and every pole must raise at the same level with the same
-message.  Float, complex and mixed runs, bit for bit the generic loops'
-values, are checked in ``test_inline_routes.py``.
+reduce once per returned value.  The reference is the Fraction loop over the
+same level triples: the generic recurrence loop of ``reference.py`` forward,
+and ``eval_backward``, which ``backward_convergent`` takes for a ``JFamily``
+built from ``coeffs`` alone, backward.  Every value must equal it in value and
+type, and every pole must raise at the same level with the same message.
+Float, complex and mixed runs, bit for bit the generic loops' values, are
+checked in ``test_inline_routes.py``.
 """
 
 import random
 from fractions import Fraction
-from itertools import islice
 
 import pytest
+import reference
+from reference import coeffs_only, outcome
 
 from qfraclab import cfrac, recurrence
 from qfraclab.cfrac import backward_convergent, convergent, hirschhorn_cf
-from qfraclab.errors import PoleError
+from qfraclab.errors import DomainError, PoleError
 from qfraclab.recurrence import (
-    ConvergentSeq,
     JFamily,
     Params,
-    _affine,
     b0_family,
     entry16_family,
     hirschhorn_family,
@@ -32,33 +32,6 @@ from qfraclab.recurrence import (
 )
 
 HUGE = 10**400
-
-
-def _reference(fam: JFamily, depth: int) -> JFamily:
-    """A coeffs-only family over the first level triples of ``fam``'s constants:
-    the Fraction loop."""
-    levels = list(islice(_affine(*fam.constants()), depth + 2))
-    return JFamily(fam.name, levels.__getitem__, fam.index_shift)
-
-
-def _typed(v):
-    """``v`` with its type; a float or complex by its bits, so NaN and -0.0 compare too."""
-    if isinstance(v, float):
-        return float, v.hex()
-    if isinstance(v, complex):
-        return complex, v.real.hex(), v.imag.hex()
-    return type(v), v
-
-
-def _outcome(route, *args):
-    """The typed value of ``route(*args)``, or the PoleError it raises with its level."""
-    try:
-        v = route(*args)
-    except PoleError as exc:
-        return PoleError, str(exc), exc.level
-    if isinstance(v, ConvergentSeq):
-        return [_typed(u) for u in v.N], [_typed(u) for u in v.D]
-    return _typed(v)
 
 
 def _family(kind: int, q, a, b, lam) -> tuple:
@@ -115,8 +88,8 @@ def _pole_cases():
 def test_forward_route_equals_the_fraction_loop():
     for _, fam, x, n in RATIONAL_DRAWS:
         depth = max(1, n + fam.index_shift)
-        ref = _reference(fam, depth)
-        assert _outcome(run_jfraction, fam, x, depth) == _outcome(run_jfraction, ref, x, depth), (fam, x, depth)
+        ref = coeffs_only(fam, depth)
+        assert outcome(run_jfraction, fam, x, depth) == outcome(reference.run_jfraction, ref, x, depth), (fam, x, depth)
 
 
 def test_exact_run_types_are_the_fraction_loops():
@@ -129,11 +102,14 @@ def test_exact_run_types_are_the_fraction_loops():
         assert (seq.N[0], seq.N[1], seq.D[0]) == (0, A, 1)
 
 
-@pytest.mark.parametrize("route", [backward_convergent, convergent], ids=["backward", "forward"])
-def test_convergent_routes_equal_the_fraction_loop(route):
+ROUTES = [(backward_convergent, backward_convergent), (convergent, reference.convergent)]  # (route, its reference)
+
+
+@pytest.mark.parametrize("route,ref_route", ROUTES, ids=["backward", "forward"])
+def test_convergent_routes_equal_the_fraction_loop(route, ref_route):
     for _, fam, x, n in RATIONAL_DRAWS:
-        ref = _reference(fam, max(1, n + fam.index_shift))
-        assert _outcome(route, fam, x, n) == _outcome(route, ref, x, n), (route, fam, x, n)
+        ref = coeffs_only(fam, max(1, n + fam.index_shift))
+        assert outcome(route, fam, x, n) == outcome(ref_route, ref, x, n), (route, fam, x, n)
 
 
 def test_hirschhorn_cf_equals_the_fraction_loop():
@@ -142,18 +118,18 @@ def test_hirschhorn_cf_equals_the_fraction_loop():
     for p, fam, _, n in RATIONAL_DRAWS:
         if fam.name != "hirschhorn" or n == 0:
             continue
-        ref = _reference(fam, n)
-        expected = _outcome(lambda: backward_convergent(ref, 1, n) / (1 - p.b))
-        assert _outcome(hirschhorn_cf, p, n) == expected, (p, n)
+        ref = coeffs_only(fam, n)
+        expected = outcome(lambda: backward_convergent(ref, 1, n) / (1 - p.b))
+        assert outcome(hirschhorn_cf, p, n) == expected, (p, n)
 
 
 def test_poles_raise_at_the_same_level_with_the_same_message():
     levels = set()
     for fam, x, n in _pole_cases():
-        ref = _reference(fam, n + fam.index_shift)
-        for route in (backward_convergent, convergent):
-            got = _outcome(route, fam, x, n)
-            assert got == _outcome(route, ref, x, n), (route, fam, x, n)
+        ref = coeffs_only(fam, n + fam.index_shift)
+        for route, ref_route in ROUTES:
+            got = outcome(route, fam, x, n)
+            assert got == outcome(ref_route, ref, x, n), (route, fam, x, n)
             if got[0] is PoleError and route is backward_convergent:
                 levels.add((got[2], n + fam.index_shift))
     # poles at the innermost level m and at levels inside the fraction
@@ -166,29 +142,29 @@ def test_rational_runs_take_the_integer_route(monkeypatch):
         raise AssertionError("a float or Fraction loop ran")
 
     # neither the Fraction loops nor the inline float routes
-    for module, name in ((recurrence, "_run"), (recurrence, "_run_affine"),
-                         (cfrac, "eval_backward"), (cfrac, "_backward_affine")):
+    for module, name in ((recurrence, "_run_affine"), (cfrac, "eval_backward"), (cfrac, "_backward_affine")):
         monkeypatch.setattr(module, name, fail)
     for p, fam, x, n in RATIONAL_DRAWS[:60]:
-        _outcome(run_jfraction, fam, x, max(1, n))
-        _outcome(backward_convergent, fam, x, n)
-        _outcome(convergent, fam, x, n)
+        outcome(run_jfraction, fam, x, max(1, n))
+        outcome(backward_convergent, fam, x, n)
+        outcome(convergent, fam, x, n)
         if fam.name == "hirschhorn" and n:
-            _outcome(hirschhorn_cf, p, n)
+            outcome(hirschhorn_cf, p, n)
 
 
 def test_families_without_constants_keep_the_fraction_loop(monkeypatch):
     def fail(*args):
         raise AssertionError("the integer route ran")
 
+    # backward; the forward route refuses a family without constants
     monkeypatch.setattr(recurrence, "_integer_levels", fail)
     monkeypatch.setattr(cfrac, "_integer_levels", fail)
     for _, fam, x, n in RATIONAL_DRAWS[:60]:
-        builtin_coeffs = fam._replace(constants=None)
-        coeffs_only = _reference(fam, max(1, n + fam.index_shift))
-        for f in (builtin_coeffs, coeffs_only):
-            _outcome(backward_convergent, f, x, n)
-            _outcome(convergent, f, x, n)
+        for f in (fam._replace(constants=None), coeffs_only(fam, max(1, n + fam.index_shift))):
+            outcome(backward_convergent, f, x, n)
+            if n + fam.index_shift:
+                with pytest.raises(DomainError, match="has none"):
+                    convergent(f, x, n)
 
 
 def _counted(fam: JFamily) -> tuple:
@@ -249,7 +225,7 @@ def _float_draws():
 def test_float_and_mixed_runs_are_bit_identical_to_the_one_loop():
     for _, fam, x, n in _float_draws():
         depth = max(1, n + fam.index_shift)
-        ref = _reference(fam, depth)
-        assert _outcome(run_jfraction, fam, x, depth) == _outcome(run_jfraction, ref, x, depth), (fam, x, depth)
-        for route in (backward_convergent, convergent):
-            assert _outcome(route, fam, x, n) == _outcome(route, ref, x, n), (route, fam, x, n)
+        ref = coeffs_only(fam, depth)
+        assert outcome(run_jfraction, fam, x, depth) == outcome(reference.run_jfraction, ref, x, depth), (fam, x, depth)
+        for route, ref_route in ROUTES:
+            assert outcome(route, fam, x, n) == outcome(ref_route, ref, x, n), (route, fam, x, n)

@@ -5,29 +5,33 @@ complex or mixed run, ``run_jfraction``, ``run_monic`` and ``monic_ratio``
 step A x + B q^k and C0 + C1 q^k inline (``recurrence._run_affine``) and
 check the exponent ledger once per chunk of levels; ``backward_convergent``
 and ``hirschhorn_cf`` form the same levels inline (``cfrac._backward_affine``).
-A ``JFamily`` built from ``coeffs`` alone keeps the generic loops
-(``recurrence._run`` and ``cfrac.eval_backward``), so it is the reference:
+The reference is the generic loop of ``reference.py`` forward, which reads
+one level triple at a time and checks the ledger at every level, and
+``cfrac.eval_backward`` on the level lists backward, which
+``backward_convergent`` takes for a family built from ``coeffs`` alone:
 every value must equal it bit for bit, and every pole must raise at the same
 level with the same message.
 """
 
+import cmath
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
+import reference
+from mpmath import mpf
+from reference import coeffs_only, outcome
 
 from qfraclab import recurrence
-from qfraclab.cfrac import backward_convergent, eval_backward, hirschhorn_cf
-from qfraclab.errors import DomainError, PoleError, RangeError
+from qfraclab.cfrac import _jfraction_levels, backward_convergent, convergent, eval_backward, hirschhorn_cf
+from qfraclab.errors import DomainError, PoleError
 from qfraclab.recurrence import (
-    ConvergentSeq,
     JFamily,
     Params,
     _affine,
     _ldexp,
-    _run,
     _run_affine,
     b0_family,
     entry16_family,
@@ -37,26 +41,6 @@ from qfraclab.recurrence import (
     run_jfraction,
     run_monic,
 )
-
-
-def _outcome(route, *args):
-    """The value of ``route(*args)`` by its ``repr``, which tells int, float,
-    complex and Fraction apart, and -0.0 from 0.0 (a float's repr gives it back
-    bit for bit); or the error it raises, with its message and level."""
-    try:
-        v = route(*args)
-    except (PoleError, RangeError) as exc:
-        return type(exc), str(exc), getattr(exc, "level", None)
-    if isinstance(v, ConvergentSeq):
-        return repr(v.N), repr(v.D)
-    return repr(v)
-
-
-def _coeffs_only(fam: JFamily, depth: int) -> JFamily:
-    """``fam`` without its constants, over its first level triples: the generic loops.
-    Its level k is ``fam.coeffs(k)``, read from one run of the level generator."""
-    levels = list(islice(_affine(*fam.constants()), depth + 2))
-    return JFamily(fam.name, levels.__getitem__, fam.index_shift)
 
 
 def _draws():
@@ -133,8 +117,8 @@ def test_the_draws_cover_every_input_class():
 def test_forward_runs_equal_the_generic_loop():
     for p, monic, x, depth in DRAWS:
         for fam in _families(p, monic):
-            plain = run_jfraction(_coeffs_only(fam, depth), x, depth)
-            assert _outcome(run_jfraction, fam, x, depth) == (repr(plain.N), repr(plain.D)), (fam.name, p, x, depth)
+            plain = reference.run_jfraction(coeffs_only(fam, depth), x, depth)
+            assert outcome(run_jfraction, fam, x, depth) == outcome(lambda: plain), (fam.name, p, x, depth)
             # each rescaled mantissa times 2^E is the generic loop's value
             N, D, E = _run_affine(fam.constants(), x, depth)
             scaled = [k for k, e in enumerate(E) if e]
@@ -145,9 +129,9 @@ def test_forward_runs_equal_the_generic_loop():
 def test_backward_runs_equal_the_generic_loop():
     for p, monic, x, depth in DRAWS:
         for fam in _families(p, monic):
-            ref = _coeffs_only(fam, depth)
-            got = _outcome(backward_convergent, fam, x, depth)
-            assert got == _outcome(backward_convergent, ref, x, depth), (fam.name, p, x, depth)
+            ref = coeffs_only(fam, depth)
+            got = outcome(backward_convergent, fam, x, depth)
+            assert got == outcome(backward_convergent, ref, x, depth), (fam.name, p, x, depth)
 
 
 def test_hirschhorn_cf_equals_the_generic_loop():
@@ -155,7 +139,7 @@ def test_hirschhorn_cf_equals_the_generic_loop():
         levels = list(islice(_affine(*hirschhorn_family(p).constants()), depth))
         nums = [levels[0][0]] + [-C for _, _, C in levels[1:]]
         dens = [0] + [A * 1 + B for A, B, _ in levels]
-        assert _outcome(hirschhorn_cf, p, depth) == _outcome(
+        assert outcome(hirschhorn_cf, p, depth) == outcome(
             lambda: eval_backward(nums, dens, depth) / (1 - p.b)
         ), (p, depth)
 
@@ -168,27 +152,23 @@ def test_backward_poles_equal_the_generic_loop():
         for k in range(depth):
             fam = b0_family(Params(0.5, 3.0, 0, 0.25))
             x = -3.0 * 0.5**k
-            got = _outcome(backward_convergent, fam, x, depth)
-            assert got == _outcome(backward_convergent, _coeffs_only(fam, depth), x, depth), (depth, k)
+            got = outcome(backward_convergent, fam, x, depth)
+            assert got == outcome(backward_convergent, coeffs_only(fam, depth), x, depth), (depth, k)
             if got[0] is PoleError:
                 poles.append((got[2], depth))
     assert any(lvl == m for lvl, m in poles) and any(1 < lvl < m for lvl, m in poles)
     # t_1 = x + lam q / x = 0 at x = 1, q = 1/2, lam = -2: a pole at level 1
     fam = b0_family(Params(0.5, 0.0, 0, -2.0))
-    got = _outcome(backward_convergent, fam, 1.0, 2)
+    got = outcome(backward_convergent, fam, 1.0, 2)
     assert got == (PoleError, "zero denominator at level 1", 1)
-    assert got == _outcome(backward_convergent, _coeffs_only(fam, 2), 1.0, 2)
-
-
-def _generic_run_affine(constants, x, depth):
-    return _run(_affine(*constants), x, depth)
+    assert got == outcome(backward_convergent, coeffs_only(fam, 2), 1.0, 2)
 
 
 def test_run_monic_and_monic_ratio_equal_the_generic_loop(monkeypatch):
     cases = [(monic, x, depth) for _, monic, x, depth in DRAWS]
-    got = [(_outcome(run_monic, *case), _outcome(monic_ratio, *case)) for case in cases]
-    monkeypatch.setattr(recurrence, "_run_affine", _generic_run_affine)
-    assert got == [(_outcome(run_monic, *case), _outcome(monic_ratio, *case)) for case in cases]
+    got = [(outcome(run_monic, *case), outcome(monic_ratio, *case)) for case in cases]
+    monkeypatch.setattr(recurrence, "_run_affine", lambda constants, x, depth: reference._run(_affine(*constants), x, depth))
+    assert got == [(outcome(run_monic, *case), outcome(monic_ratio, *case)) for case in cases]
 
 
 def _custom(constants) -> JFamily:
@@ -216,11 +196,11 @@ def test_mantissas_stay_finite_below_the_ledger_bound(constants, x):
         assert abs(m) < 2.0**1012, m
     fam = _custom(constants)
     for depth in (1, 7, 600):
-        ref = _coeffs_only(fam, depth)
-        assert _outcome(run_jfraction, fam, x, depth) == _outcome(run_jfraction, ref, x, depth)
+        ref = coeffs_only(fam, depth)
+        assert outcome(run_jfraction, fam, x, depth) == outcome(reference.run_jfraction, ref, x, depth)
 
 
-# constants the growth bound does not cover keep the per-level loop: |q| > 1
+# constants the growth bound does not cover take one level per chunk: |q| > 1
 # (real and complex), a bound at or past 2^400, a NaN or infinite constant;
 # and a seed N_1 = A past the ledger limit (the bound leaves A out), which is
 # rescaled before the first chunk, also where its modulus overflows
@@ -243,18 +223,55 @@ def test_unbounded_constants_equal_the_generic_loop(constants):
     fam = _custom(constants)
     for x in (0.7, -3.0, complex(0.2, -1.5), Fraction(1, 3), 0.0, 0):
         for depth in (1, 4, 300):
-            ref = _coeffs_only(fam, depth)
-            for route in (run_jfraction, backward_convergent):
-                assert _outcome(route, fam, x, depth) == _outcome(route, ref, x, depth), (route, x, depth)
+            ref = coeffs_only(fam, depth)
+            for route, ref_route in ((run_jfraction, reference.run_jfraction), (backward_convergent, backward_convergent)):
+                assert outcome(route, fam, x, depth) == outcome(ref_route, ref, x, depth), (route, x, depth)
 
 
-def test_a_family_from_coeffs_alone_is_the_generic_loop():
-    # the literal coeffs-only copy of each built-in family, at a shallow depth
+@pytest.mark.parametrize("x", [0.7, -3.0, complex(0.2, -1.5)])
+def test_a_step_that_leaves_the_double_range_is_redone_from_the_scaled_pair(x):
+    # q = 4 bounds nothing: lin_k = A x + B 4^k passes 2^512 near k = 257, and a
+    # pair not rescaled at its chunk's start times lin_k overflows; that step is
+    # done again from its first pair scaled, so every mantissa stays finite and
+    # N_k / D_k of the mantissas is the generic loop's
+    constants = (1, 0.5, 0.25, 0.1, 4.0)
+    N, D, E = _run_affine(constants, x, 300)
+    assert all(map(cmath.isfinite, N + D)) and E[-1] > 10000
+    ref_N, ref_D, _ = reference._run(_affine(*constants), x, 300)
+    assert outcome(lambda: [n / d for n, d in zip(N, D)]) == outcome(lambda: [n / d for n, d in zip(ref_N, ref_D)])
+    fam = _custom(constants)
+    assert outcome(run_jfraction, fam, x, 300) == outcome(reference.run_jfraction, coeffs_only(fam, 300), x, 300)
+
+
+@pytest.mark.parametrize(
+    "constants,x",
+    [((1, 0, 0.25, 1e100, Fraction(1, 2)), Fraction(1, 3)), ((1, mpf(0.5), mpf(0.25), mpf(1e100), mpf(0.5)), mpf(10) ** 200)],
+    ids=["rational-D1", "mpmath"],
+)
+def test_unscaled_runs_are_one_chunk_and_never_rescaled(constants, x):
+    # D_1 neither float nor complex: no ledger, so float values past the double
+    # range come back infinite or NaN, and an mpf seed past 2^512 is not scaled
+    N, D, E = _run_affine(constants, x, 300)
+    assert not any(E)
+    fam = _custom(constants)
+    assert outcome(run_jfraction, fam, x, 300) == outcome(reference.run_jfraction, coeffs_only(fam, 300), x, 300)
+
+
+def test_a_family_from_coeffs_alone_has_no_forward_route():
+    # the literal coeffs-only copy of each built-in family, at a shallow depth:
+    # the forward routes refuse it by name, and the backward route reads it
+    # one call per level, eval_backward on its level lists
     for p, monic, x, _ in DRAWS[:40]:
         for fam in _families(p, monic):
             copy = JFamily(fam.name, fam.coeffs, fam.index_shift)
-            for route in (run_jfraction, backward_convergent):
-                assert _outcome(route, fam, x, 9) == _outcome(route, copy, x, 9), (route, fam.name, x)
+            for route in (run_jfraction, convergent):
+                with pytest.raises(DomainError, match=f"'{fam.name}' has none"):
+                    route(copy, x, 9)
+            got = outcome(backward_convergent, copy, x, 9)
+            assert got == outcome(backward_convergent, fam, x, 9), (fam.name, x)
+            m = 9 + fam.index_shift
+            nums, dens = _jfraction_levels(map(fam.coeffs, count()), x, m)
+            assert got == outcome(eval_backward, nums, dens, m), (fam.name, x)
 
 
 def test_hypothesis_errors_come_first():

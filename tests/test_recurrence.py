@@ -6,8 +6,10 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import coeffs_only, outcome
 
 from qfraclab.cfrac import backward_convergent, convergent
 from qfraclab.errors import DomainError, PoleError, QFracError, RangeError
@@ -379,15 +381,10 @@ def _no_coeffs(k):
     raise AssertionError(f"coeffs({k}) called")
 
 
-def _triples(fam, count):
-    """The first ``count`` level triples of ``fam``'s constants, as the generic loop reads them."""
-    return list(islice(_affine(*fam.constants()), count))
-
-
 class TestLevelStreams:
     @pytest.mark.parametrize("fam", BUILTIN_FAMILIES, ids=lambda fam: fam.name)
     def test_stream_yields_the_coeffs_triples(self, fam):
-        triples = _triples(fam, 50)
+        triples = list(islice(_affine(*fam.constants()), 50))
         reference = [fam.coeffs(k) for k in range(50)]
         assert triples == reference
         assert [list(map(type, t)) for t in triples] == [list(map(type, t)) for t in reference]
@@ -396,7 +393,7 @@ class TestLevelStreams:
     def test_levels_are_the_papers_coefficients(self, name, p):
         # exact for Fraction parameters; for floats the running q^k of the levels
         # and the ``**`` of the reference each round, k + 2 roundings at most
-        for k, (A, B, C) in enumerate(_triples(FAMILY_OF[name](p), 80)):
+        for k, (A, B, C) in enumerate(islice(_affine(*FAMILY_OF[name](p).constants()), 80)):
             (a, b, c), c_size = _paper_levels(name, p, k)
             if isinstance(p.q, Fraction):
                 assert (A, B, C) == (a, b, c)
@@ -408,11 +405,8 @@ class TestLevelStreams:
 
     def test_run_jfraction_equals_the_per_level_reference(self, family_draws):
         for _, fam, x, depth in family_draws:
-            # a coeffs-only family, read one call per level, over one read of the levels
-            levels = _triples(fam, depth + 2)
-            per_level = JFamily(fam.name, levels.__getitem__, fam.index_shift)
-            seq, ref = run_jfraction(fam, x, depth), run_jfraction(per_level, x, depth)
-            assert (seq.N, seq.D) == (ref.N, ref.D), (fam, x, depth)
+            # the generic loop, one level triple at a time, over one read of the levels
+            assert outcome(run_jfraction, fam, x, depth) == outcome(reference.run_jfraction, coeffs_only(fam, depth), x, depth), (fam, x, depth)
 
     @pytest.mark.parametrize("fam", BUILTIN_FAMILIES, ids=lambda fam: fam.name)
     def test_both_routes_read_the_stream(self, fam):
@@ -428,11 +422,13 @@ class TestLevelStreams:
             calls.append(k)
             return builtin.coeffs(k)
 
+        # backward, one call per level; the forward routes refuse it by name
         fam, builtin = JFamily("per-level", coeffs), hirschhorn_family(P_STD)
-        assert run_jfraction(fam, 0.7, 40).N == run_jfraction(builtin, 0.7, 40).N
-        assert calls == list(range(40))
         assert backward_convergent(fam, 0.7, 40) == backward_convergent(builtin, 0.7, 40)
-        assert convergent(fam, 0.7, 40) == convergent(builtin, 0.7, 40)
+        assert calls == list(range(40))
+        for route in (run_jfraction, convergent):
+            with pytest.raises(DomainError, match="'per-level' has none"):
+                route(fam, 0.7, 40)
 
     def test_b0_family_with_nonzero_b_builds_and_raises_at_first_use(self):
         fam = b0_family(P_STD)  # the eval CLI builds every family before choosing one
@@ -579,7 +575,7 @@ def test_jfraction_of_monic_triples_is_run_monic(x):
     for _ in range(400):  # alpha_k and beta_k with q^k built up as a running product
         triples.append(JCoeffs(1, -c * qk, (1 + r * qk) / 4))
         qk *= q
-    seq = run_jfraction(JFamily("monic", triples.__getitem__), x, 400)
+    seq = reference.run_jfraction(JFamily("monic", triples.__getitem__), x, 400)
     N, D, E = _monic_kernel(p, x, 400)
     assert seq.D == [_ldexp(m, e) for m, e in zip(D, E)]
     assert seq.N == [_ldexp(m, e) for m, e in zip(N, E)]
@@ -590,7 +586,7 @@ def test_jfraction_of_monic_triples_is_run_monic(x):
             run_monic(p, x, 400)
     # the coefficient functions as the benchmark's monic family spells them
     bench_fam = JFamily("monic", lambda k: JCoeffs(1, -monic_alpha(p, k), monic_beta(p, k)))
-    seq = run_jfraction(bench_fam, x, 400)
+    seq = reference.run_jfraction(bench_fam, x, 400)
     for k in (1, 2, 50, 400):
         value = _ldexp(D[k], E[k])
         assert seq.D[k] == value or abs(seq.D[k] / value - 1) <= 1e-12

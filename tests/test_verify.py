@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from qfraclab import convergents, measure, moments, qseries, verify
+from qfraclab import convergents, measure, moments, qseries, recurrence, verify
 from qfraclab.errors import TruncationError
 from qfraclab.recurrence import Params
 
@@ -100,6 +100,13 @@ def test_fg_cap_below_need_raises(monkeypatch):
     with pytest.raises(TruncationError):
         verify._mp_markov_errors(P, 2.0, (50,), dps=460)
     assert "TruncationError" in _failed_detail("measure", "markov-limit")
+
+
+def test_markov_limit_fails_without_the_rescale(monkeypatch):
+    # with no ledger limit the forward run is never rescaled, P_1200(+-2) passes
+    # the double range, and the rows that compare monic_ratio there fail
+    monkeypatch.setattr(recurrence, "_LEDGER_LIMIT", math.inf)
+    assert "RangeError: Pstar_1200/P_1200 at x = 2.0 leaves the double range" in _failed_detail("measure", "markov-limit")
 
 
 def test_r_cap_below_need_raises(monkeypatch):
