@@ -22,7 +22,10 @@ the one before by the q-shift (a; q)_inf = (1 - a)(aq; q)_inf of each
 product, a few complex multiplications per node that never overflow (the
 products in q/4ct and -lam q/4bct, which grow like q^-n, are never formed
 at small t).  The step uses no moment recurrence and no 2phi1, so the two
-routes stay independent.
+routes stay independent.  On the cut, x real in (-1, 1), the parameters are
+real and t_1 is the conjugate of t_2, so the products and the Jackson sum
+at t_1 are the conjugates of those at t_2: :func:`moment_pk_integral` forms
+five products and one sum there, against nine and two off the cut.
 
 The same p_k has a closed 2phi1 form; for Im(x) >= 0 and Im(x) <= 0 the two
 stated branches are mirror images in theta, and both are the same function
@@ -161,8 +164,10 @@ def moment_pk_integral(k: int, x, p: Params) -> complex:
     """Moment solution p_k(x) as the prefactored q-integral of t^k against the weight.
 
     The weight's products are evaluated once per endpoint, sharing those
-    the prefactor forms, and stepped from node to node (see :func:`_weight`).  Requires |lam q / b| < 1 in
-    addition to the monic hypotheses.
+    the prefactor forms, and stepped from node to node (see :func:`_weight`);
+    on the cut only the upper endpoint is evaluated, and the lower one is
+    its conjugate.  Requires |lam q / b| < 1 in addition to the monic
+    hypotheses.
     """
     if k < 0:
         raise DomainError("moment index k must be >= 0")
@@ -171,24 +176,27 @@ def moment_pk_integral(k: int, x, p: Params) -> complex:
     if not abs(lam * q / b) < 1:
         raise DomainError("q-integral moments require |lam q / b| < 1")
     w = rho_select(x)
-    W = 1 / w  # e^{-i theta}, e^{i theta} for Im x >= 0
+    xc = complex(x)  # finite and in range: rho_select has checked
+    # on the cut the lower endpoint w/2 and all it forms are the upper's conjugates
+    cut = xc.imag == 0 and -1 < xc.real < 1
+    W = w.conjugate() if cut else 1 / w  # e^{i theta} for Im x >= 0
     sin_t = (W - w) / 2j
-    # nine distinct products: at the endpoints W/2 and w/2 the weight's
-    # (2qwt, 2qt/w; q)_inf are (q, qW^2; q)_inf and (qw^2, q; q)_inf, and
-    # (qW^2; q)_inf = (W^2; q)_inf / (1 - W^2); its (4ct; q)_inf are the
-    # prefactor's (2cW; q)_inf and (2cw; q)_inf
-    qq, pW, pw = qpochhammer_inf(q, q), qpochhammer_inf(W * W, q), qpochhammer_inf(w * w, q)
+    # nine distinct products off the cut, five on it: at the endpoints W/2
+    # and w/2 the weight's (2qwt, 2qt/w; q)_inf are (q, qW^2; q)_inf and
+    # (qw^2, q; q)_inf, and (qW^2; q)_inf = (W^2; q)_inf / (1 - W^2); its
+    # (4ct; q)_inf are the prefactor's (2cW; q)_inf and (2cw; q)_inf
+    qq, pW = qpochhammer_inf(q, q), qpochhammer_inf(W * W, q)
+    pw = pW.conjugate() if cut else qpochhammer_inf(w * w, q)
     den = qq * pW * pw
     if den == 0:  # w^2 = 1
         raise DomainError("q-integral moments require x != +-1")
-    cW, cw = qpochhammer_inf(2 * c * W, q), qpochhammer_inf(2 * c * w, q)
+    cW = qpochhammer_inf(2 * c * W, q)
+    cw = cW.conjugate() if cut else qpochhammer_inf(2 * c * w, q)
     pre = 4 * (-1j * sin_t) / (1 - q) * cW * cw / den
     nodes = _weight(w, p)
-    upper, lower = W / 2, w / 2
-    value = pre * (
-        _jackson(upper, q, nodes(upper, qq * pW / (1 - W * W), cW), k)
-        - _jackson(lower, q, nodes(lower, qq * pw / (1 - w * w), cw), k)
-    )
+    upper = _jackson(W / 2, q, nodes(W / 2, qq * pW / (1 - W * W), cW), k)
+    lower = upper.conjugate() if cut else _jackson(w / 2, q, nodes(w / 2, qq * pw / (1 - w * w), cw), k)
+    value = pre * (upper - lower)
     if not cmath.isfinite(value):  # far off the cut the products and t^k leave the double range
         raise RangeError(f"q-integral moment p_{k}({_brief(x)}) is not finite in double precision")
     return value

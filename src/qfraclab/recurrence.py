@@ -419,14 +419,17 @@ def _run_affine(constants, x, depth: int):
                 first = n0, n1, d0, d1
         steps = min(chunk, left)
         left -= steps
-        for _ in range(steps):
-            lin = Ax + B * qk
-            C = C0 + C1 * qk
-            n0, n1 = n1, lin * n1 - C * n0
-            d0, d1 = d1, lin * d1 - C * d0
-            N.append(n1)
-            D.append(d1)
-            qk *= q
+        try:
+            for _ in range(steps):
+                lin = Ax + B * qk
+                C = C0 + C1 * qk
+                n0, n1 = n1, lin * n1 - C * n0
+                d0, d1 = d1, lin * d1 - C * d0
+                N.append(n1)
+                D.append(d1)
+                qk *= q
+        except OverflowError:  # a rational past the double range met a float level
+            raise RangeError(f"the forward run at x = {_brief(x)} leaves the double range at level {len(D)}") from None
         if redo and not (cmath.isfinite(n1) and cmath.isfinite(d1)):
             # the one step left the double range: again from its first pair scaled
             m0, n0, c0, d0, e = _scaled(*first, e)
@@ -482,9 +485,9 @@ def run_jfraction(family: JFamily, x, depth: int) -> ConvergentSeq:
     """Unroll the J-fraction recurrence to ``depth``, seeding both solutions.
 
     Exact, on integers, when x and the family's constants are rational; float
-    values past the double range come back infinite, and a rational x too
-    large for a double meeting float levels raises RangeError.  A family
-    without constants raises DomainError.
+    values past the double range come back infinite, and a rational x or
+    value too large for a double meeting float levels raises RangeError.  A
+    family without constants raises DomainError.
     """
     constants, exact = _read(family, x)
     if exact:

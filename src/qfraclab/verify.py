@@ -363,10 +363,18 @@ def check_moment_solutions() -> CheckResult:
     # q/4ct and -lam q/4bct products overflow if formed at the node itself
     p3 = Params(0.3, 0.5, -0.2, 0.3)
     slow_tail = abs(moments.moment_pk_integral(0, x, p3) - moments.moment_pk_closed(0, x, p3))
+    # x = 0.3 is on the cut, where the q-integral forms one endpoint and
+    # conjugates it; these two points run both endpoints
+    off_cut = [
+        (f"q-integral vs 2phi1 at x = {label} (k<=10)",
+         [abs(moments.moment_pk_closed(k, z, p) - moments.moment_pk_integral(k, z, p)) for k in range(11)], 1e-10)
+        for label, z in (("0.3+0.4i", 0.3 + 0.4j), ("-1.3", -1.3))
+    ]
     return _result(
         "moment-solutions",
         ("k<=15 recurrence residual", residuals, 1e-10),
         ("q-integral vs 2phi1", [abs(pkc[k] - moments.moment_pk_integral(k, x, p)) for k in range(16)], 1e-10),
+        *off_cut,
         ("b = -lam vs P_k (k<=10)", [abs(pk2[k] / pk2[0] - Pk2[k]) for k in range(11)], 1e-10),
         ("k = 0 at |lam q/b| = 0.45: q-integral vs 2phi1", slow_tail, 1e-10),
     )

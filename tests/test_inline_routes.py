@@ -26,7 +26,7 @@ from reference import coeffs_only, outcome
 
 from qfraclab import recurrence
 from qfraclab.cfrac import _jfraction_levels, backward_convergent, convergent, eval_backward, hirschhorn_cf
-from qfraclab.errors import DomainError, PoleError
+from qfraclab.errors import DomainError, PoleError, RangeError
 from qfraclab.recurrence import (
     JFamily,
     Params,
@@ -255,6 +255,18 @@ def test_unscaled_runs_are_one_chunk_and_never_rescaled(constants, x):
     assert not any(E)
     fam = _custom(constants)
     assert outcome(run_jfraction, fam, x, 300) == outcome(reference.run_jfraction, coeffs_only(fam, 300), x, 300)
+
+
+@pytest.mark.parametrize("x", [Fraction(10**200, 3), Fraction(10**160, 3)])
+def test_an_unscaled_run_whose_rational_values_leave_the_double_range_raises_range_error(x):
+    # lin_1 D_1 ~ x^2 is past the double range, x itself is not: subtracting the
+    # float C_1 D_0 converts it, which overflows; the backward route divides
+    # and stays finite
+    fam = _custom((1, 0, 0.25, 1e100, Fraction(1, 2)))
+    for route in (run_jfraction, convergent):
+        with pytest.raises(RangeError, match="leaves the double range at level 2"):
+            route(fam, x, 3)
+    assert backward_convergent(fam, x, 3) == pytest.approx(float(1 / x), rel=1e-12)
 
 
 def test_a_family_from_coeffs_alone_has_no_forward_route():

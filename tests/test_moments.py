@@ -1,9 +1,11 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from qfraclab import moments
 from qfraclab.errors import DomainError, QFracError
 from qfraclab.measure import rho_select
 from qfraclab.moments import _jackson, _pk_closed_at, _weight, moment_pk_closed, moment_pk_integral, qintegral, weight_f
@@ -216,6 +218,29 @@ class TestMomentSolutions:
         x = 0.3
         for k in range(16):
             assert abs(moment_pk_closed(k, x, P_STD) - moment_pk_integral(k, x, P_STD)) < 1e-10
+
+    def test_every_spelling_of_a_point_on_the_cut_gives_the_same_bits(self):
+        for k in (0, 3, 9):
+            values = {moment_pk_integral(k, x, P_STD) for x in (0.3, Fraction(3, 10), complex(0.3, 0.0), complex(0.3, -0.0))}
+            assert len(values) == 1, values
+
+    @pytest.mark.parametrize("x,products", [(0.3, 5), (Fraction(-3, 5), 5), (complex(0.3, -0.0), 5),
+                                            (0.3 + 0.4j, 9), (0.3 - 0.4j, 9), (-1.3, 9), (complex(0.3, 1e-300), 9)])
+    def test_the_cut_forms_five_products_and_off_it_nine(self, monkeypatch, x, products):
+        calls = []
+
+        def counting(a, q):
+            calls.append(a)
+            return qpochhammer_inf(a, q)
+
+        monkeypatch.setattr(moments, "qpochhammer_inf", counting)
+        moment_pk_integral(4, x, P_STD)
+        assert len(calls) == products
+
+    @pytest.mark.parametrize("x", [1, -1, 1.0, Fraction(-1), complex(1, 0.0), complex(-1, -0.0)])
+    def test_the_ends_of_the_cut_are_a_domain_error(self, x):
+        with pytest.raises(DomainError, match="x != \\+-1"):
+            moment_pk_integral(2, x, P_STD)
 
     def test_branches_agree_for_real_x(self):
         # on the cut the stated lower-branch form sits at the mirror root 1/s

@@ -180,6 +180,22 @@ def test_moment_solutions_reports_the_slow_tail_point():
     assert row[1] < row[2] == 1e-10
 
 
+def test_moment_solutions_fails_when_the_off_cut_lower_endpoint_is_off(monkeypatch):
+    # off the cut the lower endpoint w/2 has |w| < 1, so |e| < 1/2; on the cut
+    # the lower sum is the upper's conjugate and this endpoint is never summed
+    real_jackson = moments._jackson
+
+    def lower_off(e, q, values, k=0):
+        value = real_jackson(e, q, values, k)
+        return value * (1 + 1e-6) if abs(e) < 0.5 - 1e-9 else value
+
+    monkeypatch.setattr(moments, "_jackson", lower_off)
+    result = verify.check_moment_solutions()
+    assert not result.passed
+    failed = [label for label, value, gate in result.rows if not value < gate]
+    assert failed == ["q-integral vs 2phi1 at x = 0.3+0.4i (k<=10)", "q-integral vs 2phi1 at x = -1.3 (k<=10)"]
+
+
 # ---------------------------------------------------------------------------
 # the pass rule: a row passes only strictly below its gate, and NaN fails
 # ---------------------------------------------------------------------------
