@@ -5,8 +5,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ledger.py"
 SPEC = importlib.util.spec_from_file_location("ledger", TOOL)
 ledger = importlib.util.module_from_spec(SPEC)
@@ -101,7 +99,43 @@ def test_pairs_alternate_the_first_side_and_share_one_seed(tmp_path):
     assert result["summary"]["spectral"]["metrics"]["ops_per_s"]["ties"] == 3
 
 
-@pytest.mark.parametrize("text", ["spectral", "spectral=0", "nope=3", "spectral=x"])
-def test_a_malformed_pairs_entry_is_refused(text):
-    with pytest.raises(SystemExit):
-        ledger.main(["--parent", ".", "--change", ".", "--out", "x.json", "--pairs", text])
+def test_a_run_past_the_timeout_is_kept_without_a_result_and_fails_its_workload(tmp_path, monkeypatch):
+    def slow(cmd, **kwargs):
+        raise ledger.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(ledger.subprocess, "run", slow)
+    timed_out = ledger.bench_run(tmp_path, "spectral", 41, 30.0)
+    assert timed_out == {"returncode": None, "env": None, "classes": None, "info": None, "result": None,
+                         "stderr": "timeout"}
+    trees = {side: tmp_path / side for side in ledger.SIDES}
+    for tree in trees.values():
+        (tree / "src").mkdir(parents=True)
+        (tree / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 2, "end_to_end": [{"name": name, "better": better} for name, better in BETTER.items()]}))
+
+    def fake_run(tree, workload, seed, seconds):
+        if tree.name == "change" and seed == 42:
+            return timed_out
+        return {"returncode": 0, "env": {}, "classes": {}, "info": {}, "result": _result(seed, 1.0)}
+
+    result = ledger.run_ledger(trees, {"spectral": 3}, tmp_path / "BENCH.json", run=fake_run)
+    assert result["finished_utc"] is not None and len(result["runs"]) == 6
+    summary = result["summary"]["spectral"]
+    assert not summary["all_correct"] and summary["seeds"] == [41, 42, 43]
+    assert summary["metrics"]["ops_per_s"]["pairs"] == 2
+
+
+def test_main_runs_ten_pairs_of_every_workload(tmp_path, monkeypatch):
+    for side in ledger.SIDES:
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    plans = []
+
+    def fake_ledger(trees, plan, out):
+        plans.append(plan)
+        return {"summary": {workload: {"all_correct": True} for workload in plan}}
+
+    monkeypatch.setattr(ledger, "run_ledger", fake_ledger)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--out", "x.json"]
+    assert ledger.main(argv) == 0
+    assert plans == [{"spectral": 10, "recurrence": 10, "cli-cold": 10}]

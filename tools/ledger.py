@@ -1,20 +1,22 @@
 """A before/after ledger of the benchmark: ``bench/run.py`` in alternating
 parent/change pairs from two source trees, summarised as one JSON file.
 
-    python tools/ledger.py --parent DIR --change DIR --out BENCH_<n>.json \\
-        [--pairs spectral=10 recurrence=5 cli-cold=5]
+    python tools/ledger.py --parent DIR --change DIR --out BENCH_<n>.json
 
 Each tree is the root of a qfraclab source checkout (``src/``, ``bench/`` and
-``BENCHMARK.json``).  Pair i of a workload runs ``bench/run.py --trace 0``
-for the change's ``run_seconds`` once in each tree, with seed ``41 + i``
-(as in ``BENCH_13.json``), one run at a time; the side
-that runs first alternates from pair to pair, so a drift in the host's
-speed falls on both sides alike.  The summary holds, per workload and
-end-to-end metric, each side's median and quartiles (``statistics.quantiles``,
-inclusive method), the change's median over the parent's, and in how many
-pairs the change was better.  ``runs`` keeps every run's ``env``,
-``classes``, ``info`` and result lines.  The file is rewritten after every
-pair, and ``finished_utc`` is set once the last pair is in.
+``BENCHMARK.json``).  Each workload runs ``PAIRS`` (ten) pairs.  Pair i of
+a workload runs ``bench/run.py --trace 0`` for the change's ``run_seconds``
+once in each tree, with seed ``41 + i`` (as in ``BENCH_13.json``), one run
+at a time; the side that runs first alternates from pair to pair, so a
+drift in the host's speed falls on both sides alike.  The summary holds,
+per workload and end-to-end metric, each side's median and quartiles
+(``statistics.quantiles``, inclusive method), the change's median over the
+parent's, and in how many pairs the change was better.  ``runs`` keeps
+every run's ``env``, ``classes``, ``info`` and result lines.  A run that
+fails or passes ``RUN_TIMEOUT_S`` keeps its record with no result, which
+leaves its pair out of the summary and marks the workload incorrect.  The
+file is rewritten after every pair, and ``finished_utc`` is set once the
+last pair is in.
 
 ``src_sha256`` names a tree's package source: the SHA-256 of the
 ``sha256sum`` listing of every file under ``src/`` outside ``__pycache__``,
@@ -37,6 +39,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 WORKLOADS = ("spectral", "recurrence", "cli-cold")
 FIRST_SEED = 41
+PAIRS = 10
 RUN_TIMEOUT_S = 900
 
 
@@ -75,7 +78,11 @@ def parse_output(stdout: str) -> dict:
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    try:
+        out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"returncode": None, "env": None, "classes": None, "info": None, "result": None,
+                "stderr": "timeout"}
     record = {"returncode": out.returncode, **parse_output(out.stdout)}
     if out.returncode != 0 or out.stderr.strip():
         record["stderr"] = out.stderr[-2000:]
@@ -145,26 +152,18 @@ def run_ledger(trees: dict, plan: dict, out: Path, run=bench_run) -> dict:
     return ledger
 
 
-def _pairs(text: str) -> tuple:
-    workload, _, n = text.partition("=")
-    if workload not in WORKLOADS or not n.isdigit() or int(n) < 1:
-        raise argparse.ArgumentTypeError(f"expected WORKLOAD=N with WORKLOAD in {WORKLOADS}, got {text!r}")
-    return workload, int(n)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=_pairs, nargs="+", default=[(w, 5) for w in WORKLOADS])
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, tree in trees.items():
         if not (tree / "bench" / "run.py").is_file():
             print(f"error: {side} tree {tree} has no bench/run.py", file=sys.stderr)
             return 2
-    ledger = run_ledger(trees, dict(args.pairs), args.out)
+    ledger = run_ledger(trees, dict.fromkeys(WORKLOADS, PAIRS), args.out)
     return 0 if all(entry["all_correct"] for entry in ledger["summary"].values()) else 1
 
 
