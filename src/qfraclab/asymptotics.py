@@ -79,20 +79,22 @@ def b0_support_bound(p: Params) -> float:
     return 2.0 * (abs(a) + 2.0 * math.sqrt(-lam * q))
 
 
-def stieltjes_b0(x: float, p: Params) -> float:
-    """Stieltjes transform of the b = 0 measure at real x off the support:
+def stieltjes_b0(x, p: Params):
+    """Stieltjes transform of the b = 0 measure at x off its real support:
 
         (1/(x+a)) 0phi1[-; -aq/x; q, lam q^2/x^2] / 0phi1[-; -a/x; q, lam q/x^2].
 
-    The off-support condition is enforced via :func:`b0_support_bound`;
-    a non-finite x raises DomainError, and a rational x too large for a
-    double meeting float parameters RangeError.
+    A non-real x is never on the support and is taken as it is, however near
+    0; a real x must lie at or outside :func:`b0_support_bound`'s radius.
+    Either way the parameters must pass that function's check (lam < 0 and
+    0 < q < 1).  A non-finite x raises DomainError, and a rational x too
+    large for a double meeting float parameters RangeError.
     """
     q, a, lam = _b0_params(p)
     _require_finite("x must be finite", x)
     bound = b0_support_bound(p)
-    if abs(x) < bound:
-        raise DomainError(f"|x| = {abs(x):.6g} is inside the support exclusion radius {bound:.6g}")
+    if x.imag == 0 and abs(x) < bound:
+        raise DomainError(f"|x| = {float(abs(x)):.6g} is inside the support exclusion radius {bound:.6g}")
     _require_double("x", x, q, a, lam)
     num = phi((), (-a * q / x,), q, lam * q * q / (x * x))
     den = phi((), (-a / x,), q, lam * q / (x * x))

@@ -35,6 +35,10 @@ Conventions:
   on entry, here and in every module of the package, instead of coming back
   as NaN or exhausting the term budget.  Every such check is
   :func:`_require_finite`, which counts a rational of any size as finite.
+* A value's finiteness is tested in its own arithmetic: ``cmath.isfinite``
+  for a float or complex, and, where that test fails, the ``isfinite`` of
+  an mpmath value's ``context`` (read by attribute, so that the package
+  imports no mpmath), under which an mpf past the double range is finite.
 """
 
 from __future__ import annotations
@@ -77,13 +81,15 @@ def _require_finite(head: str, *values) -> bool:
     whether every value is rational, so whether the exact route applies.
 
     Rationals are finite by construction and skipped, since converting a
-    huge one to float overflows.
+    huge one to float overflows.  A value ``cmath`` calls non-finite is asked
+    again in its own arithmetic (see the module docstring), so a float or
+    complex pays no more than the one ``cmath`` test.
     """
     exact = True
     for v in values:
         if not _rational(v):
             exact = False
-            if not cmath.isfinite(v):
+            if not cmath.isfinite(v) and not getattr(v, "context", cmath).isfinite(v):
                 raise DomainError(f"{head}, got {v!r}")
     return exact
 

@@ -77,6 +77,18 @@ returned value (:func:`_run_exact`); the backward route of
 :mod:`qfraclab.cfrac` reduces once at the end.  The results have the
 values and types of the Fraction loop: ``N_0 = 0`` and ``D_0 = 1`` as ints,
 ``N_1 = A`` as the family gives it, and Fractions after that.
+
+Precision follows the scalar type.  A run keeps the arithmetic of its
+values: the square roots of :class:`Params` use ``math`` for floats and
+rationals, as the float results' bits require, and an mpmath value's own
+``context``, read by attribute, so that the package imports no mpmath.
+Every finiteness test (of x on entry, of :func:`run_monic`'s values and of
+:func:`monic_ratio`) is ``cmath``'s, and where that fails, the context's,
+so that a float or complex run does no more work than before.  An mpmath run (its D_1
+is neither float nor complex) is one unscaled chunk at the working
+precision, with no double range: it returns values past 2^1024.  With mpf
+parameters at 80 and 460 digits it is the loop the acceptance suite's
+Markov and asymptotics criteria step.
 """
 
 from __future__ import annotations
@@ -118,7 +130,12 @@ class Params:
     raise AttributeError on assignment.  A plain ``__slots__`` class keeps
     ``dataclasses`` (and the ``inspect`` it loads) off the import path.
 
-    ``gamma`` and ``c`` require real parameters and ``b < 0``.  Only
+    ``gamma`` and ``c`` require real parameters and ``b < 0``; a field of a
+    complex type (Python ``complex`` or an mpmath ``mpc``, even with a zero
+    imaginary part) raises DomainError.  Their square root is taken in the
+    arithmetic of b: ``math.sqrt`` for a float, int or Fraction (a float
+    result), and the context's ``sqrt`` for an mpmath value, so that mpf
+    parameters give ``gamma`` and ``c`` at the working precision.  Only
     ``gamma^2 = -4b/(1-b)^2`` is forced; with ``c = a / (2 sqrt(-b))`` taken
     positive, the sign of ``gamma`` is pinned by requiring the rescaling
     ``P_k(x) = D_k(gamma x) / (gamma^k (1-b)^k)`` to land on the
@@ -168,8 +185,10 @@ class Params:
         return Params, self._values
 
     def _require_real(self, what: str) -> None:
-        # the sum is complex exactly when some field is
-        if isinstance(self.q + self.a + self.b + self.lam, complex):
+        # the sum is of a complex type (complex, or an mpmath mpc) exactly when some field is
+        total = self.q + self.a + self.b + self.lam
+        context = getattr(total, "context", None)
+        if isinstance(total, complex if context is None else context.mpc):
             raise DomainError(f"{what} requires real q, a, b and lam, got {self!r}")
 
     @property
@@ -177,7 +196,7 @@ class Params:
         self._require_real("gamma")
         if not self.b < 0:
             raise DomainError("gamma is real only for b < 0")
-        return -2.0 * math.sqrt(-self.b) / (1.0 - self.b)
+        return -2.0 * _sqrt(-self.b) / (1.0 - self.b)
 
     @property
     def c(self) -> float:
@@ -188,7 +207,7 @@ class Params:
         self._require_real("c")
         if not self.b < 0:
             raise DomainError("c is real only for b < 0")
-        c = self.a / (2.0 * math.sqrt(-self.b))
+        c = self.a / (2.0 * _sqrt(-self.b))
         _set(self, "_c", c)
         return c
 
@@ -212,6 +231,11 @@ class Params:
             raise DomainError(f"beta_2 <= 0: 1 + lam q^2/b = {1 + r * self.q}")
         _set(self, "_monic", True)
         return self
+
+
+def _sqrt(v):
+    """The square root of ``v >= 0`` in v's own arithmetic (see the module docstring)."""
+    return getattr(v, "context", math).sqrt(v)
 
 
 class JCoeffs(NamedTuple):
@@ -512,13 +536,16 @@ def run_monic(p: Params, x, depth: int) -> list:
     """The monic orthogonal polynomials P_0 = 1, P_1 = x - c, ..., P_depth at ``x``,
     from ``x P_k = P_{k+1} + alpha_k P_k + beta_k P_{k-1}``.
 
-    A run with a value past the double range raises RangeError, and so does a
-    rational x too large for a double; the numerator solution P*_k is
+    A float or complex run with a value past the double range raises
+    RangeError, and so does a rational x too large for a double; an mpmath
+    run has no such range.  The numerator solution P*_k is
     ``run_jfraction(monic_family(p), x, depth).N``.
     """
     _, D, E = _run_affine(_monic_constants(p), x, depth)
     vals = _values(D, E)
-    if not all(map(cmath.isfinite, vals)):
+    # cmath first, so that a float or complex run pays no more; where it fails, the
+    # test of the run's own arithmetic, read once from its last value, decides
+    if not all(map(cmath.isfinite, vals)) and not all(map(getattr(vals[-1], "context", cmath).isfinite, vals)):
         raise RangeError(f"P({_brief(x)}) leaves the double range by depth {depth}")
     return vals
 
@@ -530,6 +557,6 @@ def monic_ratio(p: Params, x, depth: int):
     if D[depth] == 0:
         raise PoleError(f"P_{depth}(x) = 0 at x = {x}", level=depth)
     ratio = N[depth] / D[depth]
-    if not cmath.isfinite(ratio):
+    if not cmath.isfinite(ratio) and not getattr(ratio, "context", cmath).isfinite(ratio):
         raise RangeError(f"Pstar_{depth}/P_{depth} at x = {_brief(x)} leaves the double range")
     return ratio

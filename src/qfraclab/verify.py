@@ -18,9 +18,21 @@ set).  With one CPU the sweep runs one check after another, in process.
 Two checks compare error curves whose true values decay
 far below double-precision noise (Markov convergent errors past k ~ 50 and
 sinusoid residuals past k ~ 60); those comparisons run in extended
-precision via mpmath oracles that re-derive the quantities independently,
-while the package's own double-precision values are cross-checked against
-the oracles where they are resolvable.
+precision.  Their polynomials P_k and P*_k are the package's own: its one
+forward loop (``run_jfraction`` of ``monic_family``, and ``run_monic``) on
+mpf parameters, at 460 and 80 digits, so the suite tests the loop it ships.
+The mpmath oracles are the quantities that loop is compared with, and they
+stay because the package has them only in double precision:
+
+* ``_mp_g``: the series G, and F as G at (c q, lam q), summed under its own
+  certified stopping rule (below), apart from ``measure._fg_sums``;
+* ``_mp_rho``: the root rho of rho^2 - 2 x rho + 1 inside the unit disc,
+  apart from ``measure.rho_select``;
+* ``_mp_series_R``: R as G on the unit circle, for the asymptotic sinusoid.
+
+Each oracle takes c = a / (2 sqrt(-b)) from its own mpf formula, not from
+``Params.c``.  The package's double-precision values are cross-checked
+against the oracles where they are resolvable.
 
 The one oracle series is G of the Stieltjes transform, at any |rho| <= 1.
 F is G with (c, lam) replaced by (c q, lam q), and the phase-amplitude
@@ -78,7 +90,7 @@ def _draw_q(rng: random.Random, lo: float = 0.05, hi: float = 0.9) -> float:
 
 
 # ---------------------------------------------------------------------------
-# mpmath oracles (independent high-precision reimplementations)
+# mpmath oracles of X, rho and R, and the extended-precision error curves
 # ---------------------------------------------------------------------------
 
 
@@ -115,33 +127,21 @@ def _mp_g(rho, q, c, r):
     raise TruncationError(f"F/G oracle not converged within {_FG_TERMS} terms")
 
 
-def _mp_monic(q, b, lam, c, x, depth: int):
-    """P_0..P_depth and Pstar_0..Pstar_depth, stepped together."""
-    P, Ps = [mp.mpf(1), x - c], [mp.mpf(0), mp.mpf(1)]
-    r = lam / b
-    qk = mp.mpf(1)
-    for k in range(1, depth):
-        qk *= q
-        d, e = x - c * qk, (1 + r * qk) / 4
-        P.append(d * P[k] - e * P[k - 1])
-        Ps.append(d * Ps[k] - e * Ps[k - 1])
-    return P, Ps
-
-
 def _mp_markov_errors(p: Params, x, ks, dps: int):
     """|Pstar_k/P_k - X| at the requested depths, as mpf so no error underflows.
 
-    Real x runs in real arithmetic; X is returned as a complex double.
+    Pstar_k and P_k come from the package's forward loop on mpf parameters;
+    X is the oracle's.  Real x runs in real arithmetic; X is returned as a
+    complex double.
     """
     with mp.workdps(dps):
-        q, b, lam = mp.mpf(p.q), mp.mpf(p.b), mp.mpf(p.lam)
-        c = mp.mpf(p.a) / (2 * mp.sqrt(-b))
+        pm = Params(*map(mp.mpf, p._values))  # mpf fields at the working precision
+        q, c, r = pm.q, pm.a / (2 * mp.sqrt(-pm.b)), pm.lam / pm.b
         xm = mp.mpf(x.real) if complex(x).imag == 0 and abs(x) > 1 else mp.mpc(x)
         rho = _mp_rho(xm)
-        r = lam / b
         X = 2 * rho * _mp_g(rho, q, c * q, r * q) / _mp_g(rho, q, c, r)
-        P, Ps = _mp_monic(q, b, lam, c, xm, max(ks))
-        return [abs(Ps[k] / P[k] - X) for k in ks], complex(X)
+        seq = recurrence.run_jfraction(recurrence.monic_family(pm), xm, max(ks))
+        return [abs(seq.N[k] / seq.D[k] - X) for k in ks], complex(X)
 
 
 def _mp_series_R(theta_mp, q, b, lam, c):
@@ -150,14 +150,14 @@ def _mp_series_R(theta_mp, q, b, lam, c):
 
 
 def _mp_asym_residuals(p: Params, x: float, ks, dps: int = 80):
-    """|2^k P_k(x) - |R| sin((k+1) theta - phi + pi/2)| in extended precision."""
+    """|2^k P_k(x) - |R| sin((k+1) theta - phi + pi/2)| in extended precision,
+    P_k from the package's :func:`~qfraclab.recurrence.run_monic` on mpf parameters."""
     with mp.workdps(dps):
-        q, b, lam = mp.mpf(p.q), mp.mpf(p.b), mp.mpf(p.lam)
-        c = mp.mpf(p.a) / (2 * mp.sqrt(-b))
+        pm = Params(*map(mp.mpf, p._values))  # mpf fields at the working precision
         theta_mp = mp.acos(mp.mpf(x))
-        R = _mp_series_R(theta_mp, q, b, lam, c)
+        R = _mp_series_R(theta_mp, pm.q, pm.b, pm.lam, pm.a / (2 * mp.sqrt(-pm.b)))
         absR, phase = abs(R), mp.arg(R)
-        P, _ = _mp_monic(q, b, lam, c, mp.mpf(x), max(ks))
+        P = recurrence.run_monic(pm, mp.mpf(x), max(ks))
         return [float(abs(2**k * P[k] - absR * mp.sin((k + 1) * theta_mp - phase + mp.pi / 2))) for k in ks]
 
 
@@ -391,12 +391,19 @@ def check_asymptotics() -> CheckResult:
         gaps.append(abs(e25_pkg - r25))
     pb = Params(0.4, 0.3, 0.0, -0.5)
     seq = recurrence.run_jfraction(recurrence.b0_family(pb), 3.0, 100)
+    # the 0phi1 ratio against the b = 0 fraction's Markov limit, by both public routes
+    transforms = {x: asymptotics.stieltjes_b0(x, pb) for x in (3.0, -2.5, 5.0, 1.5 + 0.5j, 0.05 + 0.02j)}
+    b0_errs = [[abs(route(recurrence.b0_family(pb), x, 200) - s) / abs(s) for x, s in transforms.items()]
+               for route in (cfrac.backward_convergent, cfrac.convergent)]
     return _result(
         "asymptotics",
         ("9-point grid, extended precision: largest ratio |e_100 / e_25|", ratios, 1),
         ("k=25: max |package e_25 - oracle e_25|", gaps, 1e-11),
         ("b=0, n=100: |Q ratio - 1|", abs(seq.D[100] / asymptotics.asymptotic_Q(100, 3.0, pb) - 1), 1e-6),
         ("|Q* ratio - 1|", abs(seq.N[100] / asymptotics.asymptotic_Qstar(100, 3.0, pb) - 1), 1e-6),
+        ("b=0, x in {3, -2.5, 5, 1.5+0.5i, 0.05+0.02i}: |backward_convergent_200 - stieltjes_b0| / |stieltjes_b0|",
+         b0_errs[0], 1e-13),
+        ("same, convergent_200", b0_errs[1], 1e-13),
     )
 
 

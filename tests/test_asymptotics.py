@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from qfraclab.asymptotics import (
     b0_support_bound,
     stieltjes_b0,
 )
+from qfraclab.cfrac import backward_convergent
 from qfraclab.errors import DomainError
 from qfraclab.recurrence import Params, b0_family, run_jfraction, run_monic
 from qfraclab.verify import _mp_asym_residuals
@@ -104,6 +106,23 @@ class TestStieltjesB0:
     def test_exclusion_zone_enforced(self):
         with pytest.raises(DomainError):
             stieltjes_b0(1.0, P_B0)
+
+    @pytest.mark.parametrize("x", [1.0, -2.0, complex(1.0), 0.0, Fraction(1), -Fraction(7, 3)])
+    def test_exclusion_zone_applies_to_every_real_x(self, x):
+        # a complex with zero imaginary part is real; a Fraction's message formats as a float's
+        with pytest.raises(DomainError, match=r"^\|x\| = [0-9.]+ is inside the support exclusion radius 2\.38885$"):
+            stieltjes_b0(x, P_B0)
+
+    @pytest.mark.parametrize(
+        "x",
+        [1.5 + 0.5j, 0.05 + 0.02j, 0.3 - 2j, 2.0 + 1e-9j, -1.0 + 0.5j, 0.005 + 0.005j, -0.01 + 0.003j, 1e-3j,
+         0.001 + 0.0001j, 1e-8 + 1e-8j],
+    )
+    def test_non_real_x_is_off_the_support_at_any_modulus(self, x):
+        # inside the radius too: the 0phi1 ratio is the b = 0 fraction's Markov limit there
+        value = stieltjes_b0(x, P_B0)
+        assert abs(value - backward_convergent(b0_family(P_B0), x, 400)) <= 1e-13 * abs(value)
+        assert stieltjes_b0(x.conjugate(), P_B0) == value.conjugate()
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_rejects_nonfinite(self, x):

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from mpmath import mpc, mpf
 
 from qfraclab.asymptotics import asymptotic_P, asymptotic_Q, stieltjes_b0
 from qfraclab.cfrac import backward_convergent, convergent
@@ -123,7 +124,9 @@ def test_exact_routes_take_rationals_past_the_double_range():
         assert hirschhorn_closed(n, q, a, b, lam) == (seq.N[n], seq.D[n])
 
 
-BAD = [math.nan, math.inf, -math.inf, complex(0.3, math.inf)]
+# an mpmath value is tested in its own arithmetic, by its context
+BAD = [math.nan, math.inf, -math.inf, complex(0.3, math.inf), mpf("nan"), mpf("-inf"), mpc(0.3, math.inf)]
+BAD_IDS = ["nan", "inf", "-inf", "complex-inf", "mpf-nan", "mpf-inf", "mpc-inf"]
 FAMILY = hirschhorn_family(P)
 
 # the sites whose check reads "x must be finite, got <x>"
@@ -141,7 +144,7 @@ X_SITES = {
 }
 
 
-@pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "-inf", "complex-inf"])
+@pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
 @pytest.mark.parametrize("site", X_SITES)
 def test_nonfinite_x_is_a_domain_error_at_every_site(site, bad):
     with pytest.raises(DomainError) as info:
@@ -149,7 +152,7 @@ def test_nonfinite_x_is_a_domain_error_at_every_site(site, bad):
     assert str(info.value) == f"x must be finite, got {bad!r}"
 
 
-@pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "-inf", "complex-inf"])
+@pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
 def test_nonfinite_params_and_weight_arguments_are_domain_errors(bad):
     for i, name in ((1, "a"), (2, "b"), (3, "lam")):
         args = [0.4, 0.3, -0.25, 0.2]

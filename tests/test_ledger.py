@@ -139,3 +139,68 @@ def test_main_runs_ten_pairs_of_every_workload(tmp_path, monkeypatch):
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--out", "x.json"]
     assert ledger.main(argv) == 0
     assert plans == [{"spectral": 10, "recurrence": 10, "cli-cold": 10}]
+
+
+def _probe(**seconds):
+    return {"import_s": 0.01, "heavy_imports": 0, "gram_first_s": 0.002,
+            "criteria": {name: [value, True] for name, value in seconds.items()}}
+
+
+def test_bench_run_runs_the_cold_probe_after_the_bench_run_in_the_same_tree(tmp_path, monkeypatch):
+    calls = []
+    probe = _probe(markov_limit=0.07)
+
+    def fake_subprocess_run(cmd, cwd, **kwargs):
+        calls.append((cmd[1:], cwd))
+        stdout = json.dumps(probe) if cmd[1] == "bench/probe.py" else json.dumps(_result(5.0, 1.0))
+        return ledger.subprocess.CompletedProcess(cmd, 0, stdout + "\n", "")
+
+    monkeypatch.setattr(ledger.subprocess, "run", fake_subprocess_run)
+    record = ledger.bench_run(tmp_path, "spectral", 41, 2.0)
+    assert [(cmd[0], cwd) for cmd, cwd in calls] == [("bench/run.py", tmp_path), ("bench/probe.py", tmp_path)]
+    assert calls[1][0] == ["bench/probe.py", "cold"]
+    assert record["result"] == _result(5.0, 1.0) and record["probe"] == probe
+
+
+def test_a_probe_that_fails_prints_no_json_or_times_out_gives_none(tmp_path, monkeypatch):
+    outcomes = iter([(1, json.dumps(_probe(a=1.0))), (0, "Traceback ...\n"), (0, "")])
+
+    def fake_subprocess_run(cmd, **kwargs):
+        code, stdout = next(outcomes, (None, None))
+        if code is None:
+            raise ledger.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        return ledger.subprocess.CompletedProcess(cmd, code, stdout, "")
+
+    monkeypatch.setattr(ledger.subprocess, "run", fake_subprocess_run)
+    assert [ledger.probe_cold(tmp_path) for _ in range(4)] == [None] * 4
+
+
+def test_summary_times_each_criterion_over_the_pairs_probed_on_both_sides(tmp_path):
+    trees = {}
+    for side in ledger.SIDES:
+        trees[side] = tmp_path / side
+        (trees[side] / "src").mkdir(parents=True)
+        (trees[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 2, "end_to_end": [{"name": name, "better": better} for name, better in BETTER.items()]}))
+    # (parent, change) seconds of two criteria per pair; pair 3's change probe failed
+    seconds = {41: ((0.5, 0.125), (0.25, 0.125)), 42: ((0.75, 0.125), (0.5, 0.25)),
+               43: ((0.25, 0.125), (0.25, 0.0625)), 44: ((0.125, 0.125), None)}
+
+    def fake_run(tree, workload, seed, seconds_):
+        pair = seconds[seed]
+        mine = pair[0] if tree.name == "parent" else pair[1]
+        probe = _probe(**{"markov-limit": mine[0], "asymptotics": mine[1]}) if mine else None
+        return {"returncode": 0, "env": {}, "classes": {}, "info": {}, "result": _result(seed, 1.0), "probe": probe}
+
+    result = ledger.run_ledger(trees, {"spectral": 4}, tmp_path / "BENCH.json", run=fake_run)
+    assert result["runs"][0]["probe"] == _probe(**{"markov-limit": 0.5, "asymptotics": 0.125})
+    criteria = result["summary"]["spectral"]["criteria"]
+    assert sorted(criteria) == ["asymptotics", "markov-limit"]
+    markov = criteria["markov-limit"]
+    assert markov["better"] == "lower" and markov["pairs"] == 3
+    assert markov["parent"] == {"median": 0.5, "q1": 0.375, "q3": 0.625}
+    assert markov["change"]["median"] == 0.25 and markov["change_over_parent_median"] == 0.5
+    assert (markov["change_wins"], markov["ties"]) == (2, 1)
+    assert (criteria["asymptotics"]["change_wins"], criteria["asymptotics"]["ties"]) == (1, 1)
+    # the failed probe leaves its pair out of the criteria, not out of the metrics
+    assert result["summary"]["spectral"]["metrics"]["ops_per_s"]["pairs"] == 4

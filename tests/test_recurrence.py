@@ -9,6 +9,7 @@ import pytest
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpc
 from reference import coeffs_only, outcome
 
 from qfraclab.cfrac import backward_convergent, convergent
@@ -137,8 +138,11 @@ class TestParams:
 
     @pytest.mark.parametrize(
         "args",
-        [(0.4j, 0.3, -0.25, 0.2), (0.4, 0.3j, -0.25, 0.2), (0.4, 0.3, -0.25j, 0.2), (0.4, 0.3, -0.25, 0.2j)],
-        ids=["q", "a", "b", "lam"],
+        [(0.4j, 0.3, -0.25, 0.2), (0.4, 0.3j, -0.25, 0.2), (0.4, 0.3, -0.25j, 0.2), (0.4, 0.3, -0.25, 0.2j),
+         # a complex type with a zero imaginary part, Python's or mpmath's
+         (complex(0.4), 0.3, -0.25, 0.2), (mpc(0.4), 0.3, -0.25, 0.2), (0.4, mpc(0.3), -0.25, 0.2),
+         (0.4, 0.3, mpc(-0.25), 0.2), (0.4, 0.3, -0.25, mpc(0.2))],
+        ids=["q", "a", "b", "lam", "complex-q", "mpc-q", "mpc-a", "mpc-b", "mpc-lam"],
     )
     def test_monic_family_rejects_complex_parameters(self, args):
         from qfraclab.measure import density_nevai, gram_matrix

@@ -2,10 +2,13 @@
 (tail-certified sums against fixed-length reference sums, and caps that
 raise), the one pass rule of ``_result``, and the forked sweep."""
 
+import importlib
+import inspect
 import math
 import os
 import random
 import signal
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -13,7 +16,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from qfraclab import convergents, measure, moments, qseries, recurrence, verify
+import qfraclab
+from qfraclab import asymptotics, convergents, measure, moments, qseries, recurrence, verify
 from qfraclab.errors import TruncationError
 from qfraclab.recurrence import Params
 
@@ -194,6 +198,53 @@ def test_moment_solutions_fails_when_the_off_cut_lower_endpoint_is_off(monkeypat
     assert not result.passed
     failed = [label for label, value, gate in result.rows if not value < gate]
     assert failed == ["q-integral vs 2phi1 at x = 0.3+0.4i (k<=10)", "q-integral vs 2phi1 at x = -1.3 (k<=10)"]
+
+
+def test_asymptotics_b0_rows_fail_when_stieltjes_b0_is_off_by_1e_10(monkeypatch):
+    # the 0phi1 numerator scaled by 1 + 1e-10 scales the transform by as much
+    real_b0 = asymptotics.stieltjes_b0
+    monkeypatch.setattr(asymptotics, "stieltjes_b0", lambda x, p: real_b0(x, p) * (1 + 1e-10))
+    result = verify.check_asymptotics()
+    assert not result.passed
+    failed = [(label, gate) for label, value, gate in result.rows if not value < gate]
+    assert [gate for _, gate in failed] == [1e-13, 1e-13]
+    assert "backward_convergent_200" in failed[0][0] and failed[1][0] == "same, convergent_200"
+
+
+# ---------------------------------------------------------------------------
+# the route map: which public functions the sweep reaches
+# ---------------------------------------------------------------------------
+
+# public functions no criterion reaches; a change that reaches or deletes one
+# takes it off this list, and none may join it
+UNREACHED = {"gf_eval", "gf_radius", "monic_alpha", "monic_beta", "series_F", "weight_f"}
+
+
+def test_the_sweep_reaches_every_public_function_but_the_recorded_ones(monkeypatch):
+    codes = {}
+    for module, names in qfraclab._EXPORTS.items():
+        home = importlib.import_module(f"qfraclab.{module}")
+        for name in names:
+            if inspect.isfunction(getattr(home, name)):
+                codes[getattr(home, name).__code__] = name
+    assert len(codes) == 45 and UNREACHED <= set(codes.values())
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    monkeypatch.setattr(verify, "_worker_count", lambda: 1)  # in this process, where the profile sees it
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        results = verify.run_suite("all")
+    finally:
+        sys.setprofile(previous)
+    assert all(r.passed for r in results)
+    unreached = {name for code, name in codes.items() if code not in reached}
+    assert not unreached - UNREACHED, "newly unreached by any criterion"
+    assert not UNREACHED - unreached, "reached now: take these off UNREACHED"
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,20 @@ Each tree is the root of a qfraclab source checkout (``src/``, ``bench/`` and
 a workload runs ``bench/run.py --trace 0`` for the change's ``run_seconds``
 once in each tree, with seed ``41 + i`` (as in ``BENCH_13.json``), one run
 at a time; the side that runs first alternates from pair to pair, so a
-drift in the host's speed falls on both sides alike.  The summary holds,
-per workload and end-to-end metric, each side's median and quartiles
-(``statistics.quantiles``, inclusive method), the change's median over the
-parent's, and in how many pairs the change was better.  ``runs`` keeps
-every run's ``env``, ``classes``, ``info`` and result lines.  A run that
-fails or passes ``RUN_TIMEOUT_S`` keeps its record with no result, which
-leaves its pair out of the summary and marks the workload incorrect.  The
-file is rewritten after every pair, and ``finished_utc`` is set once the
-last pair is in.
+drift in the host's speed falls on both sides alike.  After each
+``bench/run.py`` run, ``bench/probe.py cold`` runs once in the same tree:
+a fresh interpreter's import time, first Gram call and seconds per
+``verify`` criterion.  The summary holds, per workload and end-to-end
+metric, each side's median and quartiles (``statistics.quantiles``,
+inclusive method), the change's median over the parent's, and in how many
+pairs the change was better; under ``criteria``, the same for each
+criterion's seconds, lower being better, over the pairs whose two probes
+both reported.  ``runs`` keeps every run's ``env``, ``classes``, ``info``
+and result lines, and its probe's JSON (None where the probe failed).  A
+run that fails or passes ``RUN_TIMEOUT_S`` keeps its record with no result
+and no probe, which leaves its pair out of the summary and marks the
+workload incorrect.  The file is rewritten after every pair, and
+``finished_utc`` is set once the last pair is in.
 
 ``src_sha256`` names a tree's package source: the SHA-256 of the
 ``sha256sum`` listing of every file under ``src/`` outside ``__pycache__``,
@@ -75,7 +80,22 @@ def parse_output(stdout: str) -> dict:
     return record
 
 
+def probe_cold(tree: Path):
+    """The JSON line of ``bench/probe.py cold`` run in ``tree``, or None where the
+    probe exits non-zero, prints no JSON last or passes ``RUN_TIMEOUT_S``."""
+    try:
+        out = subprocess.run([sys.executable, "bench/probe.py", "cold"], cwd=tree, capture_output=True, text=True,
+                             timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    lines = out.stdout.splitlines()
+    if out.returncode != 0 or not lines or not lines[-1].startswith("{"):
+        return None
+    return json.loads(lines[-1])
+
+
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``bench/run.py`` run in ``tree``, then one cold probe there (see the module docstring)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
     try:
@@ -86,6 +106,7 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     record = {"returncode": out.returncode, **parse_output(out.stdout)}
     if out.returncode != 0 or out.stderr.strip():
         record["stderr"] = out.stderr[-2000:]
+    record["probe"] = probe_cold(tree)
     return record
 
 
@@ -96,25 +117,40 @@ def _spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _compare(values: dict, direction: str) -> dict:
+    """Each side's spread of ``values`` (side -> one value per pair), the change's
+    median over the parent's, and the pairs the change won or tied in ``direction``."""
+    sign = 1 if direction == "higher" else -1
+    diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+    entry = {"better": direction, **{side: _spread(values[side]) for side in SIDES}}
+    entry["change_over_parent_median"] = entry["change"]["median"] / entry["parent"]["median"]
+    entry.update(change_wins=sum(d > 0 for d in diffs), ties=sum(d == 0 for d in diffs), pairs=len(diffs))
+    return entry
+
+
 def summarise(runs: list, better: dict) -> dict:
     """Per workload: each metric in ``better`` (name -> "lower" or "higher")
-    over the pairs whose two runs both returned a result."""
+    over the pairs whose two runs both returned a result, and each probed
+    criterion's seconds over the pairs whose two probes both timed it."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         by = {(run["pair"], run["side"]): run for run in runs if run["workload"] == workload}
         pairs = sorted({pair for pair, _ in by})
         done = [i for i in pairs if all(by.get((i, side), {}).get("result") for side in SIDES)]
-        metrics = {}
-        for name, direction in better.items() if done else ():
-            values = {side: [by[i, side]["result"]["metrics"][name]["value"] for i in done] for side in SIDES}
-            sign = 1 if direction == "higher" else -1
-            diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
-            entry = {"better": direction, **{side: _spread(values[side]) for side in SIDES}}
-            entry["change_over_parent_median"] = entry["change"]["median"] / entry["parent"]["median"]
-            entry.update(change_wins=sum(d > 0 for d in diffs), ties=sum(d == 0 for d in diffs), pairs=len(done))
-            metrics[name] = entry
+        metrics = {name: _compare({side: [by[i, side]["result"]["metrics"][name]["value"] for i in done]
+                                   for side in SIDES}, direction)
+                   for name, direction in (better.items() if done else ())}
+        timed = {}  # criterion -> side -> seconds, over the pairs probed on both sides
+        for i in pairs:
+            probes = {side: by.get((i, side), {}).get("probe") for side in SIDES}
+            if not all(probes.values()):
+                continue
+            for name in sorted(set(probes["parent"]["criteria"]) & set(probes["change"]["criteria"])):
+                for side in SIDES:
+                    timed.setdefault(name, {s: [] for s in SIDES})[side].append(probes[side]["criteria"][name][0])
         summary[workload] = {
             "metrics": metrics,
+            "criteria": {name: _compare(values, "lower") for name, values in timed.items()},
             "all_correct": len(done) == len(pairs) and all(
                 by[i, side]["result"]["correct"] for i in done for side in SIDES),
             "seeds": [by[i, SIDES[0]]["seed"] for i in pairs],
@@ -128,8 +164,9 @@ def run_ledger(trees: dict, plan: dict, out: Path, run=bench_run) -> dict:
     seconds = float(spec["run_seconds"])
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     ledger = {
-        "what": f"bench/run.py --seconds {seconds:g} --trace 0, parent and change alternating within each "
-                "pair (the side that runs first alternates); each pair shares one seed",
+        "what": f"bench/run.py --seconds {seconds:g} --trace 0, each run followed by bench/probe.py cold in "
+                "its tree, parent and change alternating within each pair (the side that runs first "
+                "alternates); each pair shares one seed",
         "parent": {"commit": git_commit(trees["parent"]), "src_sha256": src_sha256(trees["parent"])},
         "change": {"commit": git_commit(trees["change"]), "src_sha256": src_sha256(trees["change"])},
         "finished_utc": None,
