@@ -16,8 +16,8 @@ no exponent ledger.  A family built from ``coeffs`` alone (the benchmark's
 monic family is one) has no forward route, and :func:`convergent` raises
 DomainError on it; :func:`backward_convergent` reads it one ``coeffs`` call
 per level into :func:`eval_backward`.  The base fraction
-:func:`hirschhorn_cf` is the backward route on the base family; it has no
-level loop of its own.
+:func:`hirschhorn_cf` is :func:`backward_convergent` on the base family at
+x = 1, divided by 1 - b; it has no dispatch or level loop of its own.
 
 Exact runs of a built-in family run on integers: when x and the family's
 constants are all rational, level k times W_k = delta v^k, with q = u/v, is
@@ -26,10 +26,8 @@ reads the integer rule of :mod:`qfraclab.qseries`.  The backward route keeps
 t = P/Q and steps (P, Q) -> (lin_(k-1) v P - c_k Q, W_k P), which keeps Q's
 growth to one factor W_k per level.  It raises PoleError at the same level
 and with the same message as :func:`eval_backward` when P = 0, and builds
-one Fraction, reduced once, at the end: A Q / P for
-:func:`backward_convergent` and Q / P for :func:`hirschhorn_cf`, whose
-leading numerator A = 1 - b and final division by 1 - b cancel.  The result
-is a Fraction, as the Fraction loop gives.
+one Fraction, reduced once, at the end: A Q / P.  The result is a
+Fraction, as the Fraction loop gives.
 """
 
 from __future__ import annotations
@@ -69,9 +67,9 @@ def _pole(lvl: int) -> PoleError:
     return PoleError(f"zero denominator at level {lvl}", level=lvl)
 
 
-def _backward_exact(constants, x, m: int, lead):
-    """``lead / t_1`` as one Fraction, reduced once, where t_1 = P / Q is the
-    outermost denominator of the m-level fraction (whose value is A / t_1),
+def _backward_exact(constants, x, m: int):
+    """``A / t_1`` as one Fraction, reduced once, where t_1 = P / Q is the
+    outermost denominator of the m-level fraction and A = ``constants[0]``,
     stepped on integers from the innermost level; see the module docstring."""
     # imported here, so that importing the module (as the CLI does) does not
     # load fractions and decimal; a rational q has loaded them already
@@ -86,7 +84,7 @@ def _backward_exact(constants, x, m: int, lead):
         P, Q = levels[k - 1][0] * v * P - c * Q, w * P
     if P == 0:
         raise _pole(1)
-    num, den = _num_den(lead)
+    num, den = _num_den(constants[0])
     return Fraction(num * Q, den * P)
 
 
@@ -151,7 +149,7 @@ def backward_convergent(family: JFamily, x, n: int):
         return 0
     constants, exact = _read(family, x)
     if exact:
-        return _backward_exact(constants, x, m, constants[0])
+        return _backward_exact(constants, x, m)
     if constants is None:
         return eval_backward(*_jfraction_levels(map(family.coeffs, count()), x, m), m)
     return _backward_affine(constants, x, m)
@@ -175,16 +173,11 @@ def hirschhorn_cf(p: Params, depth: int):
         1/(1-b+a) + (b+lam q)/(1-b+aq) + (b+lam q^2)/(1-b+aq^2) + ...
 
     read with an implicit leading term 0.  This is the x = 1 convergent of
-    the base family divided by ``1 - b``, evaluated backward.  On rational
-    parameters the family's leading numerator 1 - b and that division
-    cancel, and the value is Q / P of the integer route, reduced once.  At
-    ``b = 0`` it reduces to the x = 1 value of the fraction R(x) of the
-    b = 0 family.  Pole errors from vanishing intermediate denominators
-    propagate.
+    the base family, by :func:`backward_convergent`, divided by ``1 - b``:
+    exact on rational parameters, on integers.  At ``b = 0`` it reduces to
+    the x = 1 value of the fraction R(x) of the b = 0 family.  Pole errors
+    from vanishing intermediate denominators propagate.
     """
     if depth < 1:
         raise DomainError("hirschhorn_cf requires depth >= 1")
-    constants, exact = _read(hirschhorn_family(p), 1)
-    if exact:
-        return _backward_exact(constants, 1, depth, 1)
-    return _backward_affine(constants, 1, depth) / (1 - p.b)
+    return backward_convergent(hirschhorn_family(p), 1, depth) / (1 - p.b)

@@ -15,11 +15,11 @@ also reads the powers of its arguments and of q (q^k, q^(k^2), q^C(k,2))
 from tables, and the double and triple sums of :func:`hirschhorn_closed` and
 :func:`a0_closed` pull every factor that does not depend on the innermost
 index out of the innermost sum, so that loop only multiplies table entries.
-The finite products over i in [j, n - j] of :func:`entry15` and
-:func:`ram_Q` are grown outward from the innermost range (largest j), two
-factors per step, from one table of 1 + a q^i (or x + a q^i);
-:func:`ram_Qstar` is :func:`ram_Q` under the numerator shift
-(a, lam) -> (aq, lam q).
+The finite products over i in [j, n - j - 1] of :func:`ram_Q` are grown
+outward from the innermost range (largest j), two factors per step, from one
+table of x + a q^i; :func:`ram_Qstar` is :func:`ram_Q` under the numerator
+shift (a, lam) -> (aq, lam q), and :func:`entry15`, the b = 0 fraction at
+x = 1, is the pair (Q_{n+1}(1) / (1 + a), Q*_{n+1}(1)) of the two.
 
 Each table comes with a denominator, and one sum runs on either kind.  When
 every argument is rational (an int or a Fraction), the tables hold integer
@@ -139,29 +139,29 @@ def _affine(x, a, q, n: int, exact: bool) -> tuple:
     return _qterms(x, a, q, n + 1)
 
 
-def _centred_products(f, dens, lo: int, hi: int, count: int) -> tuple:
-    """(prod(f[lo + j : hi - j + 1]) for j = 0..count-1, denominator).
+def _centred_products(f, dens, hi: int, count: int) -> tuple:
+    """(prod(f[j : hi - j + 1]) for j = 0..count-1, denominator).
 
     Grown outward from the innermost range (zero or one factor), two factors
     per step; there is no division, so a zero factor is harmless.  Entry j
     lacks the 2j outer factors of entry 0, and on the integer path, where
-    f[i] is over dens[i] = D v^i, each pair f[lo + i], f[hi - i] is over the
-    same D^2 v^(lo + hi).  So entry j is padded by that j times, to share
-    entry 0's denominator dens[lo] ... dens[hi]; a scalar table has dens None
-    and its entries are left as they are.
+    f[i] is over dens[i] = D v^i, each pair f[i], f[hi - i] is over the same
+    D^2 v^hi.  So entry j is padded by that j times, to share entry 0's
+    denominator dens[0] ... dens[hi]; a scalar table has dens None and its
+    entries are left as they are.
     """
     out = [1] * count
     prod = 1
-    for i in range(lo + count - 1, hi - count + 2):
+    for i in range(count - 1, hi - count + 2):
         prod *= f[i]
     out[count - 1] = prod
     for j in range(count - 2, -1, -1):
-        prod *= f[lo + j] * f[hi - j]
+        prod *= f[j] * f[hi - j]
         out[j] = prod
     if dens is None:
         return out, 1
-    pad = dens[lo] * dens[hi]
-    return [p * pad**j for j, p in enumerate(out)], math.prod(dens[lo : hi + 1])
+    pad = dens[0] * dens[hi]
+    return [p * pad**j for j, p in enumerate(out)], math.prod(dens[: hi + 1])
 
 
 def _value(total, den, exact: bool):
@@ -298,7 +298,7 @@ def ram_Q(n: int, x, a, lam, q):
     lam_pw, dl = _powers(lam, range(top + 1), exact)
     q_sq, ds = _powers(q, [j * j for j in range(top + 1)], exact)
     f, df = _affine(x, a, q, n, exact)  # x + a q^i
-    prods, dp = _centred_products(f, df, 0, n - 1, top + 1)
+    prods, dp = _centred_products(f, df, n - 1, top + 1)
     total = 0
     for j, prod in enumerate(prods):
         total += tab[n - j] * inv[j] * inv[n - 2 * j] * lam_pw[j] * q_sq[j] * prod
@@ -328,33 +328,17 @@ def entry15(n: int, a, lam, q):
         Nhat_n = sum_j q^(j^2)   lam^j [n+1-j choose j]_q (-aq; q)_{n-j} / (-a; q)_j,
         Dhat_n = sum_j q^(j^2+j) lam^j [n-j   choose j]_q (-aq; q)_{n-j} / (-aq; q)_j.
 
-    The Pochhammer quotients are reduced to bare products before dividing,
-    so only the single factor (1 + a) is ever divided by; a = -1 is the one
-    genuinely singular point and raises DomainError.  The scalar path
-    divides each term of Nhat_n by it, the integer path the finished sum.
+    This is the b = 0 fraction at x = 1 (Berndt, Entry 15 of Chapter 16), so
+    the pair is (Q_{n+1}(1) / (1 + a), Q*_{n+1}(1)) of :func:`ram_Q` and
+    :func:`ram_Qstar`.  a = -1, where the (-a; q)_j factors vanish, is the one
+    singular point and raises DomainError.
     """
     if n < 1:
         raise DomainError("entry15 requires n >= 1")
-    exact = _require_finite("entry15 requires finite arguments", a, lam, q)
+    _require_finite("entry15 requires finite arguments", a, lam, q)
     if 1 + a == 0:
         raise DomainError("a = -1 zeroes the (-a; q)_j factors")
-    tab, inv, dt, di = _qfac_tables(q, n + 1, exact)
-    top = (n + 1) // 2
-    lam_pw, dl = _powers(lam, range(top + 1), exact)
-    q_sq, ds = _powers(q, [j * j for j in range(top + 1)], exact)
-    q_sqj, dsj = _powers(q, [j * j + j for j in range(top + 1)], exact)
-    f, df = _affine(1, a, q, n, exact)  # 1 + a q^i
-    prods, dp = _centred_products(f, df, 0, n, top + 1)
-    Nh = 0
-    for j, prod in enumerate(prods):
-        t = q_sq[j] * lam_pw[j] * tab[n + 1 - j] * inv[j] * inv[n + 1 - 2 * j] * prod
-        Nh += t if exact else t / (1 + a)
-    prods, dpj = _centred_products(f, df, 1, n, n // 2 + 1)
-    Dh = 0
-    for j, prod in enumerate(prods):
-        Dh += q_sqj[j] * lam_pw[j] * tab[n - j] * inv[j] * inv[n - 2 * j] * prod
-    den = dl * dt * di * di
-    return _value(Nh, den * ds * dp * (1 + a), exact), _value(Dh, den * dsj * dpj, exact)
+    return ram_Q(n + 1, 1, a, lam, q) / (1 + a), ram_Qstar(n + 1, 1, a, lam, q)
 
 
 def g_function(b, lam, q):

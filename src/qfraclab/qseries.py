@@ -110,11 +110,13 @@ def _within_range(what: str, compute):
     ``"<what> leaves the double range"``.  Both ways out of the range are
     caught: a float or complex power (or an int one meeting a float) raises
     OverflowError, and a finite power times a factor above 1 gives inf or NaN.
+    A value ``cmath`` calls non-finite is asked again in its own arithmetic,
+    as in :func:`_require_finite`, so an mpmath value has no double range.
     A RangeError raised inside ``compute()`` names its own cause and passes
     through unchanged."""
     try:
         value = compute()
-        if _rational(value) or cmath.isfinite(value):
+        if _rational(value) or cmath.isfinite(value) or getattr(value, "context", cmath).isfinite(value):
             return value
     except RangeError:
         raise
@@ -129,9 +131,13 @@ def _require_double(what: str, x, *values) -> None:
     ``x`` too large for a double meets a float or complex among ``values``,
     whose arithmetic would convert it and raise a bare OverflowError.  x
     itself is left as it is, so a rational inside the range keeps its bits
-    and one meeting only rationals stays exact.  Only a rational beyond the
-    largest double can fail to convert, and the comparison with it is exact."""
-    if _rational(x) and abs(x) > sys.float_info.max and not all(map(_rational, values)):
+    and one meeting only rationals or mpmath values (which carry it in their
+    own arithmetic, having a ``context``) is left alone.  Only a rational
+    beyond the largest double can fail to convert, and the comparison with it
+    is exact."""
+    if _rational(x) and abs(x) > sys.float_info.max and not all(
+        _rational(v) or hasattr(v, "context") for v in values
+    ):
         _within_range(what, lambda: float(x))
 
 

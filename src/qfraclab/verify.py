@@ -60,7 +60,6 @@ import signal
 import threading
 import time
 from fractions import Fraction
-from itertools import islice
 from typing import NamedTuple
 
 from mpmath import mp
@@ -211,11 +210,10 @@ def check_entry16_identity() -> CheckResult:
     for _ in range(5):
         q = Fraction(rng.randint(1, 8), rng.randint(9, 20))
         lam = Fraction(rng.randint(-6, 6) or 1, rng.randint(2, 9))
-        levels = recurrence._affine(*recurrence.entry16_family(lam, q).constants())
-        nums, dens = cfrac._jfraction_levels(levels, Fraction(1), 13)
+        family = recurrence.entry16_family(lam, q)
         for n in range(0, 13):
             N, D = convergents.entry16(n, lam, q)
-            mismatches += N / D != cfrac.eval_backward(nums, dens, n + 1)
+            mismatches += N / D != cfrac.backward_convergent(family, Fraction(1), n)
     return _result(
         "entry16-identity",
         ("100 draws, n<=30: max rel err", errs, 1e-11),
@@ -351,11 +349,10 @@ def check_moment_solutions() -> CheckResult:
     p = ACCEPT_PARAMS
     x = 0.3
     pkc = [moments.moment_pk_closed(k, x, p) for k in range(17)]
-    levels = list(islice(recurrence._affine(*recurrence.monic_family(p).constants()), 16))
     residuals = []
     for k in range(1, 16):
-        _, B, beta = levels[k]  # B = -alpha_k
-        residuals.append(abs(x * pkc[k] - pkc[k + 1] + B * pkc[k] - beta * pkc[k - 1]))
+        alpha, beta = recurrence.monic_alpha(p, k), recurrence.monic_beta(p, k)
+        residuals.append(abs(x * pkc[k] - pkc[k + 1] - alpha * pkc[k] - beta * pkc[k - 1]))
     p2 = Params(0.4, 0.3, -0.2, 0.2)  # b = -lam specialization
     pk2 = [moments.moment_pk_closed(k, x, p2) for k in range(11)]
     Pk2 = recurrence.run_monic(p2, x, 10)

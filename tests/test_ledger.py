@@ -22,6 +22,10 @@ def _run(workload, pair, side, result):
     return {"workload": workload, "pair": pair, "side": side, "seed": 41 + pair, "result": result}
 
 
+def no_tier1(tree):
+    return None
+
+
 def test_summary_takes_medians_quartiles_and_wins_in_each_metric_direction():
     parent = [(100, 2.0), (110, 2.2), (120, 2.1), (130, 2.4), (140, 2.3)]
     change = [(105, 1.5), (110, 1.6), (119, 2.1), (150, 1.9), (160, 1.4)]
@@ -85,7 +89,7 @@ def test_pairs_alternate_the_first_side_and_share_one_seed(tmp_path):
         return {"returncode": 0, "env": {}, "classes": {}, "info": {}, "result": _result(seed, 1.0)}
 
     out = tmp_path / "BENCH.json"
-    result = ledger.run_ledger(trees, {"spectral": 3, "cli-cold": 1}, out, run=fake_run)
+    result = ledger.run_ledger(trees, {"spectral": 3, "cli-cold": 1}, out, run=fake_run, tier1=no_tier1)
     assert calls == [
         ("parent", "spectral", 41, 2.0), ("change", "spectral", 41, 2.0),
         ("change", "spectral", 42, 2.0), ("parent", "spectral", 42, 2.0),
@@ -93,7 +97,7 @@ def test_pairs_alternate_the_first_side_and_share_one_seed(tmp_path):
         ("parent", "cli-cold", 41, 2.0), ("change", "cli-cold", 41, 2.0),
     ]
     assert json.loads(out.read_text()) == result
-    assert set(result) == {"what", "parent", "change", "finished_utc", "summary", "runs"}
+    assert set(result) == {"what", "parent", "change", "finished_utc", "summary", "tier1", "runs"}
     assert result["parent"] == {"commit": None, "src_sha256": ledger.src_sha256(trees["parent"])}
     assert [run["first"] for run in result["runs"][:4]] == ["parent", "parent", "change", "change"]
     assert result["summary"]["spectral"]["metrics"]["ops_per_s"]["ties"] == 3
@@ -118,7 +122,7 @@ def test_a_run_past_the_timeout_is_kept_without_a_result_and_fails_its_workload(
             return timed_out
         return {"returncode": 0, "env": {}, "classes": {}, "info": {}, "result": _result(seed, 1.0)}
 
-    result = ledger.run_ledger(trees, {"spectral": 3}, tmp_path / "BENCH.json", run=fake_run)
+    result = ledger.run_ledger(trees, {"spectral": 3}, tmp_path / "BENCH.json", run=fake_run, tier1=no_tier1)
     assert result["finished_utc"] is not None and len(result["runs"]) == 6
     summary = result["summary"]["spectral"]
     assert not summary["all_correct"] and summary["seeds"] == [41, 42, 43]
@@ -192,7 +196,7 @@ def test_summary_times_each_criterion_over_the_pairs_probed_on_both_sides(tmp_pa
         probe = _probe(**{"markov-limit": mine[0], "asymptotics": mine[1]}) if mine else None
         return {"returncode": 0, "env": {}, "classes": {}, "info": {}, "result": _result(seed, 1.0), "probe": probe}
 
-    result = ledger.run_ledger(trees, {"spectral": 4}, tmp_path / "BENCH.json", run=fake_run)
+    result = ledger.run_ledger(trees, {"spectral": 4}, tmp_path / "BENCH.json", run=fake_run, tier1=no_tier1)
     assert result["runs"][0]["probe"] == _probe(**{"markov-limit": 0.5, "asymptotics": 0.125})
     criteria = result["summary"]["spectral"]["criteria"]
     assert sorted(criteria) == ["asymptotics", "markov-limit"]
@@ -204,3 +208,64 @@ def test_summary_times_each_criterion_over_the_pairs_probed_on_both_sides(tmp_pa
     assert (criteria["asymptotics"]["change_wins"], criteria["asymptotics"]["ties"]) == (1, 1)
     # the failed probe leaves its pair out of the criteria, not out of the metrics
     assert result["summary"]["spectral"]["metrics"]["ops_per_s"]["pairs"] == 4
+
+
+TIER1_STDOUT = """\
+........................................................................ [100%]
+============================= slowest 15 durations =============================
+0.82s call     tests/test_measure.py::TestSeriesFG::test_matches_the_oracle_over_wide_draws
+0.78s call     tests/test_exact_routes.py::test_poles_raise_at_the_same_level_with_the_same_message
+0.05s setup    tests/test_cli.py::test_help[verify]
+
+(12 durations < 0.005s hidden.  Use -vv to show these durations.)
+2 failed, 847 passed, 1 warning in 16.80s
+"""
+
+
+def test_tier1_runs_once_in_each_tree_after_the_last_pair(tmp_path):
+    trees = {}
+    for side in ledger.SIDES:
+        trees[side] = tmp_path / side
+        (trees[side] / "src").mkdir(parents=True)
+        (trees[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 2, "end_to_end": [{"name": name, "better": better} for name, better in BETTER.items()]}))
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append(("run", tree.name))
+        return {"returncode": 0, "env": {}, "classes": {}, "info": {}, "result": _result(seed, 1.0)}
+
+    def fake_tier1(tree):
+        calls.append(("tier1", tree.name))
+        return ledger.parse_tier1(TIER1_STDOUT, 17.5) if tree.name == "parent" else None
+
+    out = tmp_path / "BENCH.json"
+    result = ledger.run_ledger(trees, {"spectral": 2}, out, run=fake_run, tier1=fake_tier1)
+    assert calls[-2:] == [("tier1", "parent"), ("tier1", "change")] and len(calls) == 6
+    assert result["tier1"]["change"] is None
+    parent = result["tier1"]["parent"]
+    assert {key: parent[key] for key in ("wall_s", "passed", "failed", "errors", "pytest_s")} == {
+        "wall_s": 17.5, "passed": 847, "failed": 2, "errors": 0, "pytest_s": 16.8}
+    assert [(d["seconds"], d["when"]) for d in parent["slowest"]] == [(0.82, "call"), (0.78, "call"), (0.05, "setup")]
+    assert parent["slowest"][2]["test"] == "tests/test_cli.py::test_help[verify]"
+    assert json.loads(out.read_text()) == result and result["finished_utc"] is not None
+
+
+def test_tier1_run_runs_pytest_in_the_tree_and_gives_none_on_a_timeout_or_no_summary(tmp_path, monkeypatch):
+    seen = []
+    outcomes = iter([TIER1_STDOUT, "ImportError while loading conftest\n", None])
+
+    def fake_subprocess_run(cmd, cwd, env, **kwargs):
+        seen.append((cmd[1:], cwd, env["PYTHONPATH"].split(ledger.os.pathsep)[0], kwargs["timeout"]))
+        stdout = next(outcomes)
+        if stdout is None:
+            raise ledger.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        return ledger.subprocess.CompletedProcess(cmd, 1, stdout, "")
+
+    monkeypatch.setattr(ledger.subprocess, "run", fake_subprocess_run)
+    first = ledger.tier1_run(tmp_path)
+    assert (first["passed"], first["failed"], first["pytest_s"], len(first["slowest"])) == (847, 2, 16.8, 3)
+    assert first["wall_s"] >= 0
+    assert ledger.tier1_run(tmp_path) is None and ledger.tier1_run(tmp_path) is None
+    assert seen == [(["-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=15"], tmp_path, "src",
+                     ledger.RUN_TIMEOUT_S)] * 3

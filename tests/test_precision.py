@@ -1,14 +1,20 @@
 """Precision follows the scalar type: with mpmath parameters and x, the
 forward loop and the monic constants keep the working precision and test
 finiteness in mpmath's own arithmetic, while float parameters keep
-``math.sqrt``.  (An mpmath NaN or infinity is a DomainError, and an mpc
-field is refused, in ``test_finiteness.py`` and ``test_recurrence.py``.)"""
+``math.sqrt``.  An mpmath value has no double range: a rational x past it
+meets mpmath parameters as an mpf x does.  (An mpmath NaN or infinity is a
+DomainError, and an mpc field is refused, in ``test_finiteness.py`` and
+``test_recurrence.py``.)"""
 
 import math
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
 
+from qfraclab.asymptotics import asymptotic_Q
+from qfraclab.errors import RangeError
+from qfraclab.qseries import _within_range
 from qfraclab.recurrence import Params, monic_family, monic_ratio, run_jfraction, run_monic
 
 # the acceptance set, and one whose sqrt(-b) is not exact in double precision
@@ -69,3 +75,25 @@ def test_an_mpmath_run_has_no_double_range():
         big = run_monic(p, mpf("1e400"), 3)
         assert big[3] > mpf("1e1199") and mp.isfinite(big[3])
         assert mp.isfinite(monic_ratio(p, mpf("1e400"), 3))
+
+
+def test_a_rational_x_past_the_double_range_meets_mpmath_parameters_as_an_mpf_x_does():
+    with mp.workdps(30):
+        p = Params(mpf("0.4"), mpf("0.3"), mpf("-0.25"), mpf("0.2"))
+        exact_x = run_monic(p, Fraction(10**400, 3), 3)[3]
+        mp_x = run_monic(p, mpf(10) ** 400 / 3, 3)[3]
+        assert mp_x > mpf("3.7e1198") and abs(exact_x / mp_x - 1) < 1e-27
+
+
+def test_a_large_mpmath_value_is_inside_its_own_range():
+    with mp.workdps(30):
+        pm = Params(mpf("0.4"), mpf("0.3"), 0, mpf("-0.5"))
+        scaled = asymptotic_Q(300, mpf(20), pm) / mpf(20) ** 300
+    assert abs(scaled / asymptotic_Q(0, 20.0, Params(0.4, 0.3, 0, -0.5)) - 1) < 1e-13
+
+
+def test_an_mpmath_infinity_still_leaves_the_range():
+    with pytest.raises(RangeError, match="v leaves the double range"):
+        _within_range("v", lambda: mpf("inf"))
+    with pytest.raises(RangeError, match="v leaves the double range"):
+        _within_range("v", lambda: mpc(0, "-inf"))

@@ -17,7 +17,7 @@ import pytest
 from mpmath import mp
 
 import qfraclab
-from qfraclab import asymptotics, convergents, measure, moments, qseries, recurrence, verify
+from qfraclab import asymptotics, cfrac, convergents, measure, moments, qseries, recurrence, verify
 from qfraclab.errors import TruncationError
 from qfraclab.recurrence import Params
 
@@ -177,6 +177,23 @@ def test_hirschhorn_exact_row_counts_each_wrong_fraction_pair(monkeypatch):
     ]
 
 
+def test_entry16_exact_row_fails_when_the_integer_backward_route_is_off(monkeypatch):
+    real = cfrac._backward_exact
+    monkeypatch.setattr(cfrac, "_backward_exact", lambda *args: real(*args) + Fraction(1, 10**30))
+    result = verify.check_entry16_identity()
+    assert not result.passed
+    failed = [(label, value, gate) for label, value, gate in result.rows if not value < gate]
+    assert failed == [("exact mode n<=12: mismatches", 65, 1)]
+
+
+def test_moment_solutions_residual_row_fails_when_monic_beta_is_off(monkeypatch):
+    real = recurrence.monic_beta
+    monkeypatch.setattr(recurrence, "monic_beta", lambda p, k: real(p, k) * (1 + 1e-6))
+    result = verify.check_moment_solutions()
+    assert not result.passed
+    assert [label for label, value, gate in result.rows if not value < gate] == ["k<=15 recurrence residual"]
+
+
 def test_moment_solutions_reports_the_slow_tail_point():
     result = verify.check_moment_solutions()
     assert result.passed
@@ -217,7 +234,7 @@ def test_asymptotics_b0_rows_fail_when_stieltjes_b0_is_off_by_1e_10(monkeypatch)
 
 # public functions no criterion reaches; a change that reaches or deletes one
 # takes it off this list, and none may join it
-UNREACHED = {"gf_eval", "gf_radius", "monic_alpha", "monic_beta", "series_F", "weight_f"}
+UNREACHED = {"gf_eval", "gf_radius", "series_F", "weight_f"}
 
 
 def test_the_sweep_reaches_every_public_function_but_the_recorded_ones(monkeypatch):

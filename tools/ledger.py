@@ -20,8 +20,12 @@ both reported.  ``runs`` keeps every run's ``env``, ``classes``, ``info``
 and result lines, and its probe's JSON (None where the probe failed).  A
 run that fails or passes ``RUN_TIMEOUT_S`` keeps its record with no result
 and no probe, which leaves its pair out of the summary and marks the
-workload incorrect.  The file is rewritten after every pair, and
-``finished_utc`` is set once the last pair is in.
+workload incorrect.  The file is rewritten after every pair.  After the
+last pair the tier-1 suite (``TIER1``, with ``src`` first on ``PYTHONPATH``)
+runs once in each tree, under ``RUN_TIMEOUT_S``: ``tier1`` holds per side
+its wall seconds, pytest's passed, failed and error counts and reported
+seconds, and its 15 slowest durations, or None where the run timed out or
+printed no summary line.  ``finished_utc`` is set once that is in.
 
 ``src_sha256`` names a tree's package source: the SHA-256 of the
 ``sha256sum`` listing of every file under ``src/`` outside ``__pycache__``,
@@ -35,6 +39,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -46,6 +52,7 @@ WORKLOADS = ("spectral", "recurrence", "cli-cold")
 FIRST_SEED = 41
 PAIRS = 10
 RUN_TIMEOUT_S = 900
+TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=15")
 
 
 def src_sha256(tree: Path) -> str:
@@ -110,6 +117,34 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return record
 
 
+def parse_tier1(stdout: str, wall_s: float):
+    """The counts, reported seconds and slowest durations of a ``TIER1`` run's
+    output, with its wall seconds; None where the last line is no summary
+    such as ``2 failed, 847 passed, 1 warning in 17.10s``."""
+    lines = stdout.strip().splitlines()
+    summary = re.fullmatch(r"=* *(.*?) in ([\d.]+)s(?: \([\d:]+\))? *=*", lines[-1]) if lines else None
+    if summary is None:
+        return None
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary[1])}
+    slowest = [{"seconds": float(m[1]), "when": m[2], "test": m[3]}
+               for m in map(re.compile(r"([\d.]+)s (setup|call|teardown) +(\S.*)").fullmatch, lines) if m]
+    return {"wall_s": wall_s, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "errors": counts.get("errors", counts.get("error", 0)), "pytest_s": float(summary[2]),
+            "slowest": slowest}
+
+
+def tier1_run(tree: Path):
+    """One ``TIER1`` run in ``tree``, read by :func:`parse_tier1`; None past ``RUN_TIMEOUT_S``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    try:
+        out = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True,
+                             timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    return parse_tier1(out.stdout, time.perf_counter() - start)
+
+
 def _spread(values: list) -> dict:
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -158,19 +193,21 @@ def summarise(runs: list, better: dict) -> dict:
     return summary
 
 
-def run_ledger(trees: dict, plan: dict, out: Path, run=bench_run) -> dict:
-    """Run ``plan`` (workload -> pairs) over ``trees`` (side -> root) and write the ledger to ``out``."""
+def run_ledger(trees: dict, plan: dict, out: Path, run=bench_run, tier1=tier1_run) -> dict:
+    """Run ``plan`` (workload -> pairs) over ``trees`` (side -> root), then ``tier1`` in
+    each tree, and write the ledger to ``out``."""
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = float(spec["run_seconds"])
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     ledger = {
         "what": f"bench/run.py --seconds {seconds:g} --trace 0, each run followed by bench/probe.py cold in "
                 "its tree, parent and change alternating within each pair (the side that runs first "
-                "alternates); each pair shares one seed",
+                "alternates); each pair shares one seed; then the tier-1 suite once in each tree",
         "parent": {"commit": git_commit(trees["parent"]), "src_sha256": src_sha256(trees["parent"])},
         "change": {"commit": git_commit(trees["change"]), "src_sha256": src_sha256(trees["change"])},
         "finished_utc": None,
         "summary": {},
+        "tier1": None,
         "runs": [],
     }
     for workload, npairs in plan.items():
@@ -184,6 +221,7 @@ def run_ledger(trees: dict, plan: dict, out: Path, run=bench_run) -> dict:
                 print(f"{workload} pair {pair} {side}: returncode {record['returncode']}", file=sys.stderr)
             ledger["summary"] = summarise(ledger["runs"], better)
             out.write_text(json.dumps(ledger, indent=1) + "\n")
+    ledger["tier1"] = {side: tier1(trees[side]) for side in SIDES}
     ledger["finished_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     out.write_text(json.dumps(ledger, indent=1) + "\n")
     return ledger
