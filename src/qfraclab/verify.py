@@ -1,28 +1,36 @@
 """Acceptance suites: every shipped claim, runnable as one pass/fail line each.
 
-A criterion is a tuple of rows ``(label, value, gate)``, printed as
-``label value / gate; ...``.  A row's value is the largest of its measured
-values, NaN counting as largest, and the criterion passes only if every
-value is strictly below its gate, so a NaN fails.  Exact parts count
+A criterion is one function decorated with ``@_criterion(name, suite,
+seconds=budget)``, its one registration point, which returns only its rows
+``(label, values, gate)``.  The registered check times the function when a
+budget is given and appends that ``seconds`` row, reduces the rows through
+:func:`_result`, and turns a raised :class:`~qfraclab.errors.QFracError`
+into a failed result with no rows, so a check called directly never raises
+one.  A row's value is the largest of its values, NaN counting as largest,
+printed as ``label value / gate; ...``, and the criterion passes only if
+every value is strictly below its gate, so a NaN fails.  Exact parts count
 mismatches and strict decreases report the largest ratio of successive
-errors, both against gate 1; time budgets are ``seconds`` rows.
+errors, both against gate 1.
 
-Each check is deterministic (fixed RNG seeds) and self-contained; the CLI
-``verify`` subcommand and the acceptance tests both dispatch through
-:data:`CRITERIA`.  Because no check reads another's state, :func:`run_suite`
-runs them at the same time, each in its own forked child, with at most one
-child per usable CPU, and returns the results in :data:`CRITERIA` order.  On
-a 2-vCPU VM this took a fresh-interpreter ``qfraclab verify`` from a median
-of 0.77 s to 0.61 s (ten alternating pairs; 0.72 s to 0.57 s in a second
-set).  With one CPU the sweep runs one check after another, in process.
-Two checks compare error curves whose true values decay
-far below double-precision noise (Markov convergent errors past k ~ 50 and
-sinusoid residuals past k ~ 60); those comparisons run in extended
-precision.  Their polynomials P_k and P*_k are the package's own: its one
-forward loop (``run_jfraction`` of ``monic_family``, and ``run_monic``) on
-mpf parameters, at 460 and 80 digits, so the suite tests the loop it ships.
-The mpmath oracles are the quantities that loop is compared with, and they
-stay because the package has them only in double precision:
+Each check is deterministic (fixed RNG seeds) and self-contained.
+:data:`CRITERIA` holds the registered ``(name, suite, check)`` triples in
+the order they are defined, and the CLI ``verify`` subcommand and the
+acceptance tests both dispatch through it.  Because no check reads
+another's state, :func:`run_suite` runs them at the same time, each in its
+own forked child, with at most one child per usable CPU, and returns the
+results in :data:`CRITERIA` order.  On a 2-vCPU VM this took a
+fresh-interpreter ``qfraclab verify`` from a median of 0.77 s to 0.61 s (ten
+alternating pairs; 0.72 s to 0.57 s in a second set).  With one CPU the
+sweep runs one check after another, in process.
+
+Two checks compare error curves whose true values decay far below
+double-precision noise (Markov convergent errors past k ~ 50 and sinusoid
+residuals past k ~ 60); those comparisons run in extended precision.
+Their polynomials P_k and P*_k are the package's own: its one forward loop
+(``run_jfraction`` of ``monic_family``, and ``run_monic``) on mpf
+parameters, at 460 and 80 digits, so the suite tests the loop it ships.  The
+mpmath oracles are the quantities that loop is compared with, and they stay
+because the package has them only in double precision:
 
 * ``_mp_g``: the series G, and F as G at (c q, lam q), summed under its own
   certified stopping rule (below), apart from ``measure._fg_sums``;
@@ -127,20 +135,21 @@ def _mp_g(rho, q, c, r):
 
 
 def _mp_markov_errors(p: Params, x, ks, dps: int):
-    """|Pstar_k/P_k - X| at the requested depths, as mpf so no error underflows.
+    """|Pstar_k/P_k - X| at the requested depths, as mpf so no error underflows, and the oracle's X and F.
 
     Pstar_k and P_k come from the package's forward loop on mpf parameters;
-    X is the oracle's.  Real x runs in real arithmetic; X is returned as a
-    complex double.
+    X and F are the oracle's.  Real x runs in real arithmetic; X and F are
+    returned as complex doubles.
     """
     with mp.workdps(dps):
         pm = Params(*map(mp.mpf, p._values))  # mpf fields at the working precision
         q, c, r = pm.q, pm.a / (2 * mp.sqrt(-pm.b)), pm.lam / pm.b
         xm = mp.mpf(x.real) if complex(x).imag == 0 and abs(x) > 1 else mp.mpc(x)
         rho = _mp_rho(xm)
-        X = 2 * rho * _mp_g(rho, q, c * q, r * q) / _mp_g(rho, q, c, r)
+        F = _mp_g(rho, q, c * q, r * q)
+        X = 2 * rho * F / _mp_g(rho, q, c, r)
         seq = recurrence.run_jfraction(recurrence.monic_family(pm), xm, max(ks))
-        return [abs(seq.N[k] / seq.D[k] - X) for k in ks], complex(X)
+        return [abs(seq.N[k] / seq.D[k] - X) for k in ks], complex(X), complex(F)
 
 
 def _mp_series_R(theta_mp, q, b, lam, c):
@@ -186,6 +195,36 @@ def _result(name: str, *rows) -> CheckResult:
     )
 
 
+CRITERIA = []  # (name, suite, check), appended by _criterion in definition order
+SUITE_NAMES = ("qseries", "convergents", "measure", "moments", "asymptotics", "all")
+
+
+def _criterion(name: str, suite: str, seconds: float | None = None):
+    """Register the decorated function, which returns only its rows, as criterion ``name`` of ``suite``.
+
+    The module attribute becomes the registered check.  It times the
+    function when ``seconds`` gives a budget and appends that ``seconds``
+    row, reduces the rows through :func:`_result`, and returns a raised
+    QFracError as a failed result with no rows.
+    """
+
+    def register(rows_fn):
+        def check() -> CheckResult:
+            t0 = time.perf_counter()
+            try:
+                rows = rows_fn()
+            except QFracError as exc:
+                return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+            if seconds is not None:
+                rows = (*rows, ("seconds", time.perf_counter() - t0, seconds))
+            return _result(name, *rows)
+
+        CRITERIA.append((name, suite, check))
+        return check
+
+    return register
+
+
 def _exact_draws(rng: random.Random):
     """The five Fraction draws (q, a, b, lam) of an exact row, with 0 < q < 1 and lam != 0."""
     for _ in range(5):
@@ -193,8 +232,8 @@ def _exact_draws(rng: random.Random):
                Fraction(rng.randint(-4, 4), rng.randint(5, 9)), Fraction(rng.randint(-5, 5) or 2, rng.randint(2, 7)))
 
 
-def check_entry16_identity() -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("entry16-identity", "convergents", seconds=5.0)
+def check_entry16_identity():
     rng = random.Random(1601)
     errs = []
     for _ in range(100):
@@ -214,16 +253,14 @@ def check_entry16_identity() -> CheckResult:
         for n in range(0, 13):
             N, D = convergents.entry16(n, lam, q)
             mismatches += N / D != cfrac.backward_convergent(family, Fraction(1), n)
-    return _result(
-        "entry16-identity",
+    return (
         ("100 draws, n<=30: max rel err", errs, 1e-11),
         ("exact mode n<=12: mismatches", mismatches, 1),
-        ("seconds", time.perf_counter() - t0, 5.0),
     )
 
 
-def check_hirschhorn_formula() -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("hirschhorn-formula", "convergents", seconds=10.0)
+def check_hirschhorn_formula():
     rng = random.Random(1602)
     errs = []
     # |q| and coefficient sizes capped at 0.85: the triple sum's condition
@@ -244,15 +281,14 @@ def check_hirschhorn_formula() -> CheckResult:
         seq = recurrence.run_jfraction(recurrence.hirschhorn_family(Params(q, a, b, lam)), Fraction(1), 10)
         for n in range(0, 11):
             mismatches += convergents.hirschhorn_closed(n, q, a, b, lam) != (seq.N[n], seq.D[n])
-    return _result(
-        "hirschhorn-formula",
+    return (
         ("50 draws, n<=20: max rel err", errs, 1e-11),
         ("exact n<=10: mismatches", mismatches, 1),
-        ("seconds", time.perf_counter() - t0, 10.0),
     )
 
 
-def check_entry15_a0() -> CheckResult:
+@_criterion("entry15-a0-formulas", "convergents")
+def check_entry15_a0():
     rng = random.Random(1603)
     errs15, errs_a0 = [], []
     for _ in range(50):
@@ -275,44 +311,41 @@ def check_entry15_a0() -> CheckResult:
         seq15 = recurrence.run_jfraction(recurrence.b0_family(Params(q, a, 0, lam)), one, 11)
         seq_a0 = recurrence.run_jfraction(recurrence.hirschhorn_family(Params(q, 0, b, lam)), one, 11)
         for n in range(1, 11):
-            Q, Qs = seq15.D[n + 1], seq15.N[n + 1]
             Nh, Dh = convergents.entry15(n, a, lam, q)
-            ram = convergents.ram_Q(n + 1, one, a, lam, q), convergents.ram_Qstar(n + 1, one, a, lam, q)
-            mismatches += ((1 + a) * Nh, Dh) != (Q, Qs) or ram != (Q, Qs)
+            mismatches += ((1 + a) * Nh, Dh) != (seq15.D[n + 1], seq15.N[n + 1])
             Np, Dp = convergents.a0_closed(n, b, lam, q)
             mismatches += ((1 - b) * Np, Dp) != (seq_a0.N[n + 1], seq_a0.D[n + 1])
-    return _result(
-        "entry15-a0-formulas",
+    return (
         ("50 draws, n<=25: entry15 max rel err", errs15, 1e-11),
         ("a0 max rel err", errs_a0, 1e-11),
         ("exact n<=10: mismatches against the Fraction recurrence", mismatches, 1),
     )
 
 
-def check_density_cross() -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("density-cross-theorem", "measure", seconds=2.0)
+def check_density_cross():
     grid = [-0.99 + 1.98 * i / 100 for i in range(101)]
     # the acceptance set, and one whose measure also has point masses at
     # 1.1133 and 2.1403, the mass-carrying class the benchmark draws
-    rows = []
-    for p in (ACCEPT_PARAMS, Params(0.4, 2.0, -0.25, 0.2)):
-        errs = [abs(measure.density_nevai(x, p) - measure.density_inversion(x, p)) for x in grid]
-        rows.append((f"a={p.a:g}, 101 points in (-0.99, 0.99): max |nevai - inversion|", errs, 1e-8))
-    return _result("density-cross-theorem", *rows, ("seconds", time.perf_counter() - t0, 2.0))
+    return [(f"a={p.a:g}, 101 points in (-0.99, 0.99): max |nevai - inversion|",
+             [abs(measure.density_nevai(x, p) - measure.density_inversion(x, p)) for x in grid], 1e-8)
+            for p in (ACCEPT_PARAMS, Params(0.4, 2.0, -0.25, 0.2))]
 
 
-def check_markov_limit() -> CheckResult:
+@_criterion("markov-limit", "measure")
+def check_markov_limit():
     p = ACCEPT_PARAMS
     ks = (50, 100, 200, 300)
-    errs300, oracle_gaps, ratios, mp_errs = [], [], [], []
+    errs300, oracle_gaps, f_gaps, ratios, mp_errs = [], [], [], [], []
     for x in (2.0, -2.0, 1.2 + 0.5j):
         X = measure.stieltjes_transform(x, p)
         errs300.append(abs(recurrence.monic_ratio(p, x, 300) - X))
         # mpf errors: at k = 300 they sit near 1e-344, below the double range
-        errs, X_mp = _mp_markov_errors(p, x, ks, dps=460)
+        errs, X_mp, F_mp = _mp_markov_errors(p, x, ks, dps=460)
         ratios += [float(errs[i + 1] / errs[i]) for i in range(len(ks) - 1)]
         mp_errs += errs
         oracle_gaps.append(abs(X - X_mp) / max(1.0, abs(X_mp)))
+        f_gaps.append(abs(measure.series_F(measure.rho_select(x), p) - F_mp) / max(1.0, abs(F_mp)))
     # the forward ratio against the backward fraction where the forward run
     # rescales: chunks at x = +-2 past P_k's overflow near k = 1130, and one
     # level per chunk at |x| = 1e150, where the growth bound fails
@@ -320,10 +353,10 @@ def check_markov_limit() -> CheckResult:
     for x, d in ((2.0, 1200), (-2.0, 1200), (1e150, 40), (1e150 + 3e149j, 40)):
         back = cfrac.backward_convergent(recurrence.monic_family(p), x, d)
         rescaled.append(abs(recurrence.monic_ratio(p, x, d) - back) / abs(back))
-    return _result(
-        "markov-limit",
+    return (
         ("max |Pstar_300/P_300 - X| (double)", errs300, 1e-9),
         ("max |X - oracle X| / max(1, |X|)", oracle_gaps, 1e-12),
+        ("max |series_F - oracle F| / max(1, |F|)", f_gaps, 1e-12),
         ("x = +-2, d = 1200: |Pstar_d/P_d - backward| / |backward|", rescaled[:2], 1e-13),
         ("x = 1e150, 1e150+3e149i, d = 40 (no growth bound): same", rescaled[2:], 1e-13),
         (f"extended precision, k in {ks}: largest ratio of successive errors", ratios, 1),
@@ -331,21 +364,22 @@ def check_markov_limit() -> CheckResult:
     )
 
 
-def check_orthogonality_gram() -> CheckResult:
+@_criterion("orthogonality-gram", "measure")
+def check_orthogonality_gram():
     p = ACCEPT_PARAMS
     g = measure.gram_matrix(p, 5)
     deficit = abs(1.0 - g[0][0])
     if not deficit < 1e-6:  # a NaN G00 lands here too, and its row fails
-        return _result("orthogonality-gram", ("|1 - G00|, Gram rows skipped", deficit, math.inf))
-    return _result(
-        "orthogonality-gram",
+        return (("|1 - G00|, Gram rows skipped", deficit, math.inf),)
+    return (
         ("|1 - G00|", deficit, 1e-6),
         ("max off-diagonal", [abs(g[n][m]) for n in range(6) for m in range(6) if n != m], 1e-6),
         ("max |G_nn - h_n|", [abs(g[n][n] - measure.norm_squared(n, p)) for n in range(6)], 1e-6),
     )
 
 
-def check_moment_solutions() -> CheckResult:
+@_criterion("moment-solutions", "moments")
+def check_moment_solutions():
     p = ACCEPT_PARAMS
     x = 0.3
     pkc = [moments.moment_pk_closed(k, x, p) for k in range(17)]
@@ -367,8 +401,7 @@ def check_moment_solutions() -> CheckResult:
          [abs(moments.moment_pk_closed(k, z, p) - moments.moment_pk_integral(k, z, p)) for k in range(11)], 1e-10)
         for label, z in (("0.3+0.4i", 0.3 + 0.4j), ("-1.3", -1.3))
     ]
-    return _result(
-        "moment-solutions",
+    return (
         ("k<=15 recurrence residual", residuals, 1e-10),
         ("q-integral vs 2phi1", [abs(pkc[k] - moments.moment_pk_integral(k, x, p)) for k in range(16)], 1e-10),
         *off_cut,
@@ -377,7 +410,8 @@ def check_moment_solutions() -> CheckResult:
     )
 
 
-def check_asymptotics() -> CheckResult:
+@_criterion("asymptotics", "asymptotics")
+def check_asymptotics():
     p = ACCEPT_PARAMS
     ratios, gaps = [], []
     for i in range(9):
@@ -392,8 +426,7 @@ def check_asymptotics() -> CheckResult:
     transforms = {x: asymptotics.stieltjes_b0(x, pb) for x in (3.0, -2.5, 5.0, 1.5 + 0.5j, 0.05 + 0.02j)}
     b0_errs = [[abs(route(recurrence.b0_family(pb), x, 200) - s) / abs(s) for x, s in transforms.items()]
                for route in (cfrac.backward_convergent, cfrac.convergent)]
-    return _result(
-        "asymptotics",
+    return (
         ("9-point grid, extended precision: largest ratio |e_100 / e_25|", ratios, 1),
         ("k=25: max |package e_25 - oracle e_25|", gaps, 1e-11),
         ("b=0, n=100: |Q ratio - 1|", abs(seq.D[100] / asymptotics.asymptotic_Q(100, 3.0, pb) - 1), 1e-6),
@@ -404,14 +437,14 @@ def check_asymptotics() -> CheckResult:
     )
 
 
-def check_g_limit() -> CheckResult:
+@_criterion("g-limit-identity", "convergents")
+def check_g_limit():
     q, b, lam = 0.4, -0.3, 0.5
     p = Params(q, 0.0, b, lam)
     g_shifted = convergents.g_function(b, lam * q, q)
     err_cf = abs(g_shifted / convergents.g_function(b, lam, q) - cfrac.hirschhorn_cf(p, 200))
     Np, _ = convergents.a0_closed(60, b, lam, q)
-    return _result(
-        "g-limit-identity",
+    return (
         ("|g(b, lam q)/g(b, lam) - CF_200|", err_cf, 1e-12),
         ("|N'_60 - g(b, lam q)/(1+b)|", abs(Np - g_shifted / (1 + b)), 1e-8),
     )
@@ -473,7 +506,8 @@ def _phi_sum_errors(rng: random.Random, draws: int) -> tuple[list, list]:
     return binomial, gauss
 
 
-def check_qseries_kernel() -> CheckResult:
+@_criterion("qseries-kernel", "qseries")
+def check_qseries_kernel():
     """Scaled errors of five q-series identities: the first three over 100
     draws, phi's two summation formulas over 25; and the terminating
     q-binomial theorem 1phi0(q^-n; -; q, z) = (z q^-n; q)_n (Gasper & Rahman,
@@ -516,8 +550,7 @@ def check_qseries_kernel() -> CheckResult:
         z = Fraction(rng.randint(-9, 9), rng.randint(2, 9))
         n = rng.randint(0, 12)
         mismatches += qseries.phi((q**-n,), (), q, z) != qpochhammer(z * q**-n, q, n)
-    return _result(
-        "qseries-kernel",
+    return (
         ("splitting", splitting, gate),
         ("theta quasiperiodicity", quasi, gate),
         ("by-parts", by_parts, gate),
@@ -525,30 +558,6 @@ def check_qseries_kernel() -> CheckResult:
         ("q-Gauss sum", gauss, gate),
         ("exact q-binomial theorem, mismatches", mismatches, 1),
     )
-
-
-CRITERIA = (
-    ("entry16-identity", "convergents", check_entry16_identity),
-    ("hirschhorn-formula", "convergents", check_hirschhorn_formula),
-    ("entry15-a0-formulas", "convergents", check_entry15_a0),
-    ("density-cross-theorem", "measure", check_density_cross),
-    ("markov-limit", "measure", check_markov_limit),
-    ("orthogonality-gram", "measure", check_orthogonality_gram),
-    ("moment-solutions", "moments", check_moment_solutions),
-    ("asymptotics", "asymptotics", check_asymptotics),
-    ("g-limit-identity", "convergents", check_g_limit),
-    ("qseries-kernel", "qseries", check_qseries_kernel),
-)
-
-SUITE_NAMES = ("qseries", "convergents", "measure", "moments", "asymptotics", "all")
-
-
-def _run_one(name, fn) -> CheckResult:
-    """One criterion; a raised domain error is a failed criterion."""
-    try:
-        return fn()
-    except QFracError as exc:
-        return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
 
 
 def _worker_count() -> int:
@@ -559,7 +568,7 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _child(r: int, w: int, name: str, fn) -> None:
+def _child(r: int, w: int, fn) -> None:
     """Run one criterion in a forked child and write the pickled outcome to the pipe end ``w``.
 
     The outcome is ``(True, result)`` or ``(False, pickled exception or None,
@@ -569,7 +578,7 @@ def _child(r: int, w: int, name: str, fn) -> None:
     try:
         os.close(r)
         try:
-            payload = pickle.dumps((True, _run_one(name, fn)))
+            payload = pickle.dumps((True, fn()))
         except BaseException as exc:
             import traceback
 
@@ -632,7 +641,7 @@ def _run_forked(chosen, workers: int) -> list[CheckResult]:
                     os.close(w)
                     raise
                 if pid == 0:
-                    _child(r, w, name, fn)
+                    _child(r, w, fn)
                 running[r] = [i, name, pid, []]
                 os.close(w)
                 sel.register(r, selectors.EVENT_READ)
@@ -674,4 +683,4 @@ def run_suite(suite: str) -> list[CheckResult]:
     workers = min(_worker_count(), len(chosen))
     if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         return _run_forked(chosen, workers)
-    return [_run_one(name, fn) for name, fn in chosen]
+    return [fn() for _, fn in chosen]

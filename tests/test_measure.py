@@ -341,7 +341,7 @@ class TestStieltjes:
     def test_markov_error_strictly_decreasing(self):
         # sub-double-precision decay: checked by the extended-precision oracle
         for x in (2.0, -2.0, 1.2 + 0.5j):
-            errs, X_mp = _mp_markov_errors(P_STD, x, (50, 100, 200, 300), dps=460)
+            errs, X_mp, _ = _mp_markov_errors(P_STD, x, (50, 100, 200, 300), dps=460)
             # at x = +-2 the k = 300 errors are near 1e-344, below the double range
             assert all(e > 0 for e in errs)
             assert all(errs[i + 1] < errs[i] for i in range(3))

@@ -18,7 +18,7 @@ from mpmath import mp
 
 import qfraclab
 from qfraclab import asymptotics, cfrac, convergents, measure, moments, qseries, recurrence, verify
-from qfraclab.errors import TruncationError
+from qfraclab.errors import DomainError, TruncationError
 from qfraclab.recurrence import Params
 
 P = verify.ACCEPT_PARAMS
@@ -186,6 +186,32 @@ def test_entry16_exact_row_fails_when_the_integer_backward_route_is_off(monkeypa
     assert failed == [("exact mode n<=12: mismatches", 65, 1)]
 
 
+def test_entry15_exact_row_fails_through_entry15_when_exact_ram_q_is_off(monkeypatch):
+    # entry15 is (ram_Q / (1 + a), ram_Qstar) at x = 1, so the row compares
+    # ram_Q with the Fraction recurrence through entry15 alone
+    real = convergents.ram_Q
+
+    def exact_off(n, x, a, lam, q):
+        value = real(n, x, a, lam, q)
+        return value * (1 + Fraction(1, 10**30)) if isinstance(q, Fraction) else value
+
+    monkeypatch.setattr(convergents, "ram_Q", exact_off)
+    result = verify.check_entry15_a0()
+    assert not result.passed
+    failed = [(label, value, gate) for label, value, gate in result.rows if not value < gate]
+    assert failed == [("exact n<=10: mismatches against the Fraction recurrence", 50, 1)]
+
+
+def test_markov_limit_series_f_row_fails_when_series_f_is_off_by_1e_9(monkeypatch):
+    real = measure.series_F
+    monkeypatch.setattr(measure, "series_F", lambda rho, p: real(rho, p) * (1 + 1e-9))
+    result = verify.check_markov_limit()
+    assert not result.passed
+    assert [label for label, value, gate in result.rows if not value < gate] == [
+        "max |series_F - oracle F| / max(1, |F|)"
+    ]
+
+
 def test_moment_solutions_residual_row_fails_when_monic_beta_is_off(monkeypatch):
     real = recurrence.monic_beta
     monkeypatch.setattr(recurrence, "monic_beta", lambda p, k: real(p, k) * (1 + 1e-6))
@@ -234,7 +260,7 @@ def test_asymptotics_b0_rows_fail_when_stieltjes_b0_is_off_by_1e_10(monkeypatch)
 
 # public functions no criterion reaches; a change that reaches or deletes one
 # takes it off this list, and none may join it
-UNREACHED = {"gf_eval", "gf_radius", "series_F", "weight_f"}
+UNREACHED = {"gf_eval", "gf_radius", "weight_f"}
 
 
 def test_the_sweep_reaches_every_public_function_but_the_recorded_ones(monkeypatch):
@@ -262,6 +288,34 @@ def test_the_sweep_reaches_every_public_function_but_the_recorded_ones(monkeypat
     unreached = {name for code, name in codes.items() if code not in reached}
     assert not unreached - UNREACHED, "newly unreached by any criterion"
     assert not UNREACHED - unreached, "reached now: take these off UNREACHED"
+
+
+# ---------------------------------------------------------------------------
+# the registration point: names, and a raised domain error as a failed result
+# ---------------------------------------------------------------------------
+
+
+def test_registered_names_are_unique_and_the_cold_probes_fixed_names(monkeypatch):
+    import importlib.util
+    from pathlib import Path
+
+    # the ledger's verify.<name>_s metrics are keyed on the probe's fixed tuple
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the probe puts src/ on the path
+    spec = importlib.util.spec_from_file_location("probe", Path(__file__).resolve().parents[1] / "bench" / "probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    names = [name for name, _, _ in verify.CRITERIA]
+    assert len(set(names)) == len(names)
+    assert tuple(names) == probe.CRITERIA
+
+
+def test_a_check_called_directly_returns_a_raised_domain_error_as_a_failure(monkeypatch):
+    def raises(x, p):
+        raise DomainError("no density here")
+
+    monkeypatch.setattr(measure, "density_nevai", raises)
+    result = verify.check_density_cross()
+    assert result == ("density-cross-theorem", False, "raised DomainError: no density here", ())
 
 
 # ---------------------------------------------------------------------------
