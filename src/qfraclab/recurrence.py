@@ -57,12 +57,19 @@ g = (|A x| + |B| + |C0| + |C1|)(1 + 1e-9), so a chunk of
 max(1, floor(500 / max(1, log2 g))) levels that starts with all four values
 at or below 2^512 keeps them below 2^1012.  A bound that is NaN, overflows
 or reaches 2^400, or one with |q| > 1, bounds nothing (possible through the
-public ``constants`` field): such a run takes one level per chunk, and a
-step that leaves the double range there is done once more from its first
-pair scaled.  Any other run, a Fraction or mpmath one say, is one chunk and
-never rescaled.  Every value is the one a loop checking the ledger at every
-level gives, bit for bit short of underflow in a rescaled mantissa; the
-tests keep that loop as their reference.
+public ``constants`` field): such a run takes one level per chunk and checks
+its pair against 0 instead of 2^512, so a nonzero pair is scaled below 1/8,
+down or up, before every level.  One step from there cannot leave the
+double range while each component of A x + B q^k and C0 + C1 q^k is a
+finite double, as each component of lin n_1 - C n_0 then stays below
+2^1023.  The depth-1 run is the loop with no level to step.  Any other run,
+a Fraction or mpmath one say, is one chunk and never rescaled.  Every value
+is the one a loop checking the ledger at every level gives, bit for bit
+short of underflow in a rescaled mantissa; the tests keep that loop as
+their reference.  A run with no growth bound also keeps a full mantissa
+where its values fall below the normal double range, which that loop steps
+in subnormal arithmetic: there the two may differ in the last bits of a
+subnormal value, which this one rounds once, and in the sign of a zero.
 
 Exact runs of a built-in family run on integers.  When x and every
 constant are rational (an int or a Fraction), :func:`_integer_levels` reads
@@ -404,7 +411,7 @@ def _run_affine(constants, x, depth: int):
     list ``E`` (all zero for an unscaled run).  The levels are formed inline
     from one running q^k, and the exponent ledger is checked at the start of
     each chunk of levels; a run with no growth bound takes one level per
-    chunk and redoes a step that leaves the double range (see the module
+    chunk and scales its pair below 1/8 before each (see the module
     docstring)."""
     _require_depth(depth)
     _require_finite("x must be finite", x)
@@ -414,18 +421,17 @@ def _run_affine(constants, x, depth: int):
     _require_double("x", x, A, B0)
     Ax = A * x
     d1 = Ax + B0
-    if depth == 1:  # no level is stepped, and no ledger check made
-        return [0, A], [1, d1], [0, 0]
     scaled = isinstance(d1, (float, complex))
-    chunk, redo = depth - 1, False  # an unscaled run is one chunk
+    chunk, limit = depth - 1, _LEDGER_LIMIT  # an unscaled run is one chunk
     if scaled:
         try:
             g = (abs(Ax) + abs(B) + abs(C0) + abs(C1)) * (1 + 1e-9)
         except OverflowError:  # a modulus or a rational past the double range
             g = math.inf
-        # g NaN, too large or from |q| > 1 bounds nothing: one level per chunk
-        redo = not (g < _BOUND_LIMIT and abs(q) <= 1)
-        chunk = 1 if redo else _CHUNK_BITS if g <= 2 else int(_CHUNK_BITS / math.log2(g))
+        if g < _BOUND_LIMIT and abs(q) <= 1:
+            chunk = _CHUNK_BITS if g <= 2 else int(_CHUNK_BITS / math.log2(g))
+        else:  # g NaN, too large or from |q| > 1 bounds nothing: a nonzero pair is scaled before each level
+            chunk, limit = 1, 0
     n0, n1, d0 = 0, A, 1
     N, D, E = [n0, n1], [d0, d1], [0, 0]
     e = 0
@@ -434,13 +440,11 @@ def _run_affine(constants, x, depth: int):
     while left:
         if scaled:
             try:
-                small = abs(n0) <= _LEDGER_LIMIT >= abs(n1) and abs(d0) <= _LEDGER_LIMIT >= abs(d1)
+                small = abs(n0) <= limit >= abs(n1) and abs(d0) <= limit >= abs(d1)
             except OverflowError:  # a complex modulus past the double range
                 small = False
             if not small:
                 n0, n1, d0, d1, e = _scaled(n0, n1, d0, d1, e)
-            if redo:
-                first = n0, n1, d0, d1
         steps = min(chunk, left)
         left -= steps
         try:
@@ -454,11 +458,6 @@ def _run_affine(constants, x, depth: int):
                 qk *= q
         except OverflowError:  # a rational past the double range met a float level
             raise RangeError(f"the forward run at x = {_brief(x)} leaves the double range at level {len(D)}") from None
-        if redo and not (cmath.isfinite(n1) and cmath.isfinite(d1)):
-            # the one step left the double range: again from its first pair scaled
-            m0, n0, c0, d0, e = _scaled(*first, e)
-            n1, d1 = lin * n0 - C * m0, lin * d0 - C * c0
-            N[-1], D[-1] = n1, d1
         E += [e] * steps
     return N, D, E
 

@@ -18,10 +18,9 @@ the order they are defined, and the CLI ``verify`` subcommand and the
 acceptance tests both dispatch through it.  Because no check reads
 another's state, :func:`run_suite` runs them at the same time, each in its
 own forked child, with at most one child per usable CPU, and returns the
-results in :data:`CRITERIA` order.  On a 2-vCPU VM this took a
-fresh-interpreter ``qfraclab verify`` from a median of 0.77 s to 0.61 s (ten
-alternating pairs; 0.72 s to 0.57 s in a second set).  With one CPU the
-sweep runs one check after another, in process.
+results in :data:`CRITERIA` order.  On a 2-vCPU VM a fresh-interpreter
+``qfraclab verify`` takes a median of 0.33 s forked and 0.41 s on one CPU,
+where the sweep runs one check after another, in process.
 
 Two checks compare error curves whose true values decay far below
 double-precision noise (Markov convergent errors past k ~ 50 and sinusoid
@@ -72,7 +71,7 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from . import asymptotics, cfrac, convergents, measure, moments, qseries, recurrence
+from . import asymptotics, cfrac, convergents, genfun, measure, moments, qseries, recurrence
 from .errors import QFracError, TruncationError
 from .qseries import qpochhammer, qpochhammer_inf, theta
 from .recurrence import Params
@@ -401,12 +400,18 @@ def check_moment_solutions():
          [abs(moments.moment_pk_closed(k, z, p) - moments.moment_pk_integral(k, z, p)) for k in range(11)], 1e-10)
         for label, z in (("0.3+0.4i", 0.3 + 0.4j), ("-1.3", -1.3))
     ]
+    # the weight's functional equation f(t)(x - t - 1/4t) = f(t/q)(c/q + lam/4bt),
+    # which makes the q-integral of t^k against f a moment solution
+    weight = [_rel_err(moments.weight_f(t, math.acos(z), p) * (z - t - 1 / (4 * t)),
+                       moments.weight_f(t / p.q, math.acos(z), p) * (p.c / p.q + p.lam / (4 * p.b * t)))
+              for z in (0.3, -0.7) for t in (0.2 + 0.1j, 0.35, -0.3 + 0.25j, 0.05 - 0.02j)]
     return (
         ("k<=15 recurrence residual", residuals, 1e-10),
         ("q-integral vs 2phi1", [abs(pkc[k] - moments.moment_pk_integral(k, x, p)) for k in range(16)], 1e-10),
         *off_cut,
         ("b = -lam vs P_k (k<=10)", [abs(pk2[k] / pk2[0] - Pk2[k]) for k in range(11)], 1e-10),
         ("k = 0 at |lam q/b| = 0.45: q-integral vs 2phi1", slow_tail, 1e-10),
+        ("weight functional equation", weight, 1e-12),
     )
 
 
@@ -426,6 +431,11 @@ def check_asymptotics():
     transforms = {x: asymptotics.stieltjes_b0(x, pb) for x in (3.0, -2.5, 5.0, 1.5 + 0.5j, 0.05 + 0.02j)}
     b0_errs = [[abs(route(recurrence.b0_family(pb), x, 200) - s) / abs(s) for x, s in transforms.items()]
                for route in (cfrac.backward_convergent, cfrac.convergent)]
+    # kind P's coefficients are the monic family's D solution P_k, kind D's the base
+    # family's; each |t| is at most 0.35 of the radius, so the omitted tail is below 1e-25
+    families = {"P": recurrence.monic_family(p), "D": recurrence.hirschhorn_family(p)}
+    gf_errs = [_rel_err(genfun.gf_eval(kind, t, x, p), _horner(recurrence.run_jfraction(families[kind], x, 60).D, t))
+               for kind, x, t in (("P", 0.3, 0.5), ("P", 1.7, 0.2 + 0.1j), ("D", 0.3, 0.3), ("D", -1.7, 0.1 - 0.05j))]
     return (
         ("9-point grid, extended precision: largest ratio |e_100 / e_25|", ratios, 1),
         ("k=25: max |package e_25 - oracle e_25|", gaps, 1e-11),
@@ -434,6 +444,7 @@ def check_asymptotics():
         ("b=0, x in {3, -2.5, 5, 1.5+0.5i, 0.05+0.02i}: |backward_convergent_200 - stieltjes_b0| / |stieltjes_b0|",
          b0_errs[0], 1e-13),
         ("same, convergent_200", b0_errs[1], 1e-13),
+        ("generating functions P, D: gf_eval vs sum_{k<=60} c_k t^k", gf_errs, 1e-12),
     )
 
 
@@ -456,6 +467,16 @@ def _horner(coeffs, t):
     for co in reversed(coeffs):
         acc = acc * t + co
     return acc
+
+
+def _jacobi_sum(z, q, terms: int = 30):
+    """sum_{|n| <= terms} (-1)^n q^(n(n-1)/2) z^n, each term from its neighbour towards n = 0."""
+    total = up = down = qn = 1.0  # the terms at n and -n, and q^n
+    for _ in range(terms):
+        up, qn = -up * z * qn, qn * q
+        down *= -qn / z
+        total += up + down
+    return total
 
 
 def _abs_term_sum(upper, lower, q, z) -> float:
@@ -508,7 +529,7 @@ def _phi_sum_errors(rng: random.Random, draws: int) -> tuple[list, list]:
 
 @_criterion("qseries-kernel", "qseries")
 def check_qseries_kernel():
-    """Scaled errors of five q-series identities: the first three over 100
+    """Scaled errors of six q-series identities: the first four over 100
     draws, phi's two summation formulas over 25; and the terminating
     q-binomial theorem 1phi0(q^-n; -; q, z) = (z q^-n; q)_n (Gasper & Rahman,
     Basic Hypergeometric Series, sec. 1.3), exactly on 10 Fraction draws
@@ -516,7 +537,7 @@ def check_qseries_kernel():
     phi's term ratios."""
     gate = 1e-12
     rng = random.Random(1610)
-    splitting, quasi, by_parts = [], [], []
+    splitting, quasi, jacobi, by_parts = [], [], [], []
     for _ in range(100):
         q = _draw_q(rng)
         a = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
@@ -527,7 +548,11 @@ def check_qseries_kernel():
 
         qq = rng.uniform(0.05, 0.7)
         z = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.1, 2))
-        quasi.append(abs(theta(z, qq) / theta(z * qq, qq) + z) / max(1.0, abs(z)))
+        th = theta(z, qq)
+        quasi.append(abs(th / theta(z * qq, qq) + z) / max(1.0, abs(z)))
+        # (q; q)_inf <z; q> against its bilateral sum (Gasper & Rahman 2004, (1.6.1)),
+        # whose omitted terms are below 1e-40 for q <= 0.7 and 0.1 <= |z| <= 2.9
+        jacobi.append(_rel_err(qpochhammer_inf(qq, qq) * th, _jacobi_sum(z, qq)))
 
         fc = [rng.uniform(-1, 1) for _ in range(6)]
         gc = [rng.uniform(-1, 1) for _ in range(6)]
@@ -553,6 +578,7 @@ def check_qseries_kernel():
     return (
         ("splitting", splitting, gate),
         ("theta quasiperiodicity", quasi, gate),
+        ("Jacobi triple product", jacobi, gate),
         ("by-parts", by_parts, gate),
         ("q-binomial theorem", binomial, gate),
         ("q-Gauss sum", gauss, gate),

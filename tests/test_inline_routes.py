@@ -10,7 +10,9 @@ one level triple at a time and checks the ledger at every level, and
 ``cfrac.eval_backward`` on the level lists backward, which
 ``backward_convergent`` takes for a family built from ``coeffs`` alone:
 every value must equal it bit for bit, and every pole must raise at the same
-level with the same message.
+level with the same message.  The one exception is a forward run with no
+growth bound whose values fall below the normal double range, where the
+inline loop keeps full mantissas and the generic one steps subnormals.
 """
 
 import cmath
@@ -228,12 +230,12 @@ def test_unbounded_constants_equal_the_generic_loop(constants):
                 assert outcome(route, fam, x, depth) == outcome(ref_route, ref, x, depth), (route, x, depth)
 
 
-@pytest.mark.parametrize("x", [0.7, -3.0, complex(0.2, -1.5)])
-def test_a_step_that_leaves_the_double_range_is_redone_from_the_scaled_pair(x):
-    # q = 4 bounds nothing: lin_k = A x + B 4^k passes 2^512 near k = 257, and a
-    # pair not rescaled at its chunk's start times lin_k overflows; that step is
-    # done again from its first pair scaled, so every mantissa stays finite and
-    # N_k / D_k of the mantissas is the generic loop's
+@pytest.mark.parametrize("x", [0.7, -3.0, complex(0.2, -1.5), 1e300, complex(1e300, -1e300), -1e305])
+def test_a_run_with_no_growth_bound_keeps_finite_mantissas_and_equals_the_generic_loop(x):
+    # q = 4 bounds nothing: lin_k = A x + B 4^k passes 2^512 near k = 257, and at
+    # |x| >= 1e300 from the first level, so one step from a pair at 2^512 would
+    # leave the double range; the pair is scaled below 1/8 before each level, so
+    # every mantissa stays finite and N_k / D_k of the mantissas is the generic loop's
     constants = (1, 0.5, 0.25, 0.1, 4.0)
     N, D, E = _run_affine(constants, x, 300)
     assert all(map(cmath.isfinite, N + D)) and E[-1] > 10000
@@ -241,6 +243,26 @@ def test_a_step_that_leaves_the_double_range_is_redone_from_the_scaled_pair(x):
     assert outcome(lambda: [n / d for n, d in zip(N, D)]) == outcome(lambda: [n / d for n, d in zip(ref_N, ref_D)])
     fam = _custom(constants)
     assert outcome(run_jfraction, fam, x, 300) == outcome(reference.run_jfraction, coeffs_only(fam, 300), x, 300)
+
+
+def _normal(v) -> bool:
+    """Each component of ``v`` in the normal double range, so not zero."""
+    return all(abs(u) >= 2.0**-1022 for u in (v.real, v.imag))
+
+
+def test_a_run_with_no_growth_bound_keeps_full_mantissas_where_its_values_underflow():
+    # C1 = 2^400 bounds nothing, but from level 1 on C_k is tiny and |lin_k| ~ 2e-3,
+    # so the values fall below the normal range at k = 116; the pair is scaled up
+    # as well as down, so every mantissa keeps its bits, and each value equals the
+    # generic loop's wherever that one is normal (below, that loop steps subnormals,
+    # and a zero of its own may carry the other sign)
+    constants, x = (1, 0.0, 0.0, 2.0**400, 1e-130), complex(1e-3, 2e-3)
+    N, D, E = _run_affine(constants, x, 160)
+    assert E[-1] < -1000 and all(2.0**-40 < abs(m) <= 0.125 for m in D[2:])
+    ref_N, ref_D, ref_E = reference._run(_affine(*constants), x, 160)
+    got, want = recurrence._values(N + D, E + E), recurrence._values(ref_N + ref_D, ref_E + ref_E)
+    assert sum(not _normal(w) for w in want) > 50
+    assert [outcome(lambda: g) for g, w in zip(got, want) if _normal(w)] == [outcome(lambda: w) for w in want if _normal(w)]
 
 
 @pytest.mark.parametrize(
@@ -251,10 +273,11 @@ def test_a_step_that_leaves_the_double_range_is_redone_from_the_scaled_pair(x):
 def test_unscaled_runs_are_one_chunk_and_never_rescaled(constants, x):
     # D_1 neither float nor complex: no ledger, so float values past the double
     # range come back infinite or NaN, and an mpf seed past 2^512 is not scaled
-    N, D, E = _run_affine(constants, x, 300)
-    assert not any(E)
     fam = _custom(constants)
-    assert outcome(run_jfraction, fam, x, 300) == outcome(reference.run_jfraction, coeffs_only(fam, 300), x, 300)
+    for depth in (1, 300):
+        N, D, E = _run_affine(constants, x, depth)
+        assert len(E) == depth + 1 and not any(E)
+        assert outcome(run_jfraction, fam, x, depth) == outcome(reference.run_jfraction, coeffs_only(fam, depth), x, depth)
 
 
 @pytest.mark.parametrize("x", [Fraction(10**200, 3), Fraction(10**160, 3)])

@@ -17,7 +17,7 @@ import pytest
 from mpmath import mp
 
 import qfraclab
-from qfraclab import asymptotics, cfrac, convergents, measure, moments, qseries, recurrence, verify
+from qfraclab import asymptotics, cfrac, convergents, genfun, measure, moments, qseries, recurrence, verify
 from qfraclab.errors import DomainError, TruncationError
 from qfraclab.recurrence import Params
 
@@ -127,7 +127,7 @@ def test_qseries_kernel_fails_when_phi_is_off_by_1e_10(monkeypatch):
     result = verify.check_qseries_kernel()
     assert not result.passed
     # every part reports its worst error next to its gate; only phi's three fail
-    parts = ["splitting", "theta quasiperiodicity", "by-parts", "q-binomial theorem", "q-Gauss sum"]
+    parts = ["splitting", "theta quasiperiodicity", "Jacobi triple product", "by-parts", "q-binomial theorem", "q-Gauss sum"]
     exact = "exact q-binomial theorem, mismatches"
     assert [(label, gate) for label, _, gate in result.rows] == [(part, 1e-12) for part in parts] + [(exact, 1)]
     assert [label for label, err, gate in result.rows if not err < gate] == ["q-binomial theorem", "q-Gauss sum", exact]
@@ -149,6 +149,15 @@ def test_qseries_kernel_exact_row_counts_each_draw_with_one_factor_off(monkeypat
     assert [(label, value) for label, value, gate in result.rows if not value < gate] == [
         ("exact q-binomial theorem, mismatches", 9)
     ]
+
+
+def test_qseries_kernel_jacobi_row_fails_when_theta_is_off_by_1e_9(monkeypatch):
+    # the quasiperiodicity row is homogeneous in theta, so only the triple product sees a scaling
+    real_theta = verify.theta
+    monkeypatch.setattr(verify, "theta", lambda z, q: real_theta(z, q) * (1 + 1e-9))
+    result = verify.check_qseries_kernel()
+    assert not result.passed
+    assert [label for label, value, gate in result.rows if not value < gate] == ["Jacobi triple product"]
 
 
 def test_abs_term_sum_is_phi_where_every_term_is_positive():
@@ -220,6 +229,15 @@ def test_moment_solutions_residual_row_fails_when_monic_beta_is_off(monkeypatch)
     assert [label for label, value, gate in result.rows if not value < gate] == ["k<=15 recurrence residual"]
 
 
+def test_moment_solutions_weight_row_fails_when_weight_f_is_off(monkeypatch):
+    # the functional equation is homogeneous in f, so the perturbation depends on t
+    real = moments.weight_f
+    monkeypatch.setattr(moments, "weight_f", lambda t, theta, p: real(t, theta, p) * (1 + 1e-9 * abs(t)))
+    result = verify.check_moment_solutions()
+    assert not result.passed
+    assert [label for label, value, gate in result.rows if not value < gate] == ["weight functional equation"]
+
+
 def test_moment_solutions_reports_the_slow_tail_point():
     result = verify.check_moment_solutions()
     assert result.passed
@@ -254,13 +272,23 @@ def test_asymptotics_b0_rows_fail_when_stieltjes_b0_is_off_by_1e_10(monkeypatch)
     assert "backward_convergent_200" in failed[0][0] and failed[1][0] == "same, convergent_200"
 
 
+def test_asymptotics_generating_function_row_fails_when_gf_eval_is_off_by_1e_9(monkeypatch):
+    real = genfun.gf_eval
+    monkeypatch.setattr(genfun, "gf_eval", lambda kind, t, x, p: real(kind, t, x, p) * (1 + 1e-9))
+    result = verify.check_asymptotics()
+    assert not result.passed
+    assert [label for label, value, gate in result.rows if not value < gate] == [
+        "generating functions P, D: gf_eval vs sum_{k<=60} c_k t^k"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the route map: which public functions the sweep reaches
 # ---------------------------------------------------------------------------
 
 # public functions no criterion reaches; a change that reaches or deletes one
 # takes it off this list, and none may join it
-UNREACHED = {"gf_eval", "gf_radius", "weight_f"}
+UNREACHED = set()
 
 
 def test_the_sweep_reaches_every_public_function_but_the_recorded_ones(monkeypatch):
