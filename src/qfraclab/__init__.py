@@ -19,7 +19,7 @@ from .errors import DomainError, PoleError, QFracError, RangeError, TruncationEr
 __version__ = "0.1.0"
 
 # Home module of every lazily exported name; the keys are also exported, as
-# the submodules themselves.
+# the submodules themselves, and each submodule's __all__ is its row.
 _EXPORTS = {
     "qseries": ("phi", "qpochhammer", "qpochhammer_inf", "sum_series", "theta"),
     "recurrence": (

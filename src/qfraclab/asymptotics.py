@@ -16,18 +16,13 @@ from __future__ import annotations
 import cmath
 import math
 
+from . import _EXPORTS
 from .errors import DomainError, PoleError
 from .qseries import _brief, _require_double, _require_finite, _within_range, phi, qpochhammer_inf
 from .measure import _near_pole, series_R
 from .recurrence import Params
 
-__all__ = [
-    "asymptotic_P",
-    "asymptotic_Q",
-    "asymptotic_Qstar",
-    "b0_support_bound",
-    "stieltjes_b0",
-]
+__all__ = list(_EXPORTS["asymptotics"])
 
 
 def asymptotic_P(k: int, x: float, p: Params) -> float:

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 from itertools import count, islice
 
+from . import _EXPORTS
 from .errors import DomainError, PoleError
 from .qseries import _num_den, _require_double, _require_finite
 from .recurrence import JFamily, Params, _integer_levels, _read, hirschhorn_family, run_jfraction
 
-__all__ = ["eval_backward", "backward_convergent", "convergent", "hirschhorn_cf"]
+__all__ = list(_EXPORTS["cfrac"])
 
 
 def eval_backward(partial_numers, partial_denoms, depth: int):

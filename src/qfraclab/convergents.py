@@ -53,18 +53,11 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .errors import DomainError
 from .qseries import _num_den, _qterms, _require_finite, phi
 
-__all__ = [
-    "entry16",
-    "hirschhorn_closed",
-    "a0_closed",
-    "ram_Q",
-    "ram_Qstar",
-    "entry15",
-    "g_function",
-]
+__all__ = list(_EXPORTS["convergents"])
 
 
 def _padded_prefixes(top: list, bottom: list) -> tuple:

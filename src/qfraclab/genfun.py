@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import cmath
 
+from . import _EXPORTS
 from .errors import DomainError
 from .measure import rho_select
 from .qseries import _require_double, _require_finite, _within_range, sum_series
 from .recurrence import Params
 
-__all__ = ["KINDS", "gf_radius", "gf_eval"]
+__all__ = list(_EXPORTS["genfun"])
 
 KINDS = ("P", "Pstar", "D", "N")
 

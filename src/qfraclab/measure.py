@@ -42,22 +42,13 @@ from __future__ import annotations
 import cmath
 import math
 
+from . import _EXPORTS
 from .errors import DomainError, PoleError, TruncationError
 from .qseries import _MAX_TERMS, _REL_TOL, _SMALL_RUN, _rational, _require_finite, _within_range
 from .qseries import qpochhammer, qpochhammer_inf
 from .recurrence import Params, run_monic
 
-__all__ = [
-    "rho_select",
-    "series_F",
-    "series_G",
-    "series_R",
-    "density_nevai",
-    "density_inversion",
-    "stieltjes_transform",
-    "norm_squared",
-    "gram_matrix",
-]
+__all__ = list(_EXPORTS["measure"])
 
 
 def rho_select(x) -> complex:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 
+from . import _EXPORTS
 from .errors import DomainError, RangeError
 from .qseries import (
     _brief, _require_double, _require_finite, _within_range, phi, qpochhammer, qpochhammer_inf, sum_series,
@@ -43,7 +44,7 @@ from .qseries import (
 from .measure import rho_select
 from .recurrence import Params
 
-__all__ = ["qintegral", "weight_f", "moment_pk_integral", "moment_pk_closed"]
+__all__ = list(_EXPORTS["moments"])
 
 
 def _jackson(e, q, values, k: int = 0):

@@ -48,15 +48,10 @@ import math
 import sys
 from typing import Iterator, Sequence
 
+from . import _EXPORTS
 from .errors import DomainError, RangeError, TruncationError
 
-__all__ = [
-    "sum_series",
-    "qpochhammer",
-    "qpochhammer_inf",
-    "theta",
-    "phi",
-]
+__all__ = list(_EXPORTS["qseries"])
 
 
 # Truncation policy of every infinite sum and product: a sum stops once

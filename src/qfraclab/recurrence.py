@@ -106,24 +106,11 @@ from itertools import islice
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
+from . import _EXPORTS
 from .errors import DomainError, PoleError, RangeError
 from .qseries import _brief, _num_den, _qterms, _rational, _require_double, _require_finite
 
-__all__ = [
-    "Params",
-    "JCoeffs",
-    "JFamily",
-    "ConvergentSeq",
-    "hirschhorn_family",
-    "b0_family",
-    "entry16_family",
-    "run_jfraction",
-    "monic_family",
-    "monic_alpha",
-    "monic_beta",
-    "run_monic",
-    "monic_ratio",
-]
+__all__ = list(_EXPORTS["recurrence"])
 
 
 _set = object.__setattr__

@@ -5,12 +5,16 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ledger.py"
 SPEC = importlib.util.spec_from_file_location("ledger", TOOL)
 ledger = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(ledger)
 
-BETTER = {"ops_per_s": "higher", "op_tail_ms": "lower"}
+METRICS = {"ops_per_s": ("higher", 0.25), "op_tail_ms": ("lower", 0.25)}
+BENCHMARK = json.dumps({"run_seconds": 2, "end_to_end": [{"name": name, "better": better, "bound": bound}
+                                                          for name, (better, bound) in METRICS.items()]})
 
 
 def _result(ops, tail, correct=True):
@@ -31,7 +35,7 @@ def test_summary_takes_medians_quartiles_and_wins_in_each_metric_direction():
     change = [(105, 1.5), (110, 1.6), (119, 2.1), (150, 1.9), (160, 1.4)]
     runs = [_run("spectral", i, "parent", _result(*v)) for i, v in enumerate(parent)]
     runs += [_run("spectral", i, "change", _result(*v)) for i, v in enumerate(change)]
-    summary = ledger.summarise(runs, BETTER)["spectral"]
+    summary = ledger.summarise(runs, METRICS)["spectral"]
     assert summary["all_correct"] and summary["seeds"] == [41, 42, 43, 44, 45]
     ops, tail = summary["metrics"]["ops_per_s"], summary["metrics"]["op_tail_ms"]
     assert ops["parent"] == {"median": 120, "q1": 110, "q3": 130}
@@ -41,16 +45,41 @@ def test_summary_takes_medians_quartiles_and_wins_in_each_metric_direction():
     assert (tail["change_wins"], tail["ties"], tail["pairs"]) == (4, 1, 5)
 
 
+PARENT = [100 + i for i in range(10)]  # interquartile range 4.5 about a median of 104.5
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    # every change run beats every parent run
+    (PARENT, [120 + i for i in range(10)], "better"),
+    # 9 of 10 pairs won, and the medians 10 apart, more than the parent's 4.5
+    (PARENT[:9] + [130], [p + 10 for p in PARENT[:9]] + [120], "better"),
+    # the parent's spread, 40 about 100, is wider than the bound: the 30 % loss is unresolved
+    ([60, 80, 100, 120, 140] * 2, [30, 50, 70, 90, 110] * 2, "unresolved"),
+    # a median 30 % worse, past the bound of 25 %
+    (PARENT, [0.7 * p for p in PARENT], "worse"),
+    # 9 of 10 pairs won, but the medians only 1 apart, inside the parent's 4.5
+    (PARENT, [p + 1 for p in PARENT[:9]] + [PARENT[9] - 1], "unchanged"),
+    # pairs split, and the medians within the bound
+    (PARENT, [p + (-1) ** i for i, p in enumerate(PARENT)], "unchanged"),
+])
+def test_each_metric_gets_the_first_verdict_that_holds(parent, change, expected):
+    # the tail mirrors the throughput, so both directions reach the same verdict
+    runs = [_run("spectral", i, side, _result(ops, 1000 / ops))
+            for side, values in (("parent", parent), ("change", change)) for i, ops in enumerate(values)]
+    metrics = ledger.summarise(runs, METRICS)["spectral"]["metrics"]
+    assert {name: metric["verdict"] for name, metric in metrics.items()} == dict.fromkeys(METRICS, expected)
+
+
 def test_a_pair_without_both_results_is_left_out_and_marks_the_workload_incorrect():
     runs = [
         _run("recurrence", 0, "parent", _result(1, 1)), _run("recurrence", 0, "change", _result(2, 1)),
         _run("recurrence", 1, "parent", _result(1, 1)), _run("recurrence", 1, "change", None),
     ]
-    summary = ledger.summarise(runs, BETTER)["recurrence"]
+    summary = ledger.summarise(runs, METRICS)["recurrence"]
     assert not summary["all_correct"] and summary["seeds"] == [41, 42]
     assert summary["metrics"]["ops_per_s"]["pairs"] == 1
     runs[-1]["result"] = _result(3, 1, correct=False)
-    assert not ledger.summarise(runs, BETTER)["recurrence"]["all_correct"]
+    assert not ledger.summarise(runs, METRICS)["recurrence"]["all_correct"]
 
 
 def test_parse_output_reads_the_env_classes_info_and_result_lines():
@@ -80,8 +109,7 @@ def test_pairs_alternate_the_first_side_and_share_one_seed(tmp_path):
     for side in ledger.SIDES:
         trees[side] = tmp_path / side
         (trees[side] / "src").mkdir(parents=True)
-        (trees[side] / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 2, "end_to_end": [{"name": name, "better": better} for name, better in BETTER.items()]}))
+        (trees[side] / "BENCHMARK.json").write_text(BENCHMARK)
     calls = []
 
     def fake_run(tree, workload, seed, seconds):
@@ -114,8 +142,7 @@ def test_a_run_past_the_timeout_is_kept_without_a_result_and_fails_its_workload(
     trees = {side: tmp_path / side for side in ledger.SIDES}
     for tree in trees.values():
         (tree / "src").mkdir(parents=True)
-        (tree / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 2, "end_to_end": [{"name": name, "better": better} for name, better in BETTER.items()]}))
+        (tree / "BENCHMARK.json").write_text(BENCHMARK)
 
     def fake_run(tree, workload, seed, seconds):
         if tree.name == "change" and seed == 42:
@@ -129,7 +156,7 @@ def test_a_run_past_the_timeout_is_kept_without_a_result_and_fails_its_workload(
     assert summary["metrics"]["ops_per_s"]["pairs"] == 2
 
 
-def test_main_runs_ten_pairs_of_every_workload(tmp_path, monkeypatch):
+def test_main_runs_ten_pairs_of_every_workload(tmp_path, monkeypatch, capsys):
     for side in ledger.SIDES:
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text("")
@@ -137,12 +164,15 @@ def test_main_runs_ten_pairs_of_every_workload(tmp_path, monkeypatch):
 
     def fake_ledger(trees, plan, out):
         plans.append(plan)
-        return {"summary": {workload: {"all_correct": True} for workload in plan}}
+        return {"summary": {workload: {"all_correct": True, "metrics": {"ops_per_s": {"verdict": "unchanged"}}}
+                            for workload in plan}}
 
     monkeypatch.setattr(ledger, "run_ledger", fake_ledger)
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--out", "x.json"]
     assert ledger.main(argv) == 0
     assert plans == [{"spectral": 10, "recurrence": 10, "cli-cold": 10}]
+    assert capsys.readouterr().out.splitlines() == [
+        f"verdict {workload} ops_per_s unchanged" for workload in ("spectral", "recurrence", "cli-cold")]
 
 
 def _probe(**seconds):
@@ -184,8 +214,7 @@ def test_summary_times_each_criterion_over_the_pairs_probed_on_both_sides(tmp_pa
     for side in ledger.SIDES:
         trees[side] = tmp_path / side
         (trees[side] / "src").mkdir(parents=True)
-        (trees[side] / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 2, "end_to_end": [{"name": name, "better": better} for name, better in BETTER.items()]}))
+        (trees[side] / "BENCHMARK.json").write_text(BENCHMARK)
     # (parent, change) seconds of two criteria per pair; pair 3's change probe failed
     seconds = {41: ((0.5, 0.125), (0.25, 0.125)), 42: ((0.75, 0.125), (0.5, 0.25)),
                43: ((0.25, 0.125), (0.25, 0.0625)), 44: ((0.125, 0.125), None)}
@@ -227,8 +256,7 @@ def test_tier1_runs_once_in_each_tree_after_the_last_pair(tmp_path):
     for side in ledger.SIDES:
         trees[side] = tmp_path / side
         (trees[side] / "src").mkdir(parents=True)
-        (trees[side] / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 2, "end_to_end": [{"name": name, "better": better} for name, better in BETTER.items()]}))
+        (trees[side] / "BENCHMARK.json").write_text(BENCHMARK)
     calls = []
 
     def fake_run(tree, workload, seed, seconds):

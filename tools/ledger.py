@@ -13,10 +13,24 @@ drift in the host's speed falls on both sides alike.  After each
 a fresh interpreter's import time, first Gram call and seconds per
 ``verify`` criterion.  The summary holds, per workload and end-to-end
 metric, each side's median and quartiles (``statistics.quantiles``,
-inclusive method), the change's median over the parent's, and in how many
-pairs the change was better; under ``criteria``, the same for each
-criterion's seconds, lower being better, over the pairs whose two probes
-both reported.  ``runs`` keeps every run's ``env``, ``classes``, ``info``
+inclusive method), the change's median over the parent's, in how many
+pairs the change was better, and a ``verdict`` against the metric's
+``bound`` in the change tree's ``BENCHMARK.json``, the first of these that
+holds:
+
+* ``better``: every change run beats every parent run, or the change won
+  at least nine in ten pairs (ties count for neither side) and its median
+  beats the parent's by more than the parent's interquartile range;
+* ``unresolved``: the parent's interquartile range over its median is
+  wider than the bound;
+* ``worse``: the change's median is worse than the parent's by more than
+  the bound, relative to the parent's;
+* ``unchanged``: otherwise.
+
+``main`` prints one ``verdict <workload> <metric> <verdict>`` line per
+metric.  Under ``criteria`` the summary holds the same for each criterion's
+seconds, lower being better and with no verdict, over the pairs whose two
+probes both reported.  ``runs`` keeps every run's ``env``, ``classes``, ``info``
 and result lines, and its probe's JSON (None where the probe failed).  A
 run that fails or passes ``RUN_TIMEOUT_S`` keeps its record with no result
 and no probe, which leaves its pair out of the summary and marks the
@@ -163,18 +177,39 @@ def _compare(values: dict, direction: str) -> dict:
     return entry
 
 
-def summarise(runs: list, better: dict) -> dict:
-    """Per workload: each metric in ``better`` (name -> "lower" or "higher")
-    over the pairs whose two runs both returned a result, and each probed
-    criterion's seconds over the pairs whose two probes both timed it."""
+def _verdict(values: dict, entry: dict, bound: float) -> str:
+    """The verdict on a metric (see the module docstring): ``values`` and
+    ``entry`` are the input and the result of :func:`_compare`, and ``bound`` the
+    largest relative change of the median that counts as no change."""
+    sign = 1 if entry["better"] == "higher" else -1
+    parent = entry["parent"]
+    spread = parent["q3"] - parent["q1"]
+    gain = sign * (entry["change"]["median"] - parent["median"])
+    if min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"]) or (
+            entry["change_wins"] >= 0.9 * entry["pairs"] and gain > spread):
+        return "better"
+    if spread / parent["median"] > bound:
+        return "unresolved"
+    if -gain / parent["median"] > bound:
+        return "worse"
+    return "unchanged"
+
+
+def summarise(runs: list, metrics: dict) -> dict:
+    """Per workload: each metric in ``metrics`` (name -> ("lower" or "higher",
+    bound)) over the pairs whose two runs both returned a result, with its
+    verdict, and each probed criterion's seconds over the pairs whose two
+    probes both timed it."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         by = {(run["pair"], run["side"]): run for run in runs if run["workload"] == workload}
         pairs = sorted({pair for pair, _ in by})
         done = [i for i in pairs if all(by.get((i, side), {}).get("result") for side in SIDES)]
-        metrics = {name: _compare({side: [by[i, side]["result"]["metrics"][name]["value"] for i in done]
-                                   for side in SIDES}, direction)
-                   for name, direction in (better.items() if done else ())}
+        compared = {}
+        for name, (direction, bound) in (metrics.items() if done else ()):
+            values = {side: [by[i, side]["result"]["metrics"][name]["value"] for i in done] for side in SIDES}
+            compared[name] = _compare(values, direction)
+            compared[name]["verdict"] = _verdict(values, compared[name], bound)
         timed = {}  # criterion -> side -> seconds, over the pairs probed on both sides
         for i in pairs:
             probes = {side: by.get((i, side), {}).get("probe") for side in SIDES}
@@ -184,7 +219,7 @@ def summarise(runs: list, better: dict) -> dict:
                 for side in SIDES:
                     timed.setdefault(name, {s: [] for s in SIDES})[side].append(probes[side]["criteria"][name][0])
         summary[workload] = {
-            "metrics": metrics,
+            "metrics": compared,
             "criteria": {name: _compare(values, "lower") for name, values in timed.items()},
             "all_correct": len(done) == len(pairs) and all(
                 by[i, side]["result"]["correct"] for i in done for side in SIDES),
@@ -198,7 +233,7 @@ def run_ledger(trees: dict, plan: dict, out: Path, run=bench_run, tier1=tier1_ru
     each tree, and write the ledger to ``out``."""
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = float(spec["run_seconds"])
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    metrics = {metric["name"]: (metric["better"], metric["bound"]) for metric in spec["end_to_end"]}
     ledger = {
         "what": f"bench/run.py --seconds {seconds:g} --trace 0, each run followed by bench/probe.py cold in "
                 "its tree, parent and change alternating within each pair (the side that runs first "
@@ -219,7 +254,7 @@ def run_ledger(trees: dict, plan: dict, out: Path, run=bench_run, tier1=tier1_ru
                 ledger["runs"].append({"side": side, "workload": workload, "seed": seed, "pair": pair,
                                        "first": order[0], **record})
                 print(f"{workload} pair {pair} {side}: returncode {record['returncode']}", file=sys.stderr)
-            ledger["summary"] = summarise(ledger["runs"], better)
+            ledger["summary"] = summarise(ledger["runs"], metrics)
             out.write_text(json.dumps(ledger, indent=1) + "\n")
     ledger["tier1"] = {side: tier1(trees[side]) for side in SIDES}
     ledger["finished_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -239,6 +274,9 @@ def main(argv=None) -> int:
             print(f"error: {side} tree {tree} has no bench/run.py", file=sys.stderr)
             return 2
     ledger = run_ledger(trees, dict.fromkeys(WORKLOADS, PAIRS), args.out)
+    for workload, entry in ledger["summary"].items():
+        for name, metric in entry["metrics"].items():
+            print(f"verdict {workload} {name} {metric['verdict']}")
     return 0 if all(entry["all_correct"] for entry in ledger["summary"].values()) else 1
 
 
