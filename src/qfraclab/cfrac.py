@@ -95,13 +95,11 @@ def _backward_affine(constants, x, m: int):
     :func:`qfraclab.recurrence._affine`, stored on the way in, and every
     operation is the one the level lists would give, in the same order."""
     A, B, C0, C1, q = constants
-    qk = q**0
-    _require_double("x", x, A, B * qk)
+    qks = [q**0]
+    _require_double("x", x, A, B * qks[0])
     Ax = A * x
-    qks = [qk]
     for _ in range(m - 1):
-        qk *= q
-        qks.append(qk)
+        qks.append(qks[-1] * q)
     powers = reversed(qks)
     qc = next(powers)
     t = Ax + B * qc  # the innermost denominator A x + B q^(m-1)

@@ -77,10 +77,8 @@ def gf_eval(kind: str, t, x, p: Params):
     ``t`` must satisfy ``|t| < 0.9 * radius`` of the nearest singularity,
     else a DomainError is raised.
     """
-    if kind not in KINDS:
-        raise DomainError(f"unknown generating-function kind {kind!r}")
     _require_finite("gf_eval requires finite arguments", t, x)
-    radius = gf_radius(kind, x, p)
+    radius = gf_radius(kind, x, p)  # raises on an unknown kind
     _require_double("t", t, 0j)  # t is taken as a complex number
     tc = complex(t)
     if abs(tc) >= _RADIUS_SAFETY * radius:

@@ -96,7 +96,9 @@ def qintegral(f, lower, upper, q: float):
     return _jackson(upper, q, map(f, _nodes(upper, q))) - _jackson(lower, q, map(f, _nodes(lower, q)))
 
 
-def _require_moment_params(p: Params):
+def _require_moment_params(p: Params, k: int = 0):
+    if k < 0:
+        raise DomainError("moment index k must be >= 0")
     p.require_monic()
     if p.a == 0:
         raise DomainError("moment machinery requires a != 0 (c != 0)")
@@ -170,9 +172,7 @@ def moment_pk_integral(k: int, x, p: Params) -> complex:
     its conjugate.  Requires |lam q / b| < 1 in addition to the monic
     hypotheses.
     """
-    if k < 0:
-        raise DomainError("moment index k must be >= 0")
-    _require_moment_params(p)
+    _require_moment_params(p, k)
     q, b, lam, c = p.q, p.b, p.lam, p.c
     if not abs(lam * q / b) < 1:
         raise DomainError("q-integral moments require |lam q / b| < 1")
@@ -228,9 +228,7 @@ def moment_pk_closed(k: int, x, p: Params) -> complex:
     Requires |lam q / (2bc)| < 1.  On the cut the other stated branch, at
     the root 1/s, agrees, which is a test.
     """
-    if k < 0:
-        raise DomainError("moment index k must be >= 0")
-    _require_moment_params(p)
+    _require_moment_params(p, k)
     if not abs(p.lam * p.q / (2 * p.b * p.c)) < 1:
         raise DomainError("closed-form moments require |lam q / (2 b c)| < 1")
     # S^k, 2^k and q^-k leave the double range at large k, on the cut too
