@@ -55,6 +55,9 @@ _EXPORTS = {
     "convergents": ("a0_closed", "entry15", "entry16", "g_function", "hirschhorn_closed", "ram_Q", "ram_Qstar"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# The acceptance suites of qfraclab.verify, here so that the CLI's parser can
+# offer them without importing verify (and mpmath).
+SUITE_NAMES = ("qseries", "convergents", "measure", "moments", "asymptotics", "all")
 
 __all__ = ["DomainError", "PoleError", "QFracError", "RangeError", "TruncationError", "errors", *_EXPORTS, *_HOME]
 
@@ -67,8 +70,7 @@ def __getattr__(name):
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
     return value
 
 

@@ -22,13 +22,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import SUITE_NAMES
 from .errors import PoleError, QFracError
 
 __all__ = ["main", "entry"]
-
-# verify.SUITE_NAMES, spelled out so that building the parser does not import
-# verify (and mpmath); tests/test_cli.py checks that the two stay equal.
-SUITE_NAMES = ("qseries", "convergents", "measure", "moments", "asymptotics", "all")
 
 
 def _fmt(v) -> str:

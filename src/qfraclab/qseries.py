@@ -152,12 +152,12 @@ def sum_series(terms: Iterator, what: str = "series"):
         if at != at or at == inf:  # overflow masquerades as convergence otherwise
             raise TruncationError(f"{what} diverged (nonfinite term at index {count - 1})")
         total += term
-        if at <= _REL_TOL * (1.0 + abs(total)):
-            small += 1
-            if small >= _SMALL_RUN:
-                return total
-        else:
-            small = 0
+        try:
+            small = small + 1 if at <= _REL_TOL * (1.0 + abs(total)) else 0
+        except OverflowError:  # a rational partial sum too large to compare with a double
+            raise RangeError(f"{what}: partial sum at index {count - 1} leaves the double range") from None
+        if small >= _SMALL_RUN:
+            return total
         if count >= _MAX_TERMS:
             raise TruncationError(f"{what} did not converge within {_MAX_TERMS} terms")
     return total

@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from . import asymptotics, cfrac, convergents, genfun, measure, moments, qseries, recurrence
+from . import SUITE_NAMES, asymptotics, cfrac, convergents, genfun, measure, moments, qseries, recurrence
 from .errors import QFracError, TruncationError
 from .qseries import qpochhammer, qpochhammer_inf, theta
 from .recurrence import Params
@@ -195,7 +195,6 @@ def _result(name: str, *rows) -> CheckResult:
 
 
 CRITERIA = []  # (name, suite, check), appended by _criterion in definition order
-SUITE_NAMES = ("qseries", "convergents", "measure", "moments", "asymptotics", "all")
 
 
 def _criterion(name: str, suite: str, seconds: float | None = None):
@@ -289,7 +288,7 @@ def check_hirschhorn_formula():
 @_criterion("entry15-a0-formulas", "convergents")
 def check_entry15_a0():
     rng = random.Random(1603)
-    errs15, errs_a0 = [], []
+    errs15, errs_q, errs_a0 = [], [], []
     for _ in range(50):
         q = _draw_q(rng)
         a = rng.uniform(-0.9, 0.9)
@@ -301,6 +300,8 @@ def check_entry15_a0():
         for n in range(1, 26):
             Nh, Dh = convergents.entry15(n, a, lam, q)
             errs15.append(_rel_err((1 + a) * Nh / Dh, seq15.D[n + 1] / seq15.N[n + 1]))
+            # a ram_Q off by a factor scales Nhat and Dhat alike: of the float rows only this one sees it
+            errs_q.append(_rel_err((1 + a) * Nh, seq15.D[n + 1]))
             Np, Dp = convergents.a0_closed(n, b, lam, q)
             errs_a0.append(_rel_err(Np / Dp, seq_a0.N[n + 1] / ((1 - b) * seq_a0.D[n + 1])))
     # each closed form against the exact recurrence of its family at x = 1
@@ -316,6 +317,7 @@ def check_entry15_a0():
             mismatches += ((1 - b) * Np, Dp) != (seq_a0.N[n + 1], seq_a0.D[n + 1])
     return (
         ("50 draws, n<=25: entry15 max rel err", errs15, 1e-11),
+        ("Q_(n+1)(1) = (1 + a) Nhat_n against the forward D_(n+1): max rel err", errs_q, 1e-11),
         ("a0 max rel err", errs_a0, 1e-11),
         ("exact n<=10: mismatches against the Fraction recurrence", mismatches, 1),
     )

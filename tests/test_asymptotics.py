@@ -90,10 +90,6 @@ class TestStieltjesB0:
     def test_support_bound_value(self):
         assert b0_support_bound(P_B0) == pytest.approx(2 * (0.3 + 2 * math.sqrt(0.5 * 0.4)))
 
-    def test_matches_markov_ratio(self):
-        seq = run_jfraction(b0_family(P_B0), 3.0, 200)
-        assert stieltjes_b0(3.0, P_B0) == pytest.approx(seq.N[200] / seq.D[200], abs=1e-10)
-
     def test_total_mass_limit(self):
         x = 1e7
         assert stieltjes_b0(x, P_B0) * x == pytest.approx(1.0, abs=1e-6)

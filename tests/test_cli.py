@@ -278,12 +278,6 @@ def test_verify_json_rows_are_the_criteria_rows(capsys):
     assert 0 < mp.mpf(value) < 1e-300
 
 
-def test_suite_choices_match_verify():
-    from qfraclab import cli, verify
-
-    assert cli.SUITE_NAMES == verify.SUITE_NAMES
-
-
 def test_cli_import_loads_neither_numpy_nor_mpmath(run_fresh):
     # only what the import adds counts, not what the interpreter's site preloaded
     code = (

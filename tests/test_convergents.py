@@ -210,17 +210,6 @@ class TestGFunction:
     def test_lambda_zero(self):
         assert g_function(-0.3, 0.0, 0.4) == 1
 
-    def test_limit_identity_against_cf(self):
-        q, b, lam = 0.4, -0.3, 0.5
-        lhs = g_function(b, lam * q, q) / g_function(b, lam, q)
-        cf = hirschhorn_cf(Params(q, 0.0, b, lam), 200)
-        assert abs(lhs - cf) < 1e-12
-
-    def test_numerator_limit(self):
-        q, b, lam = 0.4, -0.3, 0.5
-        Np, _ = a0_closed(60, b, lam, q)
-        assert abs(Np - g_function(b, lam * q, q) / (1 + b)) < 1e-8
-
     def test_denominator_limit(self):
         q, b, lam = 0.4, -0.3, 0.5
         _, Dp = a0_closed(60, b, lam, q)

@@ -359,17 +359,6 @@ class TestOrthogonality:
             prod *= monic_beta(p, k)
         assert norm_squared(5, p) == pytest.approx(prod, rel=1e-13)
 
-    def test_gram_matrix_structure(self):
-        g = gram_matrix(P_STD, 5)
-        assert g[0][0] <= 1 + 1e-6
-        assert abs(g[0][0] - 1) < 1e-6  # no discrete mass at these parameters
-        for n in range(6):
-            for m in range(6):
-                if n == m:
-                    assert abs(g[n][n] - norm_squared(n, P_STD)) < 1e-6
-                else:
-                    assert abs(g[n][m]) < 1e-6
-
     def test_gram_near_vanishing_beta1(self):
         # beta_1 ~ 0.0025: the weight is so sharply peaked that a fixed
         # 512-node rule misses G by 6.9e-3; the adaptive rule must resolve it

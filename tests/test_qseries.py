@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfraclab.errors import DomainError, TruncationError
+from qfraclab.errors import DomainError, RangeError, TruncationError
 from qfraclab import convergents, genfun, moments, qseries, verify
 from qfraclab.qseries import phi, qpochhammer, qpochhammer_inf, sum_series, theta
 from qfraclab.recurrence import Params
@@ -236,6 +236,34 @@ def test_rationals_past_the_double_range_skip_the_finiteness_check():
     assert qpochhammer(huge, Fraction(1, 2), 2) == (1 - huge) * (1 - huge / 2)
     N, D = convergents.entry16(3, 10**400, Fraction(1, 2))
     assert type(D) is Fraction and D > 10**400
+
+
+HUGE = Fraction(10**400, 3)
+
+
+# each partial sum past the first is past the largest double
+@pytest.mark.parametrize("call", [
+    lambda: phi((Fraction(-1),), (), Fraction(2, 5), HUGE),  # divergent
+    lambda: phi((Fraction(5, 2),), (), Fraction(2, 5), HUGE),  # terminating
+    lambda: convergents.g_function(Fraction(-1, 3), HUGE, Fraction(2, 5)),
+], ids=["divergent", "terminating", "g_function"])
+def test_a_rational_partial_sum_past_the_double_range_is_a_range_error(call):
+    with pytest.raises(RangeError, match="^basic hypergeometric series: partial sum at index 1 leaves the double range$"):
+        call()
+
+
+def test_a_rational_sum_leaves_the_double_range_where_its_partial_sum_does():
+    # sum_k (7/3)^k, whose partial sum passes the largest double at k = 838;
+    # phi((-1,), (), 2/5, 7/3) leaves the same way at k = 835, but its terms'
+    # denominators grow like 5^(k^2 / 2), and it takes about a minute on a 2-vCPU host
+    with pytest.raises(RangeError, match="^series: partial sum at index 838 leaves the double range$"):
+        sum_series(Fraction(7, 3) ** k for k in range(10_000))
+
+
+def test_a_terminating_rational_sum_and_a_divergent_float_sum_are_unchanged():
+    assert phi((Fraction(5, 2),), (), Fraction(2, 5), Fraction(7, 3)) == Fraction(-29, 6)
+    with pytest.raises(TruncationError, match=r"nonfinite term at index 836\)$"):
+        phi((-1.0,), (), 0.4, 7 / 3)
 
 
 def _factor_loop(a, q, n):

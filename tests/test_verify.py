@@ -141,45 +141,15 @@ def test_moment_solutions_reports_the_slow_tail_point():
 
 
 # ---------------------------------------------------------------------------
-# the route map: which public functions the sweep reaches
+# the perturbation table, the route map: which criterion fails when a
+# function is wrong, so which criteria reach it
 # ---------------------------------------------------------------------------
-
-# public functions no criterion reaches; a change that reaches or deletes one
-# takes it off this list, and none may join it
-UNREACHED = set()
 
 
 def _public_functions():
     """name -> function, for the exported names that are functions."""
     return {name: getattr(qfraclab, name) for names in qfraclab._EXPORTS.values() for name in names
             if inspect.isfunction(getattr(qfraclab, name))}
-
-
-def test_the_sweep_reaches_every_public_function_but_the_recorded_ones(monkeypatch):
-    codes = {fn.__code__: name for name, fn in _public_functions().items()}
-    assert len(codes) == 45 and UNREACHED <= set(codes.values())
-    reached = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            reached.add(frame.f_code)
-
-    monkeypatch.setattr(verify, "_worker_count", lambda: 1)  # in this process, where the profile sees it
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        results = verify.run_suite("all")
-    finally:
-        sys.setprofile(previous)
-    assert all(r.passed for r in results)
-    unreached = {name for code, name in codes.items() if code not in reached}
-    assert not unreached - UNREACHED, "newly unreached by any criterion"
-    assert not UNREACHED - unreached, "reached now: take these off UNREACHED"
-
-
-# ---------------------------------------------------------------------------
-# the perturbation table: which criterion fails when a function is wrong
-# ---------------------------------------------------------------------------
 
 
 def _eps(value, eps):
@@ -218,7 +188,8 @@ class Row(NamedTuple):
     ``qfraclab.*`` attribute bound to it, or one private ``module._name``;
     ``wrap`` makes the stand-in from the real function; ``criterion`` must fail,
     with exactly the rows ``failing`` when given, each a label or a prefix of
-    (label, value, gate) in which None matches any value and "nan" a NaN."""
+    (label, value, gate) in which None matches any value and "nan" a NaN.
+    An empty ``failing`` is a criterion that raised, which fails with no rows."""
 
     patch: str
     wrap: Callable
@@ -229,6 +200,8 @@ class Row(NamedTuple):
 QBINOMIAL_EXACT = "exact q-binomial theorem, mismatches"
 B0_BACKWARD = ("b=0, x in {3, -2.5, 5, 1.5+0.5i, 0.05+0.02i}: |backward_convergent_200 - stieltjes_b0| / "
                "|stieltjes_b0|")
+ENTRY15_Q = ("Q_(n+1)(1) = (1 + a) Nhat_n against the forward D_(n+1): max rel err", None, 1e-11)
+ENTRY15_EXACT = ("exact n<=10: mismatches against the Fraction recurrence", 50, 1)
 OFF_CUT = ("q-integral vs 2phi1 at x = 0.3+0.4i (k<=10)", "q-integral vs 2phi1 at x = -1.3 (k<=10)")
 
 PERTURBATIONS = [
@@ -243,12 +216,12 @@ PERTURBATIONS = [
         "hirschhorn-formula", (("exact n<=10: mismatches", 5),)),
     Row("cfrac._backward_exact", _where(lambda value: value + Fraction(1, 10**30)), "entry16-identity",
         (("exact mode n<=12: mismatches", 65, 1),)),
-    # entry15 is (ram_Q / (1 + a), ram_Qstar) at x = 1, so the row compares
-    # ram_Q with the Fraction recurrence through entry15 alone; it is ram_Q's
-    # row, because a float scaling of ram_Q scales ram_Qstar, which calls it,
-    # by as much, and cancels in entry15's ratio
+    # entry15 is (ram_Q / (1 + a), ram_Qstar) at x = 1, and ram_Qstar calls
+    # ram_Q, so a scaled ram_Q cancels in entry15's ratio: the Q_(n+1)(1) row
+    # sees it in floats, and the exact row in Fractions, down to 1e-30
     Row("ram_Q", _where(lambda v: v * (1 + Fraction(1, 10**30)), lambda n, x, a, lam, q: isinstance(q, Fraction)),
-        "entry15-a0-formulas", (("exact n<=10: mismatches against the Fraction recurrence", 50, 1),)),
+        "entry15-a0-formulas", (ENTRY15_EXACT,)),
+    Row("ram_Q", _scaled(1e-9), "entry15-a0-formulas", (ENTRY15_Q, ENTRY15_EXACT)),
     Row("series_F", _scaled(1e-9), "markov-limit", ("max |series_F - oracle F| / max(1, |F|)",)),
     Row("monic_beta", _scaled(1e-6), "moment-solutions", ("k<=15 recurrence residual",)),
     # the functional equation is homogeneous in f, so the perturbation depends on t
@@ -262,6 +235,10 @@ PERTURBATIONS = [
     Row("stieltjes_b0", _scaled(1e-10), "asymptotics",
         ((B0_BACKWARD, None, 1e-13), ("same, convergent_200", None, 1e-13))),
     Row("gf_eval", _scaled(1e-9), "asymptotics", ("generating functions P, D: gf_eval vs sum_{k<=60} c_k t^k",)),
+    # a radius is read only to refuse a point: a wrong one refuses them all, and
+    # the DomainError fails the criterion with no rows
+    Row("gf_radius", _where(lambda radius: 0.0), "asymptotics", ()),
+    Row("b0_support_bound", _where(lambda bound: math.inf), "asymptotics", ()),
     # a NaN from any route fails its criterion
     Row("density_inversion", _where(lambda value: math.nan, lambda x, p: abs(x) < 0.5), "density-cross-theorem",
         tuple((f"a={a}, 101 points in (-0.99, 0.99): max |nevai - inversion|", "nan") for a in ("0.3", "2"))),
@@ -270,7 +247,7 @@ PERTURBATIONS = [
     Row("moment_pk_integral", _where(lambda value: math.nan, lambda k, *_: k == 3), "moment-solutions",
         (("q-integral vs 2phi1", "nan"), *((label, "nan") for label in OFF_CUT))),
     Row("entry15", _where(lambda nd: (math.nan, 1.0), lambda n, a, *_: n == 4 and isinstance(a, float)),
-        "entry15-a0-formulas", (("50 draws, n<=25: entry15 max rel err", "nan"),)),
+        "entry15-a0-formulas", (("50 draws, n<=25: entry15 max rel err", "nan"), (ENTRY15_Q[0], "nan"))),
     Row("gram_matrix", _where(lambda g: [[math.nan] * 6] * 6), "orthogonality-gram",
         (("|1 - G00|", "nan"), ("max off-diagonal", "nan"), ("max |G_nn - h_n|", "nan"))),
     # every other public function scaled, or a family's B constant shifted, at
@@ -314,13 +291,6 @@ PERTURBATIONS = [
     Row("ram_Qstar", _scaled(1e-9), "entry15-a0-formulas"),
 ]
 
-# public functions that no row can fail, with the reason; a row that fails
-# one takes it off this list, and none may join it
-UNGUARDED = {
-    "gf_radius": "a domain radius: gf_eval reads it only to refuse a t outside it",
-    "b0_support_bound": "an exclusion radius: stieltjes_b0 reads it only to refuse a real x inside it",
-}
-
 
 def _bindings(patch):
     """(module, attribute) pairs that ``patch`` names (see Row)."""
@@ -353,10 +323,11 @@ def test_a_perturbed_function_fails_its_criterion(monkeypatch, row):
         assert len(failed) == len(row.failing)
 
 
-def test_every_public_function_has_a_row_or_a_reason():
-    rows = {row.patch for row in PERTURBATIONS}
-    assert not rows & set(UNGUARDED), "a row fails these now: take them off UNGUARDED"
-    assert set(_public_functions()) - rows == set(UNGUARDED)
+def test_every_public_function_has_a_row():
+    # a failing row proves that its criterion reaches the function
+    public = set(_public_functions())
+    assert len(public) == 45
+    assert public == {row.patch for row in PERTURBATIONS if "." not in row.patch}
 
 
 def test_qseries_kernel_reports_every_part_next_to_its_gate():
