@@ -260,6 +260,13 @@ def test_a_rational_sum_leaves_the_double_range_where_its_partial_sum_does():
         sum_series(Fraction(7, 3) ** k for k in range(10_000))
 
 
+def test_a_divergent_rational_phi_leaves_the_double_range_where_its_partial_sum_does():
+    # the k-th term of 1phi0(-1; 2/5, 10^100) is about 7 * 10^(100 k), so the
+    # partial sums at indices 0 to 3 are doubles and the one at index 4 is not
+    with pytest.raises(RangeError, match="^basic hypergeometric series: partial sum at index 4 leaves the double range$"):
+        phi((Fraction(-1),), (), Fraction(2, 5), Fraction(10**100))
+
+
 def test_a_terminating_rational_sum_and_a_divergent_float_sum_are_unchanged():
     assert phi((Fraction(5, 2),), (), Fraction(2, 5), Fraction(7, 3)) == Fraction(-29, 6)
     with pytest.raises(TruncationError, match=r"nonfinite term at index 836\)$"):
