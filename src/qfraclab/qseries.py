@@ -6,9 +6,14 @@ inputs: float/complex for the usual double-precision paths, and
 ``fractions.Fraction`` wherever the routine is a finite product or sum
 (which is what the exact-rational checks in :mod:`qfraclab.convergents`
 rely on).  Infinite sums and products are truncated under one fixed policy
-(relative tolerance 1e-15, three small terms in a row, at most 10 000 terms;
-see ``_REL_TOL``) and never silently: exhausting the term budget raises
-:class:`~qfraclab.errors.TruncationError`.
+(see ``_REL_TOL``) and never silently: exhausting the term budget raises
+:class:`~qfraclab.errors.TruncationError`.  A sum stops after three terms
+in a row below the relative tolerance 1e-15, within 10 000 terms.  A
+product (a; q)_inf multiplies its factors 1 - a q^k only while
+|a q^k| >= 1e-3 (1 - |q|), at most 10 000 of them, and sums the rest,
+(y; q)_inf with y = a q^K, by Euler's series, whose term ratio is below 1e-3
+there, so that a few terms give it to 1e-15.  Results keep the arithmetic
+of their arguments: float, complex, Fraction or mpmath.
 
 Finite products and sums on rationals run on integers, by one rule.  With
 x = s/t, y = c/d and q = u/v, the term x + y q^j is (s d v^j + c t u^j) over
@@ -57,12 +62,15 @@ __all__ = list(_EXPORTS["qseries"])
 # Truncation policy of every infinite sum and product: a sum stops once
 # _SMALL_RUN successive terms t satisfy |t| <= _REL_TOL * (1 + |partial sum|)
 # (several in a row, so that an isolated zero term, such as the alternating
-# q^(k choose 2) powers produce, does not end it), and a product (a; q)_inf
-# once |a q^k| < _REL_TOL for _SMALL_RUN successive k.  Reaching _MAX_TERMS
-# terms or factors raises TruncationError.
+# q^(k choose 2) powers produce, does not end it).  A product (a; q)_inf
+# multiplies factors 1 - a q^k while |a q^k| >= _TAIL_RATIO * (1 - |q|), and
+# sums the tail by Euler's series, whose term ratio is then below _TAIL_RATIO,
+# until its first term below _REL_TOL (see qpochhammer_inf).  Reaching
+# _MAX_TERMS terms or factors raises TruncationError.
 _REL_TOL = 1e-15
 _SMALL_RUN = 3
 _MAX_TERMS = 10_000
+_TAIL_RATIO = 1e-3
 
 
 def _rational(v) -> bool:
@@ -89,6 +97,13 @@ def _require_finite(head: str, *values) -> bool:
     return exact
 
 
+def _finite(v) -> bool:
+    """Whether a result ``v`` is finite in its own arithmetic (see the module
+    docstring): a rational always, a float or complex by ``cmath``, and a
+    value ``cmath`` calls non-finite by its ``context``, if it has one."""
+    return _rational(v) or cmath.isfinite(v) or getattr(v, "context", cmath).isfinite(v)
+
+
 def _brief(v) -> str:
     """``str(v)`` for an error message, with the middle of a long one (a rational
     of hundreds of digits) elided, so that a message stays short for any x; a
@@ -111,7 +126,7 @@ def _within_range(what: str, compute):
     through unchanged."""
     try:
         value = compute()
-        if _rational(value) or cmath.isfinite(value) or getattr(value, "context", cmath).isfinite(value):
+        if _finite(value):
             return value
     except RangeError:
         raise
@@ -197,7 +212,8 @@ def qpochhammer(a, q, n: int):
     type the factor-by-factor product would have: an int when ``a`` is an
     int and so is ``q`` (or n = 1, where q does not enter), else a Fraction,
     even with denominator 1.  Float, complex and mixed arguments are
-    multiplied factor by factor.
+    multiplied factor by factor, and a product that leaves the double range
+    raises RangeError.
     """
     if n < 0:
         raise DomainError("qpochhammer requires n >= 0")
@@ -222,41 +238,67 @@ def qpochhammer(a, q, n: int):
         _require_double("a", a, q)
         _require_double("q", q, a)
         raise
-    return out
+    if _finite(out):
+        return out
+    raise RangeError("(a; q)_n leaves the double range")
 
 
 def qpochhammer_inf(a, q):
     """Infinite product ``(a; q)_inf`` for ``0 < |q| < 1``.
 
-    The partial product is truncated once ``|a q^k| < _REL_TOL`` for
-    ``_SMALL_RUN`` successive ``k``.
+    The head multiplies the factors ``1 - a q^k`` while
+    ``|a q^k| >= _TAIL_RATIO (1 - |q|)``; reaching ``_MAX_TERMS`` factors
+    raises TruncationError.  With y = a q^K the first power below that, the
+    tail (y; q)_inf is Euler's series (Gasper & Rahman, *Basic Hypergeometric
+    Series*, 2nd ed., 2004, (1.3.16))
+
+        (y; q)_inf = sum_n (-1)^n q^C(n, 2) y^n / (q; q)_n,
+
+    whose term ratio |y q^n / (1 - q^(n+1))| <= |y| / (1 - |q|) is below
+    ``_TAIL_RATIO`` = 1e-3.  So the n-th term is below (1e-3)^n, the tail lies
+    within 1.002e-3 of 1, and the sum stops, at the latest after its fifth
+    term, at its first term below ``_REL_TOL``: the terms it omits add up to
+    less than 1e-3 / (1 - 1e-3) of that one, under 1.002e-18 of the tail.
+    The head is multiplied by the tail as ``out + out * (tail - 1)``, so the
+    tail is not rounded to a double of its own first.  A result that leaves
+    the double range raises RangeError.
     """
     _require_finite("qpochhammer_inf requires finite arguments", a, q)
     if not 0 < abs(q) < 1:
         raise DomainError("qpochhammer_inf requires 0 < |q| < 1")
+    switch = _TAIL_RATIO * (1 - abs(q))
     out = 1
-    term = a  # a q^k
-    small = 0
+    y = a  # a q^k
     try:
         for _ in range(_MAX_TERMS):
-            out *= 1 - term
-            if abs(term) < _REL_TOL:
-                small += 1
-                if small >= _SMALL_RUN:
-                    return out
-            else:
-                small = 0
-            term *= q
+            if abs(y) < switch:
+                break
+            out *= 1 - y
+            y *= q
+        else:
+            raise TruncationError(f"(a; q)_inf did not converge within {_MAX_TERMS} factors")
     except OverflowError:  # a rational past the double range met q
         _require_double("a", a, q)
         raise
-    raise TruncationError(f"(a; q)_inf did not converge within {_MAX_TERMS} factors")
+    rest = 0  # (y; q)_inf - 1
+    term = 1
+    qn = 1  # q^n
+    while abs(term) >= _REL_TOL:
+        term *= -y * qn
+        qn *= q
+        term /= 1 - qn
+        rest += term
+    out += out * rest
+    if _finite(out):
+        return out
+    raise RangeError("(a; q)_inf leaves the double range")
 
 
 def theta(z, q):
     """Theta factorial ``<z; q> = (z; q)_inf (q/z; q)_inf`` for ``z != 0``.
 
-    Satisfies the quasiperiodicity ``<z; q> / <zq; q> = -z``.
+    Satisfies the quasiperiodicity ``<z; q> / <zq; q> = -z``.  Where a
+    product or the two together leave the double range, raises RangeError.
     """
     _require_finite("theta requires finite arguments", z, q)
     if z == 0:
@@ -264,10 +306,13 @@ def theta(z, q):
     if not 0 < abs(q) < 1:
         raise DomainError("theta requires 0 < |q| < 1")
     try:
-        return qpochhammer_inf(z, q) * qpochhammer_inf(q / z, q)
+        out = qpochhammer_inf(z, q) * qpochhammer_inf(q / z, q)
     except OverflowError:  # a rational past the double range met q (RangeError is one)
         _require_double("z", z, q)
         raise
+    if _finite(out):
+        return out
+    raise RangeError("<z; q> leaves the double range")
 
 
 # Relative tolerance within which a lower phi parameter counts as q^(-m).

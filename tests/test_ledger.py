@@ -30,6 +30,10 @@ def no_tier1(tree):
     return None
 
 
+def no_verify(tree):
+    return None
+
+
 def test_summary_takes_medians_quartiles_and_wins_in_each_metric_direction():
     parent = [(100, 2.0), (110, 2.2), (120, 2.1), (130, 2.4), (140, 2.3)]
     change = [(105, 1.5), (110, 1.6), (119, 2.1), (150, 1.9), (160, 1.4)]
@@ -117,7 +121,7 @@ def test_pairs_alternate_the_first_side_and_share_one_seed(tmp_path):
         return {"returncode": 0, "env": {}, "classes": {}, "info": {}, "result": _result(seed, 1.0)}
 
     out = tmp_path / "BENCH.json"
-    result = ledger.run_ledger(trees, {"spectral": 3, "cli-cold": 1}, out, run=fake_run, tier1=no_tier1)
+    result = ledger.run_ledger(trees, {"spectral": 3, "cli-cold": 1}, out, run=fake_run, tier1=no_tier1, verify=no_verify)
     assert calls == [
         ("parent", "spectral", 41, 2.0), ("change", "spectral", 41, 2.0),
         ("change", "spectral", 42, 2.0), ("parent", "spectral", 42, 2.0),
@@ -125,7 +129,7 @@ def test_pairs_alternate_the_first_side_and_share_one_seed(tmp_path):
         ("parent", "cli-cold", 41, 2.0), ("change", "cli-cold", 41, 2.0),
     ]
     assert json.loads(out.read_text()) == result
-    assert set(result) == {"what", "parent", "change", "finished_utc", "summary", "tier1", "runs"}
+    assert set(result) == {"what", "parent", "change", "finished_utc", "summary", "tier1", "verify", "runs"}
     assert result["parent"] == {"commit": None, "src_sha256": ledger.src_sha256(trees["parent"])}
     assert [run["first"] for run in result["runs"][:4]] == ["parent", "parent", "change", "change"]
     assert result["summary"]["spectral"]["metrics"]["ops_per_s"]["ties"] == 3
@@ -149,7 +153,7 @@ def test_a_run_past_the_timeout_is_kept_without_a_result_and_fails_its_workload(
             return timed_out
         return {"returncode": 0, "env": {}, "classes": {}, "info": {}, "result": _result(seed, 1.0)}
 
-    result = ledger.run_ledger(trees, {"spectral": 3}, tmp_path / "BENCH.json", run=fake_run, tier1=no_tier1)
+    result = ledger.run_ledger(trees, {"spectral": 3}, tmp_path / "BENCH.json", run=fake_run, tier1=no_tier1, verify=no_verify)
     assert result["finished_utc"] is not None and len(result["runs"]) == 6
     summary = result["summary"]["spectral"]
     assert not summary["all_correct"] and summary["seeds"] == [41, 42, 43]
@@ -225,7 +229,7 @@ def test_summary_times_each_criterion_over_the_pairs_probed_on_both_sides(tmp_pa
         probe = _probe(**{"markov-limit": mine[0], "asymptotics": mine[1]}) if mine else None
         return {"returncode": 0, "env": {}, "classes": {}, "info": {}, "result": _result(seed, 1.0), "probe": probe}
 
-    result = ledger.run_ledger(trees, {"spectral": 4}, tmp_path / "BENCH.json", run=fake_run, tier1=no_tier1)
+    result = ledger.run_ledger(trees, {"spectral": 4}, tmp_path / "BENCH.json", run=fake_run, tier1=no_tier1, verify=no_verify)
     assert result["runs"][0]["probe"] == _probe(**{"markov-limit": 0.5, "asymptotics": 0.125})
     criteria = result["summary"]["spectral"]["criteria"]
     assert sorted(criteria) == ["asymptotics", "markov-limit"]
@@ -268,7 +272,7 @@ def test_tier1_runs_once_in_each_tree_after_the_last_pair(tmp_path):
         return ledger.parse_tier1(TIER1_STDOUT, 17.5) if tree.name == "parent" else None
 
     out = tmp_path / "BENCH.json"
-    result = ledger.run_ledger(trees, {"spectral": 2}, out, run=fake_run, tier1=fake_tier1)
+    result = ledger.run_ledger(trees, {"spectral": 2}, out, run=fake_run, tier1=fake_tier1, verify=no_verify)
     assert calls[-2:] == [("tier1", "parent"), ("tier1", "change")] and len(calls) == 6
     assert result["tier1"]["change"] is None
     parent = result["tier1"]["parent"]
@@ -297,3 +301,74 @@ def test_tier1_run_runs_pytest_in_the_tree_and_gives_none_on_a_timeout_or_no_sum
     assert ledger.tier1_run(tmp_path) is None and ledger.tier1_run(tmp_path) is None
     assert seen == [(["-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=15"], tmp_path, "src",
                      ledger.RUN_TIMEOUT_S)] * 3
+
+
+def _record(name, *rows, passed=True):
+    return {"name": name, "passed": passed, "rows": [list(row) for row in rows]}
+
+
+def test_verify_runs_once_in_each_tree_last_and_pairs_each_row(tmp_path):
+    trees = {}
+    for side in ledger.SIDES:
+        trees[side] = tmp_path / side
+        (trees[side] / "src").mkdir(parents=True)
+        (trees[side] / "BENCHMARK.json").write_text(BENCHMARK)
+    records = {
+        "parent": [_record("qseries-kernel", ("theta quasiperiodicity", 3.5e-15, 1e-12), ("seconds", 0.04, 5.0)),
+                   _record("g-limit-identity", ("CF_200", 2.2e-16, 1e-12))],
+        "change": [_record("qseries-kernel", ("theta quasiperiodicity", 1.1e-15, 1e-12), ("seconds", 0.03, 5.0)),
+                   _record("g-limit-identity", ("CF_200", 2.2e-16, 1e-12), ("new row", 1e-17, 1e-12),
+                           passed=False)],
+    }
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append(("run", tree.name))
+        return {"returncode": 0, "env": {}, "classes": {}, "info": {}, "result": _result(seed, 1.0)}
+
+    def fake_tier1(tree):
+        calls.append(("tier1", tree.name))
+
+    def fake_verify(tree):
+        calls.append(("verify", tree.name))
+        return records[tree.name]
+
+    out = tmp_path / "BENCH.json"
+    result = ledger.run_ledger(trees, {"spectral": 1}, out, run=fake_run, tier1=fake_tier1, verify=fake_verify)
+    assert calls[-2:] == [("verify", "parent"), ("verify", "change")] and calls[-4][0] == "tier1"
+    assert result["verify"]["parent"] == records["parent"] and result["verify"]["change"] == records["change"]
+    assert result["verify"]["rows"] == [
+        {"criterion": "qseries-kernel", "label": "theta quasiperiodicity", "gate": 1e-12,
+         "parent": 3.5e-15, "change": 1.1e-15},
+        {"criterion": "qseries-kernel", "label": "seconds", "gate": 5.0, "parent": 0.04, "change": 0.03},
+        {"criterion": "g-limit-identity", "label": "CF_200", "gate": 1e-12, "parent": 2.2e-16, "change": 2.2e-16},
+        {"criterion": "g-limit-identity", "label": "new row", "gate": 1e-12, "parent": None, "change": 1e-17},
+    ]
+    assert json.loads(out.read_text()) == result
+    # a side whose run printed no records has no values
+    assert [row["change"] for row in ledger.verify_rows({"parent": records["parent"], "change": None})] == [None] * 3
+
+
+def test_verify_run_reads_every_record_and_gives_none_on_a_timeout_or_no_record(tmp_path, monkeypatch):
+    seen = []
+    lines = [json.dumps(_record("markov-limit", ("max err", 1e-16, 1e-12))),
+             json.dumps(_record("asymptotics", ("ratio", 2.0, 1), passed=False))]
+    outcomes = iter([(1, "\n".join(lines) + "\n"), (2, "error: boom\n"), None])
+
+    def fake_subprocess_run(cmd, cwd, env, **kwargs):
+        seen.append((cmd[1:], cwd, env["PYTHONPATH"].split(ledger.os.pathsep)[0], kwargs["timeout"]))
+        outcome = next(outcomes)
+        if outcome is None:
+            raise ledger.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        return ledger.subprocess.CompletedProcess(cmd, outcome[0], outcome[1], "")
+
+    monkeypatch.setattr(ledger.subprocess, "run", fake_subprocess_run)
+    assert ledger.verify_run(tmp_path) == [json.loads(line) for line in lines]
+    assert ledger.verify_run(tmp_path) is None and ledger.verify_run(tmp_path) is None
+    assert seen == [(list(ledger.VERIFY), tmp_path, "src", ledger.RUN_TIMEOUT_S)] * 3
+
+
+def test_the_verify_command_prints_one_record_per_criterion():
+    # the real command, run from the repository root as the ledger runs it in a tree
+    records = ledger.verify_run(TOOL.parents[1])
+    assert len(records) == 10 and all(record["passed"] for record in records)

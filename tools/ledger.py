@@ -39,7 +39,13 @@ last pair the tier-1 suite (``TIER1``, with ``src`` first on ``PYTHONPATH``)
 runs once in each tree, under ``RUN_TIMEOUT_S``: ``tier1`` holds per side
 its wall seconds, pytest's passed, failed and error counts and reported
 seconds, and its 15 slowest durations, or None where the run timed out or
-printed no summary line.  ``finished_utc`` is set once that is in.
+printed no summary line.  Then ``qfraclab verify --json`` runs once in each
+tree, the same way: ``verify`` holds per side its records (None where the
+run timed out or printed none), and under ``rows`` each row of either side,
+in the parent's order, as its criterion, label and gate with the parent's
+and the change's value (None on a side without that row), so that a diff
+shows the errors a change moves as well as its seconds.  ``finished_utc``
+is set once that is in.
 
 ``src_sha256`` names a tree's package source: the SHA-256 of the
 ``sha256sum`` listing of every file under ``src/`` outside ``__pycache__``,
@@ -67,6 +73,7 @@ FIRST_SEED = 41
 PAIRS = 10
 RUN_TIMEOUT_S = 900
 TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=15")
+VERIFY = ("-c", "from qfraclab.cli import entry; entry()", "verify", "--json")
 
 
 def src_sha256(tree: Path) -> str:
@@ -147,16 +154,45 @@ def parse_tier1(stdout: str, wall_s: float):
             "slowest": slowest}
 
 
+def _src_env() -> dict:
+    """The environment with the tree's ``src`` first on ``PYTHONPATH``."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+
+
 def tier1_run(tree: Path):
     """One ``TIER1`` run in ``tree``, read by :func:`parse_tier1`; None past ``RUN_TIMEOUT_S``."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
     try:
-        out = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True,
+        out = subprocess.run([sys.executable, *TIER1], cwd=tree, env=_src_env(), capture_output=True, text=True,
                              timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None
     return parse_tier1(out.stdout, time.perf_counter() - start)
+
+
+def verify_run(tree: Path):
+    """The records of one ``VERIFY`` run in ``tree``, a failing criterion's too;
+    None where it passes ``RUN_TIMEOUT_S`` or prints no record."""
+    try:
+        out = subprocess.run([sys.executable, *VERIFY], cwd=tree, env=_src_env(), capture_output=True, text=True,
+                             timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    return [json.loads(line) for line in out.stdout.splitlines() if line.startswith("{")] or None
+
+
+def verify_rows(records: dict) -> list:
+    """Each row of either side's ``verify`` records (side -> records or None), in
+    the parent's order and then the change's new rows, with both sides' values
+    and the gate of the first side that has the row."""
+    rows = {}
+    for side in SIDES:
+        for record in records[side] or ():
+            for label, value, gate in record["rows"]:
+                row = rows.setdefault((record["name"], label), {
+                    "criterion": record["name"], "label": label, "gate": gate, "parent": None, "change": None})
+                row[side] = value
+    return list(rows.values())
 
 
 def _spread(values: list) -> dict:
@@ -228,21 +264,23 @@ def summarise(runs: list, metrics: dict) -> dict:
     return summary
 
 
-def run_ledger(trees: dict, plan: dict, out: Path, run=bench_run, tier1=tier1_run) -> dict:
-    """Run ``plan`` (workload -> pairs) over ``trees`` (side -> root), then ``tier1`` in
-    each tree, and write the ledger to ``out``."""
+def run_ledger(trees: dict, plan: dict, out: Path, run=bench_run, tier1=tier1_run, verify=verify_run) -> dict:
+    """Run ``plan`` (workload -> pairs) over ``trees`` (side -> root), then ``tier1``
+    and ``verify`` in each tree, and write the ledger to ``out``."""
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = float(spec["run_seconds"])
     metrics = {metric["name"]: (metric["better"], metric["bound"]) for metric in spec["end_to_end"]}
     ledger = {
         "what": f"bench/run.py --seconds {seconds:g} --trace 0, each run followed by bench/probe.py cold in "
                 "its tree, parent and change alternating within each pair (the side that runs first "
-                "alternates); each pair shares one seed; then the tier-1 suite once in each tree",
+                "alternates); each pair shares one seed; then the tier-1 suite and verify --json once in "
+                "each tree",
         "parent": {"commit": git_commit(trees["parent"]), "src_sha256": src_sha256(trees["parent"])},
         "change": {"commit": git_commit(trees["change"]), "src_sha256": src_sha256(trees["change"])},
         "finished_utc": None,
         "summary": {},
         "tier1": None,
+        "verify": None,
         "runs": [],
     }
     for workload, npairs in plan.items():
@@ -257,6 +295,8 @@ def run_ledger(trees: dict, plan: dict, out: Path, run=bench_run, tier1=tier1_ru
             ledger["summary"] = summarise(ledger["runs"], metrics)
             out.write_text(json.dumps(ledger, indent=1) + "\n")
     ledger["tier1"] = {side: tier1(trees[side]) for side in SIDES}
+    records = {side: verify(trees[side]) for side in SIDES}
+    ledger["verify"] = {**records, "rows": verify_rows(records)}
     ledger["finished_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     out.write_text(json.dumps(ledger, indent=1) + "\n")
     return ledger
